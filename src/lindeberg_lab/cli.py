@@ -43,6 +43,7 @@ from .core import (
 from .distributions import parse_spec, third_abs_moment
 from .rng import RandomStream
 from .sk import (
+    ENUMERATION_LIMIT,
     CouplingLayout,
     SKParams,
     family_lambda,
@@ -149,6 +150,8 @@ def build_config(suite: str, file_path: str | None,
         raise ConfigError("at least 100 replicates are required")
     if values.get("seed", 0) < 0:
         raise ConfigError("seed must be nonnegative")
+    if values["threads"] < 1:
+        raise ConfigError("threads must be at least 1")
     config = ExperimentConfig(suite=suite, values=values)
     _validate_suite_inputs(config)
     return config
@@ -177,6 +180,14 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
             raise ValueError("A must be at least 1")
         if config.suite == "wigner" and values.get("z_im") == 0.0:
             raise ValueError("spectral point must be off the real axis")
+        if config.suite in ("sk_free_energy", "sk_ground_state") and \
+                not 2 <= values["size"] <= ENUMERATION_LIMIT:
+            raise ValueError(f"exact enumeration needs size in "
+                             f"2..{ENUMERATION_LIMIT}")
+        if config.suite == "sk_ground_state" and \
+                (values["beta"] != 1.0 or values["h"] != 0.0):
+            raise ValueError("the ground-state experiment is defined at "
+                             "beta = 1, h = 0")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

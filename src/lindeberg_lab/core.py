@@ -28,6 +28,7 @@ a caller-supplied bound with a 3-sigma noise margin.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -69,6 +70,15 @@ class LindebergError(Exception):
 
 class InfiniteGammaError(LindebergError):
     """A third-moment bound was requested for a law with E|X|^3 = oo."""
+
+
+@functools.lru_cache(maxsize=None)
+def triangle_indices(N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(N, k)``, built once per (N, k) and read-only."""
+    rows, cols = np.triu_indices(N, k)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,7 @@ class RandomStream:
 
     ``replicate(r)`` positions the counter at block ``r << 128`` and returns a
     generator for that replicate.  The returned generator is shared and is
-    invalidated by the next ``replicate`` call; use ``spawn`` when several
-    replicate generators must be alive at once (e.g. across threads).
+    invalidated by the next ``replicate`` call.
     """
 
     def __init__(self, master_seed: int, experiment: str | int = 0):
@@ -64,10 +63,3 @@ class RandomStream:
         self._template["state"]["counter"][2] = index
         self._bg.state = self._template
         return self._gen
-
-    def spawn(self, index: int) -> np.random.Generator:
-        """Independent generator for replicate ``index`` (safe to hold)."""
-        if index < 0:
-            raise ValueError("replicate index must be nonnegative")
-        bg = np.random.Philox(key=self._key, counter=[0, 0, index, 0])
-        return np.random.Generator(bg)

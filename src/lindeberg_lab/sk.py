@@ -11,14 +11,23 @@ family influences lambda_2 = beta^2 N^-3 and lambda_3 = beta^3 N^(-9/2) with
 
     F(x) = N^(-1) log sum_sigma exp(N f_sigma(x)),
 
-computed here by exact enumeration (log-sum-exp over spin blocks), and the
-ground state is the hard max of the pair sum, enumerated over half the
-configurations via the sigma -> -sigma symmetry.
+computed here by exact enumeration, and the ground state is the hard max of
+the pair sum, enumerated over half the configurations via the sigma -> -sigma
+symmetry.
 
-Enumeration is vectorized over blocks of configurations (a block of spin rows
-against the coupling matrix), which on array hardware beats flip-by-flip
-updates; a Gray-code single-flip evaluator is kept as an independent
-cross-check path.
+Enumeration splits the spins: the leading ceil(N/2) spins form a and the
+trailing floor(N/2) form b, and configuration code = a 2^lo + b keeps the
+lexicographic order of the spin tuples.  The pair sum is
+
+    a'X_aa a / 2 + b'X_bb b / 2 + a'X_ab b,
+
+so one replicate costs one small GEMM, (A X_ab) B' over the cached +-1 tables
+A (2^hi x hi) and B (2^lo x lo), about lo 2^N flops, plus a row table and a
+column table; the resulting 2^hi x 2^lo energy grid feeds a max-shifted
+log-sum-exp (free energy) or a first-maximizer argmax (ground state).  The
+grid is produced in power-of-two row blocks of at most _BLOCK entries, which
+bounds memory up to N = ENUMERATION_LIMIT.  A Gray-code single-flip evaluator
+is kept as an independent cross-check path.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .core import (
     paired_functional_values,
     summarize_gap,
     third_moment_bound,
+    triangle_indices,
 )
 from .distributions import DistributionSpec, third_abs_moment
 from .smoothmax import (
@@ -103,8 +113,7 @@ class CouplingLayout:
             raise ValueError("coupling vector has wrong length")
         N = self.size
         X = np.zeros((N, N))
-        iu = np.triu_indices(N, k=1)
-        X[iu] = x
+        X[triangle_indices(N, 1)] = x
         return X + X.T
 
 
@@ -142,21 +151,55 @@ def _check_enumerable(N: int) -> None:
         )
 
 
-@functools.lru_cache(maxsize=64)
-def _spin_block(N: int, start: int, stop: int) -> np.ndarray:
-    """Configurations for codes [start, stop): bit b of the code (MSB first)
-    maps to spin +1, so code order is lexicographic order of the spin tuples.
-    Cached read-only; callers copy before mutating."""
-    codes = np.arange(start, stop, dtype=np.uint32)
-    shifts = np.arange(N - 1, -1, -1, dtype=np.uint32)
-    bits = (codes[:, None] >> shifts[None, :]) & 1
-    block = (bits.astype(np.int8) << 1) - 1
-    block.setflags(write=False)
-    return block
+@functools.lru_cache(maxsize=None)
+def _spin_table(bits: int) -> np.ndarray:
+    """All 2^bits configurations of ``bits`` spins as float rows: bit b of the
+    code (MSB first) maps to spin +1, so code order is lexicographic order of
+    the spin tuples.  Cached read-only."""
+    codes = np.arange(1 << bits, dtype=np.uint32)
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint32)
+    table = ((codes[:, None] >> shifts) & 1) * 2.0 - 1.0
+    table.setflags(write=False)
+    return table
+
+
+def _split(N: int) -> tuple[int, int]:
+    """(hi, lo): the leading ceil(N/2) spins index the rows of the energy
+    grid, the trailing floor(N/2) its columns, so code = row 2^lo + column."""
+    return (N + 1) // 2, N // 2
 
 
 def _code_to_sigma(code: int, N: int) -> np.ndarray:
-    return _spin_block(N, code, code + 1)[0].astype(int)
+    return ((code >> np.arange(N - 1, -1, -1)) & 1) * 2 - 1
+
+
+def _energy_blocks(layout: CouplingLayout, x, scale: float, field: float,
+                   row_start: int,
+                   row_stop: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (row, E) with E[r, b] = scale * pair + field * mag of the code
+    (row + r) 2^lo + b, for grid rows covering [row_start, row_stop).
+
+    Blocks hold a fixed power-of-two number of rows, set by N and _BLOCK
+    alone, and start at multiples of it: every caller runs the same GEMM
+    shapes on the same operands, so a code's energy has the same bits
+    whichever range asked for it (BLAS kernels may round differently for
+    other row counts).  The last block is trimmed to row_stop only after the
+    arithmetic.
+    """
+    hi, lo = _split(layout.size)
+    X = layout.coupling_matrix(x)
+    A, B = _spin_table(hi), _spin_table(lo)
+    X_ab = scale * X[:hi, hi:]
+    row_term = (0.5 * scale * np.einsum("ri,ri->r", A @ X[:hi, :hi], A)
+                + field * A.sum(axis=1))
+    col_term = (0.5 * scale * np.einsum("ri,ri->r", B @ X[hi:, hi:], B)
+                + field * B.sum(axis=1))
+    rows = max(1, min(1 << hi, _BLOCK >> lo))
+    for row in range(row_start - row_start % rows, row_stop, rows):
+        E = (A[row:row + rows] @ X_ab) @ B.T
+        E += row_term[row:row + rows, None]
+        E += col_term
+        yield row, E[:row_stop - row]
 
 
 def family_member(layout: CouplingLayout, params: SKParams, sigma,
@@ -237,32 +280,37 @@ def family_lambda(params: SKParams, N: int) -> tuple[float, float, float]:
 def _pair_energies(layout: CouplingLayout, x: np.ndarray,
                    start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """(sum_{i<j} x_ij s_i s_j, sum_i s_i) for codes [start, stop)."""
-    X = layout.coupling_matrix(x)
-    S = _spin_block(layout.size, start, stop).astype(float)
-    pair = 0.5 * np.einsum("bi,bi->b", S @ X, S)
-    return pair, S.sum(axis=1)
+    hi, lo = _split(layout.size)
+    blocks = list(_energy_blocks(layout, x, 1.0, 0.0, start >> lo,
+                                 -(-stop >> lo)))
+    first = blocks[0][0] << lo
+    pair = np.concatenate([E.ravel() for _, E in blocks])
+    codes = np.arange(start, stop)
+    mag = (_spin_table(hi).sum(axis=1)[codes >> lo]
+           + _spin_table(lo).sum(axis=1)[codes & ((1 << lo) - 1)])
+    return pair[start - first:stop - first], mag
 
 
 def free_energy(layout: CouplingLayout, params: SKParams, x) -> float:
     """N^(-1) log sum_sigma exp{ beta/sqrt(N) sum x ss + beta h sum s }.
 
-    Exact enumeration with a running max-shifted accumulator over spin blocks.
-    Coincides with the soft-max of the member family at level N.
+    Exact enumeration over the split-spin energy grid with a running
+    max-shifted accumulator over its row blocks.  Coincides with the soft-max
+    of the member family at level N.
     """
     N = layout.size
     _check_enumerable(N)
-    x = np.asarray(x, dtype=float)
+    beta = params.beta
     shift = -math.inf
     acc = 0.0
-    for start in range(0, 1 << N, _BLOCK):
-        stop = min(start + _BLOCK, 1 << N)
-        pair, mag = _pair_energies(layout, x, start, stop)
-        e = params.beta / math.sqrt(N) * pair + params.beta * params.h * mag
+    for _, e in _energy_blocks(layout, x, beta / math.sqrt(N),
+                               beta * params.h, 0, 1 << _split(N)[0]):
         m = float(e.max())
         if m > shift:
             acc = acc * math.exp(shift - m) if acc else 0.0
             shift = m
-        acc += float(np.exp(e - shift).sum())
+        e -= shift
+        acc += float(np.exp(e, out=e).sum())
     return (shift + math.log(acc)) / N
 
 
@@ -320,21 +368,20 @@ def ground_state(layout: CouplingLayout, x) -> tuple[float, np.ndarray]:
     """max_sigma sum_{i<j} x_ij s_i s_j and one maximizer.
 
     The sigma -> -sigma symmetry halves the search to configurations with
-    s_1 = -1; ties break to the lexicographically smallest spin tuple, which
-    is the first maximizer in code order.
+    s_1 = -1, the first half of the grid rows; ties break to the
+    lexicographically smallest spin tuple, which is the first maximizer in
+    code order.
     """
     N = layout.size
     _check_enumerable(N)
-    x = np.asarray(x, dtype=float)
+    hi, lo = _split(N)
     best = -math.inf
     best_code = 0
-    for start in range(0, 1 << (N - 1), _BLOCK):
-        stop = min(start + _BLOCK, 1 << (N - 1))
-        pair, _ = _pair_energies(layout, x, start, stop)
-        k = int(np.argmax(pair))
-        if pair[k] > best:
-            best = float(pair[k])
-            best_code = start + k
+    for row, pair in _energy_blocks(layout, x, 1.0, 0.0, 0, 1 << (hi - 1)):
+        k = int(np.argmax(pair))   # row-major: first maximizer in code order
+        if pair.flat[k] > best:
+            best = float(pair.flat[k])
+            best_code = (row << lo) + k
     return best, _code_to_sigma(best_code, N)
 
 

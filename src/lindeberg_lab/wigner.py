@@ -41,6 +41,7 @@ from .core import (
     paired_functional_values,
     summarize_gap,
     swap_bound,
+    triangle_indices,
 )
 from .distributions import DistributionSpec, truncated_second_moment, \
     truncated_third_moment
@@ -95,8 +96,7 @@ def build_matrix(layout: WignerLayout, x: np.ndarray) -> np.ndarray:
     if x.shape != (layout.coordinate_count,):
         raise ValueError("coordinate vector has wrong length")
     A = np.zeros((N, N))
-    iu = np.triu_indices(N)
-    A[iu] = x / math.sqrt(N)
+    A[triangle_indices(N, 0)] = x / math.sqrt(N)
     A = A + np.triu(A, 1).T
     return A
 

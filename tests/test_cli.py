@@ -215,6 +215,19 @@ class TestMainExitCodes:
         assert main(["clt", "--replicates", "5"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sk_free_energy", "--size", "30"],
+        ["sk_free_energy", "--size", "1"],
+        ["sk_ground_state", "--size", "25"],
+        ["sk_ground_state", "--beta", "2"],
+        ["sk_ground_state", "--h", "0.5"],
+        ["clt", "--threads", "-3"],
+        ["clt", "--threads", "0"],
+    ])
+    def test_out_of_domain_input_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_runtime_fault_exits_3(self, capsys):
         code = main(["clt", "--size", "16", "--replicates", "120",
                      "--out", "/nonexistent-dir/x.csv"])

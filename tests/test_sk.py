@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from lindeberg_lab import sk
+from lindeberg_lab.cli import build_config, run
 from lindeberg_lab.core import estimate_lambda, fd_partial
 from lindeberg_lab.core import test_function as named_g
 from lindeberg_lab.distributions import GAUSSIAN, RADEMACHER, \
@@ -174,12 +176,26 @@ class TestFreeEnergy:
                 assert a == pytest.approx(b, abs=1e-12)
 
     def test_agrees_with_gray_code_path(self):
-        for N in (4, 9):
+        # every split of N into row and column spins, odd and even
+        for N in range(2, 14):
             layout = CouplingLayout(N)
             params = SKParams(beta=0.9, h=-0.2)
-            for x in coupling_draws(f"gray{N}", N, 3):
+            for x in coupling_draws(f"gray{N}", N, 2):
                 assert free_energy(layout, params, x) == pytest.approx(
                     free_energy_gray(layout, params, x), abs=1e-12)
+
+    @pytest.mark.parametrize("block", [64, 1])
+    def test_multi_block_grid_agrees_with_gray_code_path(self, monkeypatch,
+                                                         block):
+        # N = 10 has a 32 x 32 grid: 64 entries give 2-row blocks, 1 entry
+        # clamps to single-row blocks
+        monkeypatch.setattr(sk, "_BLOCK", block)
+        N = 10
+        layout = CouplingLayout(N)
+        params = SKParams(beta=1.3, h=0.4)
+        for x in coupling_draws("multiblock", N, 2):
+            assert free_energy(layout, params, x) == pytest.approx(
+                free_energy_gray(layout, params, x), abs=1e-12)
 
     def test_sandwich_around_hard_max(self):
         N = 7
@@ -305,11 +321,36 @@ class TestGroundState:
                 value, _ = ground_state(layout, x)
                 assert value == brute_force_ground_state(layout, x)
 
-    def test_tie_break_lexicographic(self):
-        layout = CouplingLayout(4)
-        value, sigma = ground_state(layout, np.zeros(6))
-        assert value == 0.0
-        assert np.all(sigma == -1)  # every config ties; lex smallest wins
+    def test_tie_break_lexicographic(self, monkeypatch):
+        # one grid block, then 4-entry blocks spreading the ties over many
+        for block in (sk._BLOCK, 4):
+            monkeypatch.setattr(sk, "_BLOCK", block)
+            for N in (2, 3, 4, 9, 10):
+                layout = CouplingLayout(N)
+                value, sigma = ground_state(layout,
+                                           np.zeros(layout.coordinate_count))
+                assert value == 0.0
+                assert np.all(sigma == -1)  # every config ties; lex smallest
+
+    @pytest.mark.parametrize("block", [sk._BLOCK, 64])
+    def test_pair_energies_share_ground_state_arithmetic(self, monkeypatch,
+                                                         block):
+        # any code range reproduces the full sweep bit for bit, and the
+        # half-grid ground state is its exact maximum
+        monkeypatch.setattr(sk, "_BLOCK", block)
+        for N in (9, 10):
+            layout = CouplingLayout(N)
+            x = coupling_draws(f"share{N}", N, 1)[0]
+            full, full_mag = sk._pair_energies(layout, x, 0, 1 << N)
+            spins = np.array(list(itertools.product((-1, 1), repeat=N)))
+            assert np.array_equal(full_mag, spins.sum(axis=1))
+            for start, stop in ((0, 1), (37, 300), (129, 1 << N)):
+                pair, mag = sk._pair_energies(layout, x, start, stop)
+                assert np.array_equal(pair, full[start:stop])
+                assert np.array_equal(mag, full_mag[start:stop])
+            value, sigma = ground_state(layout, x)
+            assert value == float(np.max(full))
+            assert np.array_equal(sigma, spins[int(np.argmax(full))])
 
     def test_sign_flip_leaves_value(self):
         layout = CouplingLayout(5)
@@ -405,6 +446,16 @@ class TestSkExperiment:
         row = report.csv_row()
         assert len(row) == len(report.CSV_COLUMNS)
         assert row[0] == "ground_state"
+
+    def test_csv_byte_identical_across_threads(self, tmp_path):
+        outs = []
+        for threads in (1, 2):
+            out = tmp_path / f"sk{threads}.csv"
+            run(build_config("sk_free_energy", None,
+                             {"size": 10, "replicates": 200, "seed": 6,
+                              "threads": threads, "out": str(out)}))
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
