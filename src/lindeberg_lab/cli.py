@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -94,6 +95,9 @@ _SUITE_DEFAULTS = {
                     "epsilon": 0.2, "beta": 1.0, "A": 1.0, "g": "tanh"},
 }
 
+# suites whose bound takes E|X|^3 untruncated (wigner truncates at eps sqrt(N))
+_THIRD_MOMENT_SUITES = {"clt", "sk_free_energy", "sk_ground_state",
+                        "erdos_kac", "bound_table"}
 _INT_KEYS = {"size", "replicates", "seed", "threads"}
 _FLOAT_KEYS = {"z_re", "z_im", "beta", "h", "A", "epsilon"}
 
@@ -161,25 +165,35 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
     values = config.values
     try:
         if "dist_x" in values:
-            parse_spec(values["dist_x"])
-            parse_spec(values["dist_y"])
+            for key in ("dist_x", "dist_y"):
+                spec = parse_spec(values[key])
+                if config.suite in _THIRD_MOMENT_SUITES and \
+                        math.isinf(third_abs_moment(spec)):
+                    raise ValueError(f"{values[key]} has an infinite third "
+                                     f"absolute moment; the {config.suite} "
+                                     f"suite needs it finite")
         if "g" in values:
             test_function(values["g"])
         if "sizes" in values:
             sizes = [int(tok) for tok in str(values["sizes"]).split(",") if tok]
             if not sizes:
                 raise ValueError("empty size grid")
+            if min(sizes) < 2:
+                raise ValueError("every size in the grid must be at least 2")
             values["sizes"] = sizes
         if values.get("size", 1) < 1:
             raise ValueError("size must be positive")
+        if config.suite == "erdos_kac" and values["size"] < 2:
+            raise ValueError("the running maximum needs at least two steps")
         if "epsilon" in values and not values["epsilon"] > 0.0:
             raise ValueError("epsilon must be positive")
         if "beta" in values and not values["beta"] > 0.0:
             raise ValueError("beta must be positive")
         if "A" in values and not values["A"] >= 1.0:
             raise ValueError("A must be at least 1")
-        if config.suite == "wigner" and values.get("z_im") == 0.0:
-            raise ValueError("spectral point must be off the real axis")
+        if "z_im" in values:
+            # the bounds fall as N grows, so order 1 covers every size
+            derivative_bounds(1, values["z_im"])
         if config.suite in ("sk_free_energy", "sk_ground_state") and \
                 not 2 <= values["size"] <= ENUMERATION_LIMIT:
             raise ValueError(f"exact enumeration needs size in "

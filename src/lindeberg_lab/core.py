@@ -445,18 +445,6 @@ class GapReport:
         return (self.experiment_id, self.n, self.replicates, self.mc_gap,
                 self.std_error, self.theoretical_bound, self.passed, self.seed)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "n": self.n,
-            "replicates": self.replicates,
-            "mc_gap": self.mc_gap,
-            "std_error": self.std_error,
-            "bound": self.theoretical_bound,
-            "passed": self.passed,
-            "seed": self.seed,
-        }
-
 
 def _as_spec_list(spec, n: int) -> list[DistributionSpec]:
     if isinstance(spec, DistributionSpec):

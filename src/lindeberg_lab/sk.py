@@ -441,16 +441,6 @@ class SKReport:
                 self.dist_x, self.dist_y, r.replicates, r.mc_gap,
                 r.std_error, r.theoretical_bound, r.passed, r.seed)
 
-    def to_json_dict(self) -> dict:
-        r = self.report
-        return {
-            "kind": self.kind.value, "N": self.N, "beta": self.params.beta,
-            "h": self.params.h, "distX": self.dist_x, "distY": self.dist_y,
-            "replicates": r.replicates, "gap": r.mc_gap,
-            "std_error": r.std_error, "bound": r.theoretical_bound,
-            "passed": r.passed, "seed": r.seed,
-        }
-
 
 def sk_experiment(kind: SKKind | str, spec_x: DistributionSpec,
                   spec_y: DistributionSpec, params: SKParams, N: int,

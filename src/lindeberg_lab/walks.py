@@ -120,16 +120,6 @@ class WalkReport:
         return (self.n, self.dist_x, self.dist_y, r.replicates, r.mc_gap,
                 r.theoretical_bound, self.ks_distance, r.seed)
 
-    def to_json_dict(self) -> dict:
-        r = self.report
-        return {
-            "n": self.n, "distX": self.dist_x, "distY": self.dist_y,
-            "replicates": r.replicates, "gap": r.mc_gap,
-            "std_error": r.std_error, "bound": r.theoretical_bound,
-            "passed": r.passed, "ks_distance": self.ks_distance,
-            "seed": r.seed,
-        }
-
 
 def erdos_kac_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
                          n: int, g: TestFunction, replicates: int,

@@ -6,13 +6,20 @@ z off the real axis, the normalized trace of the resolvent
 
     m(x, z) = (1/N) tr (A(x) - z I)^(-1)
 
-is smooth in every coordinate, and differentiating the resolvent identity
-gives closed forms for the first three coordinate partials:
+is smooth in every coordinate.  Its value comes from one real Householder
+reduction A = Q T Q^T to a tridiagonal T = tridiag(d, e), which leaves the
+trace unchanged, followed by an O(N) continued fraction for tr (T - z)^(-1);
+no complex matrix is formed.
+
+Differentiating the resolvent identity gives closed forms for the first three
+coordinate partials:
 
     d1 = -(1/N) tr(E G^2),  d2 = (2/N) tr(E G E G^2),
     d3 = -(6/N) tr(E G E G E G^2),
 
-where E = dA/dx_ij carries N^(-1/2) at (i,j) and (j,i).  Because G is
+where E = dA/dx_ij carries N^(-1/2) at (i,j) and (j,i).  The partials need
+the full resolvent G, which ``resolvent`` builds by a dense complex LU; the
+tests also use it as the reference for the transform value.  Because G is
 symmetric, each trace collapses to a handful of entries of G and G^2, so all
 n coordinate partials cost O(n) after one O(N^3) factorization.  Spectral
 calculus bounds the partials uniformly:
@@ -28,10 +35,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dsytrd
 
 from .core import (
     GapReport,
@@ -89,16 +97,21 @@ class WignerLayout:
         return i * self.size - i * (i - 1) // 2 + (j - i)
 
 
-def build_matrix(layout: WignerLayout, x: np.ndarray) -> np.ndarray:
-    """Real symmetric matrix with entries N^(-1/2) x_ij mirrored below."""
+def _upper_triangle(layout: WignerLayout, x: np.ndarray) -> np.ndarray:
+    """Entries N^(-1/2) x_ij at (i, j), i <= j, zeros below; Fortran order."""
     N = layout.size
     x = np.asarray(x, dtype=float)
     if x.shape != (layout.coordinate_count,):
         raise ValueError("coordinate vector has wrong length")
-    A = np.zeros((N, N))
+    A = np.zeros((N, N), order="F")
     A[triangle_indices(N, 0)] = x / math.sqrt(N)
-    A = A + np.triu(A, 1).T
     return A
+
+
+def build_matrix(layout: WignerLayout, x: np.ndarray) -> np.ndarray:
+    """Real symmetric matrix with entries N^(-1/2) x_ij mirrored below."""
+    A = _upper_triangle(layout, x)
+    return A + np.triu(A, 1).T
 
 
 def _check_z(z: complex) -> complex:
@@ -119,9 +132,31 @@ def resolvent(layout: WignerLayout, x: np.ndarray, z: complex) -> np.ndarray:
 
 
 def stieltjes(layout: WignerLayout, x: np.ndarray, z: complex) -> complex:
-    """(1/N) tr (A(x) - z I)^(-1)."""
-    g = resolvent(layout, x, z)
-    return complex(np.trace(g)) / layout.size
+    """(1/N) tr (A(x) - z I)^(-1) by tridiagonal reduction.
+
+    LAPACK ``dsytrd`` reduces the upper triangle of A to T = tridiag(d, e)
+    with A = Q T Q^T, so tr (A - z)^(-1) = tr (T - z)^(-1).  The pivots of
+    T - z obey f_1 = d_1 - z, f_k = d_k - z - e_{k-1}^2 / f_{k-1}, and the
+    trace is -d/dz log det (T - z) = -sum_k f_k' / f_k, with
+    f_1' = -1, f_k' = -1 + (e_{k-1}^2 / f_{k-1}^2) f_{k-1}'.  Every f_k has
+    imaginary part of sign -sign(Im z) and |f_k| >= |Im z|, so no pivot
+    vanishes.  ``resolvent`` is the dense reference for this value.
+    """
+    z = _check_z(z)
+    _, d, e, _, info = dsytrd(_upper_triangle(layout, x), lower=0,
+                              overwrite_a=1)
+    if info != 0:
+        raise ValueError(f"tridiagonal reduction failed (info = {info})")
+    d = d.tolist()
+    f = d[0] - z
+    df = -1.0
+    total = df / f
+    for dk, ek2 in zip(d[1:], (e * e).tolist()):
+        r = ek2 / f
+        df = r / f * df - 1.0
+        f = dk - z - r
+        total += df / f
+    return -total / layout.size
 
 
 def _entry_partials(N: int, i: int, j: int, G: np.ndarray,
@@ -228,13 +263,20 @@ def derivative_bounds(N: int, v: float) -> DerivativeBounds:
     if v == 0.0:
         raise ValueError("spectral point must be off the real axis")
     av = abs(v)
-    return DerivativeBounds(
-        b1=2.0 * av**-2 * N**-1.5,
-        b2=4.0 * av**-3 * N**-2.0,
-        b3=12.0 * av**-4 * N**-2.5,
-        lambda2=4.0 * max(av**-4, av**-3) * N**-2.0,
-        lambda3=12.0 * max(av**-6, av**-4) * N**-2.5,
-    )
+    try:
+        bounds = DerivativeBounds(
+            b1=2.0 * av**-2 * N**-1.5,
+            b2=4.0 * av**-3 * N**-2.0,
+            b3=12.0 * av**-4 * N**-2.5,
+            lambda2=4.0 * max(av**-4, av**-3) * N**-2.0,
+            lambda3=12.0 * max(av**-6, av**-4) * N**-2.5,
+        )
+    except OverflowError:
+        bounds = None
+    if bounds is None or not all(map(math.isfinite, astuple(bounds))):
+        raise ValueError(f"|Im z| = {av:g} is too close to the real axis: "
+                         f"the derivative bounds overflow")
+    return bounds
 
 
 def semicircle_stieltjes(z: complex) -> complex:
@@ -297,22 +339,6 @@ class SemicircleReport:
                 self.report_im.mc_gap, self.report_re.theoretical_bound,
                 self.mean_m.real, self.mean_m.imag,
                 self.m_reference.real, self.m_reference.imag, self.seed)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N, "z_re": self.z.real, "z_im": self.z.imag,
-            "distX": self.dist_x, "distY": self.dist_y,
-            "replicates": self.report_re.replicates,
-            "gap_re": self.report_re.mc_gap,
-            "gap_im": self.report_im.mc_gap,
-            "bound": self.report_re.theoretical_bound,
-            "std_error_re": self.report_re.std_error,
-            "std_error_im": self.report_im.std_error,
-            "passed": self.passed,
-            "mean_m_re": self.mean_m.real, "mean_m_im": self.mean_m.imag,
-            "m_sc_re": self.m_reference.real, "m_sc_im": self.m_reference.imag,
-            "seed": self.seed,
-        }
 
 
 def semicircle_bound(spec_x: DistributionSpec, spec_y: DistributionSpec,

@@ -120,6 +120,15 @@ class TestDeterminism:
         _, out1 = small_clt(tmp_path, "a.csv", threads=1)
         _, out2 = small_clt(tmp_path, "b.csv", threads=4)
         assert digest(out1) == digest(out2)
+        # wigner: a rerun and a second thread leave the bytes unchanged
+        digests = []
+        for k, threads in enumerate((1, 2, 1)):
+            out = tmp_path / f"wigner{k}.csv"
+            run(build_config("wigner", None,
+                             {"size": 20, "replicates": 100, "seed": 11,
+                              "threads": threads, "out": str(out)}))
+            digests.append(digest(out))
+        assert len(set(digests)) == 1
 
 
 class TestOutputs:
@@ -223,6 +232,12 @@ class TestMainExitCodes:
         ["sk_ground_state", "--h", "0.5"],
         ["clt", "--threads", "-3"],
         ["clt", "--threads", "0"],
+        ["bound_table", "--sizes", "1"],
+        ["bound_table", "--sizes", "0"],
+        ["erdos_kac", "--size", "1"],
+        ["lambda_audit", "--z-im", "0"],
+        ["clt", "--dist-x", "pareto:2.5"],
+        ["wigner", "--z-im", "1e-300"],
     ])
     def test_out_of_domain_input_exits_2(self, argv, capsys):
         assert main(argv) == 2

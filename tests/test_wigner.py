@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lindeberg_lab.core import estimate_lambda, fd_partial, mc_gap
@@ -121,6 +123,32 @@ class TestStieltjes:
             assert residual <= 1e-10
             assert np.max(np.abs(G - G.T)) <= 1e-12
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 17, 100])
+    def test_matches_resolvent_trace(self, N):
+        # oracle: trace of the dense LU resolvent
+        layout = WignerLayout(N)
+        for z in (2j, -2j, 0.3 + 0.05j, -1.5 + 1j):
+            for law in ("gaussian", "rademacher"):
+                for x in random_draws(f"oracle{N}{law}", layout, 3, law):
+                    want = complex(np.trace(resolvent(layout, x, z))) / N
+                    assert stieltjes(layout, x, z) == pytest.approx(
+                        want, rel=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(N=st.integers(1, 40),
+           v=st.floats(0.05, 5.0),
+           sign=st.sampled_from([-1.0, 1.0]),
+           u=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_resolvent_trace_property(self, N, v, sign, u, seed):
+        layout = WignerLayout(N)
+        x = np.random.default_rng(seed).standard_normal(
+            layout.coordinate_count)
+        z = complex(u, sign * v)
+        want = complex(np.trace(resolvent(layout, x, z))) / N
+        assert stieltjes(layout, x, z) == pytest.approx(want, rel=1e-12)
+
     def test_half_plane_and_norm_invariants(self):
         layout = WignerLayout(10)
         for z in (1j, 2j, -1.5j, 0.7 + 0.4j):
@@ -223,8 +251,10 @@ class TestDerivativeBounds:
         assert b.lambda3 == pytest.approx(12.0 * 0.5**-6 * 4**-2.5)
 
     def test_real_axis_rejected(self):
-        with pytest.raises(ValueError):
-            derivative_bounds(4, 0.0)
+        # 1e-300 is off the axis, but its bounds overflow
+        for v in (0.0, 1e-300, -1e-60):
+            with pytest.raises(ValueError):
+                derivative_bounds(4, v)
 
 
 class TestSemicircleReference:
