@@ -100,6 +100,10 @@ _THIRD_MOMENT_SUITES = {"clt", "sk_free_energy", "sk_ground_state",
                         "erdos_kac", "bound_table"}
 _INT_KEYS = {"size", "replicates", "seed", "threads"}
 _FLOAT_KEYS = {"z_re", "z_im", "beta", "h", "A", "epsilon"}
+# keys for which inf or nan reaches the arithmetic (epsilon and A have their
+# own range checks, and inf there is a well-defined limit)
+_FINITE_KEYS = {"z_re", "z_im", "beta", "h"}
+_SEED_LIMIT = 1 << 64   # the Philox key holds 64 bits of the master seed
 
 
 @dataclass
@@ -152,8 +156,11 @@ def build_config(suite: str, file_path: str | None,
         raise ConfigError("format must be csv or json")
     if "replicates" in values and values["replicates"] < 100:
         raise ConfigError("at least 100 replicates are required")
-    if values.get("seed", 0) < 0:
-        raise ConfigError("seed must be nonnegative")
+    if not 0 <= values.get("seed", 0) < _SEED_LIMIT:
+        raise ConfigError("seed must lie in 0..2**64 - 1")
+    for key in sorted(_FINITE_KEYS & values.keys()):
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"{key} must be a finite number")
     if values["threads"] < 1:
         raise ConfigError("threads must be at least 1")
     config = ExperimentConfig(suite=suite, values=values)
@@ -187,8 +194,11 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
             raise ValueError("the running maximum needs at least two steps")
         if "epsilon" in values and not values["epsilon"] > 0.0:
             raise ValueError("epsilon must be positive")
-        if "beta" in values and not values["beta"] > 0.0:
-            raise ValueError("beta must be positive")
+        if "beta" in values:
+            beta = values["beta"]
+            # the spin-glass bounds scale as beta^3
+            if not (beta > 0.0 and math.isfinite(beta * beta * beta)):
+                raise ValueError("beta must be positive with a finite cube")
         if "A" in values and not values["A"] >= 1.0:
             raise ValueError("A must be at least 1")
         if "z_im" in values:

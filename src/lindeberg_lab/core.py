@@ -467,6 +467,9 @@ def paired_functional_values(eval_x: Callable[[np.ndarray], complex],
     streams.  Replicate r of each side is a pure function of (master_seed,
     experiment, side, r); results land in replicate-indexed arrays, so the
     reduction is independent of scheduling order.
+
+    Each worker draws every replicate of a side into one reused buffer, so
+    ``eval_x``/``eval_y`` must not keep a reference to their argument.
     """
     if replicates < 100:
         raise ValueError("at least 100 replicates are required")
@@ -478,9 +481,10 @@ def paired_functional_values(eval_x: Callable[[np.ndarray], complex],
     def run_range(lo: int, hi: int) -> None:
         sx = RandomStream(master_seed, experiment + "/x")
         sy = RandomStream(master_seed, experiment + "/y")
+        bx, by = np.empty(n), np.empty(n)
         for r in range(lo, hi):
-            vx[r] = eval_x(draw_x(sx.replicate(r)))
-            vy[r] = eval_y(draw_y(sy.replicate(r)))
+            vx[r] = eval_x(draw_x(sx.replicate(r), bx))
+            vy[r] = eval_y(draw_y(sy.replicate(r), by))
 
     if threads <= 1:
         run_range(0, replicates)

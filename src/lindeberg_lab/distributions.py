@@ -13,6 +13,13 @@ reported as ``math.inf`` and the third-moment corollaries refuse it.
 
 Sampling consumes exactly one uniform per value (inverse CDF transforms),
 which keeps coordinate draws pinned to counter positions of the stream.
+
+Each transform overwrites the caller's uniform buffer in place with plain
+elementwise ufuncs: no ``np.where`` and no ``where=``-masked ufunc, each of
+which costs more per value than the ``np.power`` of the Pareto transform.
+Branches become arithmetic on the comparison (``u - (u < 0.5)``) or a sign
+copy (``np.copysign``), chosen so every value is bit-identical to the
+two-branch formula.  The engine reuses one buffer per side and worker.
 """
 
 from __future__ import annotations
@@ -65,9 +72,10 @@ class DistributionSpec:
         if self.family is Family.TRUNCATED_PARETO:
             if len(self.params) != 1:
                 raise ValueError("pareto spec needs exactly one tail exponent")
-            if self.params[0] <= 2.0:
+            if not 2.0 < self.params[0] < math.inf:
                 raise ValueError(
-                    "pareto tail exponent must exceed 2 for unit variance"
+                    "pareto tail exponent must be finite and exceed 2 for "
+                    "unit variance"
                 )
         elif self.params:
             raise ValueError(f"{self.family.value} takes no parameters")
@@ -124,44 +132,67 @@ def _pareto_scale(a: float) -> float:
 
 def sample(spec: DistributionSpec, gen: np.random.Generator, size=None):
     """Draw from the law; one uniform consumed per value."""
-    u = gen.random(size)
-    return _transform(spec, u)
+    u = _transform(spec, np.asarray(gen.random(size)))
+    return u if size is not None else u[()]
 
 
-def _transform(spec: DistributionSpec, u):
+def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
+    """Overwrite the uniforms ``u`` (a float array) with draws; return ``u``."""
     fam = spec.family
     if fam is Family.GAUSSIAN:
-        return ndtri(np.minimum(u + _HALF_ULP, _BELOW_ONE))
+        u += _HALF_ULP
+        np.minimum(u, _BELOW_ONE, out=u)
+        return ndtri(u, out=u)
     if fam is Family.RADEMACHER:
-        return np.where(u < 0.5, -1.0, 1.0)
+        np.greater_equal(u, 0.5, out=u)
+        u *= 2.0
+        u -= 1.0
+        return u
     if fam is Family.UNIFORM_SCALED:
-        return _SQRT3 * (2.0 * u - 1.0)
+        u *= 2.0
+        u -= 1.0
+        u *= _SQRT3
+        return u
     if fam is Family.CENTERED_EXPONENTIAL_SCALED:
-        return -np.log1p(-u) - 1.0
-    # symmetric Pareto: sign and magnitude from one uniform
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        u -= 1.0
+        return u
+    # symmetric Pareto: sign and magnitude from one uniform.  With v = 2u on
+    # the lower half and 2u - 1 on the upper, 1 - v = (2 - 2u) - 1{u < 0.5},
+    # every step exact for u on the 2^-53 grid.
     a = spec.params[0]
-    sign = np.where(u < 0.5, -1.0, 1.0)
-    v = np.where(u < 0.5, 2.0 * u, 2.0 * u - 1.0)
-    mag = np.power(1.0 - v, -1.0 / a)
-    return sign * mag / _pareto_scale(a)
+    lower = u < 0.5
+    sign = u - 0.5
+    u *= -2.0
+    u += 2.0
+    u -= lower
+    np.power(u, -1.0 / a, out=u)
+    np.copysign(u, sign, out=u)
+    u /= _pareto_scale(a)
+    return u
 
 
 def make_vector_sampler(specs):
-    """Compile a per-coordinate spec list into a fast draw(gen) closure.
+    """Compile a per-coordinate spec list into a fast ``draw(gen, out=None)``.
 
     Coordinate i always consumes the i-th uniform of the generator, whether
     the list is homogeneous (one vectorized transform) or mixed (grouped
-    transforms through index masks).
+    transforms through index arrays).  ``draw`` fills ``out`` (a float array
+    of length n) when given, else a fresh array, and returns it; a caller
+    that passes the same ``out`` on every call must not keep a reference to
+    an earlier result.
     """
     specs = list(specs)
     n = len(specs)
     if n == 0:
         raise ValueError("need at least one coordinate spec")
-    if all(s == specs[0] for s in specs):
+    if specs.count(specs[0]) == n:
         spec0 = specs[0]
 
-        def draw(gen: np.random.Generator) -> np.ndarray:
-            return np.asarray(_transform(spec0, gen.random(n)), dtype=float)
+        def draw(gen: np.random.Generator, out=None) -> np.ndarray:
+            return _transform(spec0, gen.random(n, out=out))
 
         return draw
 
@@ -170,12 +201,11 @@ def make_vector_sampler(specs):
         groups.setdefault(s, []).append(i)
     compiled = [(spec, np.array(idx)) for spec, idx in groups.items()]
 
-    def draw(gen: np.random.Generator) -> np.ndarray:
-        u = gen.random(n)
-        out = np.empty(n)
+    def draw(gen: np.random.Generator, out=None) -> np.ndarray:
+        u = gen.random(n, out=out)
         for spec, idx in compiled:
-            out[idx] = _transform(spec, u[idx])
-        return out
+            u[idx] = _transform(spec, u[idx])
+        return u
 
     return draw
 

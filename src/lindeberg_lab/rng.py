@@ -40,12 +40,12 @@ class RandomStream:
     """
 
     def __init__(self, master_seed: int, experiment: str | int = 0):
-        if master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        if not 0 <= master_seed <= _MASK64:
+            raise ValueError("master_seed must lie in 0..2**64 - 1")
         self.master_seed = master_seed
         self.experiment = experiment
         self._key = np.array(
-            [master_seed & _MASK64, experiment_code(experiment)], dtype=_U64
+            [master_seed, experiment_code(experiment)], dtype=_U64
         )
         self._bg = np.random.Philox(key=self._key)
         self._gen = np.random.Generator(self._bg)

@@ -43,7 +43,11 @@ __all__ = [
 
 
 def walk_family(n: int) -> FunctionFamily:
-    """Prefix-mean family f_j(x) = n^(-1/2) sum_{i<=j} x_i, j = 1..n."""
+    """Prefix-mean family f_j(x) = n^(-1/2) sum_{i<=j} x_i, j = 1..n.
+
+    Members are built on iteration, so the bound, which reads only the
+    family's influence and size, costs O(1) in n.
+    """
     if n < 1:
         raise ValueError("need at least one step")
     root = 1.0 / math.sqrt(n)
@@ -58,9 +62,9 @@ def walk_family(n: int) -> FunctionFamily:
         return SmoothFunction(n=n, value=value, partial=partial,
                               name=f"prefix[{j}/{n}]")
 
-    members = tuple(make_member(j) for j in range(1, n + 1))
-    return FunctionFamily(n=n, members=members, c1=root, c2=0.0, c3=0.0,
-                          size=n, name=f"walk[{n}]")
+    return FunctionFamily(
+        n=n, members=lambda: (make_member(j) for j in range(1, n + 1)),
+        c1=root, c2=0.0, c3=0.0, size=n, name=f"walk[{n}]")
 
 
 def max_partial_sums(x) -> float:

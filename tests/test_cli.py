@@ -120,15 +120,19 @@ class TestDeterminism:
         _, out1 = small_clt(tmp_path, "a.csv", threads=1)
         _, out2 = small_clt(tmp_path, "b.csv", threads=4)
         assert digest(out1) == digest(out2)
-        # wigner: a rerun and a second thread leave the bytes unchanged
-        digests = []
-        for k, threads in enumerate((1, 2, 1)):
-            out = tmp_path / f"wigner{k}.csv"
-            run(build_config("wigner", None,
-                             {"size": 20, "replicates": 100, "seed": 11,
-                              "threads": threads, "out": str(out)}))
-            digests.append(digest(out))
-        assert len(set(digests)) == 1
+        # a rerun and a second thread leave the bytes unchanged; erdos_kac
+        # also checks that each worker draws into buffers of its own
+        for suite, over in (("wigner", {"size": 20, "replicates": 100}),
+                            ("erdos_kac", {"size": 64, "replicates": 400,
+                                           "dist_x": "pareto:4"})):
+            digests = []
+            for k, threads in enumerate((1, 2, 1)):
+                out = tmp_path / f"{suite}{k}.csv"
+                run(build_config(suite, None,
+                                 {**over, "seed": 11, "threads": threads,
+                                  "out": str(out)}))
+                digests.append(digest(out))
+            assert len(set(digests)) == 1, suite
 
 
 class TestOutputs:
@@ -238,6 +242,18 @@ class TestMainExitCodes:
         ["lambda_audit", "--z-im", "0"],
         ["clt", "--dist-x", "pareto:2.5"],
         ["wigner", "--z-im", "1e-300"],
+        ["clt", "--dist-x", "pareto:nan"],
+        ["clt", "--dist-x", "pareto:inf"],
+        ["wigner", "--z-re", "nan"],
+        ["wigner", "--z-re", "inf"],
+        ["wigner", "--z-im", "inf"],
+        ["lambda_audit", "--z-re", "nan"],
+        ["sk_free_energy", "--beta", "inf"],
+        ["sk_free_energy", "--h", "nan"],
+        ["sk_free_energy", "--h", "inf"],
+        ["sk_free_energy", "--beta", "1e200"],
+        ["bound_table", "--beta", "1e200"],
+        ["clt", "--seed", "18446744073709551621"],
     ])
     def test_out_of_domain_input_exits_2(self, argv, capsys):
         assert main(argv) == 2

@@ -19,6 +19,7 @@ from lindeberg_lab.core import (
     mc_gap,
     mean_function,
     monomial,
+    paired_functional_values,
     swap_bound,
     telescoping_decomposition,
     third_moment_bound,
@@ -27,9 +28,13 @@ from lindeberg_lab.core import test_function as named_g
 from lindeberg_lab.distributions import (
     GAUSSIAN,
     RADEMACHER,
+    pareto,
+    sample,
+    sample_vector,
     truncated_second_moment,
     truncated_third_moment,
 )
+from lindeberg_lab.rng import RandomStream
 
 SIN = named_g("sin")
 TANH = named_g("tanh")
@@ -313,6 +318,20 @@ class TestMcGap:
                           replicates=500, master_seed=8, experiment="thr",
                           threads=4)
         assert serial == threaded
+
+    def test_replicate_regenerates_alone(self):
+        # replicate r of each side is a pure function of its stream position,
+        # whatever the engine drew into the reused buffers before it
+        n, experiment = 24, "regen"
+        specs_x = [RADEMACHER, pareto(4.0)] * (n // 2)
+        f = mean_function(n)
+        vx, vy = paired_functional_values(f.value, f.value, specs_x, GAUSSIAN,
+                                          n, 300, 13, experiment, threads=3)
+        for r in (0, 137, 299):
+            gx = RandomStream(13, experiment + "/x").replicate(r)
+            gy = RandomStream(13, experiment + "/y").replicate(r)
+            assert vx[r] == f.value(sample_vector(specs_x, gx))
+            assert vy[r] == f.value(sample(GAUSSIAN, gy, n))
 
     def test_per_coordinate_spec_lists(self):
         specs = [RADEMACHER, GAUSSIAN, RADEMACHER, GAUSSIAN]

@@ -2,14 +2,19 @@
 
 Every analytic truncated moment is checked against an independent adaptive
 quadrature of the density written out here, and sampling is checked against
-the analytic moments by plain Monte Carlo error bars.
+the analytic moments by plain Monte Carlo error bars.  The in-place inverse
+CDF transforms are checked bit for bit against the two-branch ``np.where``
+formulas they replaced, kept here as the oracle.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from lindeberg_lab.distributions import (
     CEXP,
@@ -17,7 +22,10 @@ from lindeberg_lab.distributions import (
     RADEMACHER,
     UNIFORM,
     DistributionSpec,
+    Family,
     MomentProfile,
+    _transform,
+    make_vector_sampler,
     moment_profile,
     pareto,
     parse_spec,
@@ -285,6 +293,89 @@ class TestSampling:
         assert abs(float(np.mean(a3)) - third_abs_moment(GAUSSIAN)) <= 5 * se
 
 
+def where_oracle(spec, u):
+    """The two-branch inverse CDFs, written with np.where; never in place."""
+    fam = spec.family
+    if fam is Family.GAUSSIAN:
+        return ndtri(np.minimum(u + 0.5 * 2.0**-53, 1.0 - 2.0**-53))
+    if fam is Family.RADEMACHER:
+        return np.where(u < 0.5, -1.0, 1.0)
+    if fam is Family.UNIFORM_SCALED:
+        return SQRT3 * (2.0 * u - 1.0)
+    if fam is Family.CENTERED_EXPONENTIAL_SCALED:
+        return -np.log1p(-u) - 1.0
+    a = spec.params[0]
+    sign = np.where(u < 0.5, -1.0, 1.0)
+    v = np.where(u < 0.5, 2.0 * u, 2.0 * u - 1.0)
+    mag = np.power(1.0 - v, -1.0 / a)
+    return sign * mag / math.sqrt(a / (a - 2.0))
+
+
+ORACLE_SPECS = [GAUSSIAN, RADEMACHER, UNIFORM, CEXP,
+                pareto(2.5), pareto(3.0), pareto(4.0)]
+# the grid ends, both sides of the Pareto/Rademacher branch point, quartiles
+EDGE_UNIFORMS = [0.0, 2.0**-53, 0.25, 0.5 - 2.0**-53, 0.5, 0.75,
+                 1.0 - 2.0**-53]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+class TestInPlaceTransforms:
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label)
+    def test_bit_identical_to_where_oracle(self, spec):
+        gen = RandomStream(17, "transform-oracle").replicate(0)
+        u = np.concatenate([gen.random(100_000), EDGE_UNIFORMS])
+        expect = where_oracle(spec, u)
+        buf = u.copy()
+        got = _transform(spec, buf)
+        assert got is buf
+        assert same_bits(got, expect)
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(k=st.integers(0, 2**53 - 1), spec=st.sampled_from(ORACLE_SPECS))
+    def test_bit_identical_on_the_uniform_grid(self, k, spec):
+        # gen.random() returns k 2^-53 for k in 0..2^53 - 1
+        u = np.array([k * 2.0**-53])
+        assert same_bits(_transform(spec, u.copy()), where_oracle(spec, u))
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label)
+    def test_reused_buffer_draw_equals_fresh_sample(self, spec):
+        stream = RandomStream(23, f"reuse/{spec.label}")
+        draw = make_vector_sampler([spec] * 257)
+        buf = np.empty(257)
+        for r in range(4):
+            got = draw(stream.replicate(r), buf)
+            assert got is buf
+            assert same_bits(got, sample(spec, stream.replicate(r), 257))
+        assert same_bits(draw(stream.replicate(2)),
+                         sample(spec, stream.replicate(2), 257))
+
+    def test_mixed_sampler_matches_per_coordinate_transforms(self):
+        specs = [ORACLE_SPECS[(3 * i) % len(ORACLE_SPECS)] for i in range(40)]
+        stream = RandomStream(29, "mixed")
+        draw = make_vector_sampler(specs)
+        buf = np.empty(len(specs))
+        for r in range(3):
+            u = stream.replicate(r).random(len(specs))
+            expect = [where_oracle(s, u[i:i + 1])[0]
+                      for i, s in enumerate(specs)]
+            assert same_bits(draw(stream.replicate(r), buf), expect)
+            assert same_bits(draw(stream.replicate(r)), expect)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label)
+    def test_scalar_sample(self, spec):
+        stream = RandomStream(31, "scalar")
+        x = sample(spec, stream.replicate(0))
+        assert np.ndim(x) == 0 and isinstance(x, float)
+        u = stream.replicate(0).random()
+        assert same_bits(x, where_oracle(spec, np.array(u)))
+
+
 class TestParsing:
     def test_round_trip(self):
         for text in ("rademacher", "gaussian", "uniform", "cexp", "pareto:2.5"):
@@ -298,6 +389,12 @@ class TestParsing:
     def test_rejects_bad_pareto(self):
         with pytest.raises(ValueError):
             parse_spec("pareto:2.0")
+
+    @pytest.mark.parametrize("text", ["pareto:nan", "pareto:inf",
+                                      "pareto:-inf"])
+    def test_rejects_nonfinite_pareto(self, text):
+        with pytest.raises(ValueError):
+            parse_spec(text)
 
     def test_standardized_constants(self):
         spec = parse_spec("gaussian")

@@ -1,12 +1,14 @@
 """Running maxima of partial sums, the optimized gap bound, half-normal KS."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
+from lindeberg_lab import walks
 from lindeberg_lab.core import test_function as named_g
 from lindeberg_lab.core import InfiniteGammaError
 from lindeberg_lab.distributions import GAUSSIAN, RADEMACHER, pareto, \
@@ -71,6 +73,37 @@ class TestWalkFamily:
         assert fam.size == 9
         assert fam.c1 == pytest.approx(1.0 / 3.0)
         assert fam.lambda3 == pytest.approx(9.0**-1.5)
+
+    def test_family_is_lazy(self, monkeypatch):
+        # the family and its bound read only size and influence, so neither
+        # may build a member: n closures would cost O(n) time and memory
+        built = []
+        real = walks.SmoothFunction
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(walks, "SmoothFunction", counting)
+        n = 10**7
+        start = time.perf_counter()
+        fam = walk_family(n)
+        bound = erdos_kac_bound(SIN, 1.6, n)
+        assert time.perf_counter() - start < 1.0
+        assert not built
+        assert fam.size == n
+        assert fam.lambda3 == pytest.approx(n**-1.5, rel=1e-14)
+        assert fam.log_size == pytest.approx(math.log(n), rel=1e-15)
+        assert bound == pytest.approx(
+            k_constant(SIN) * ((1.6 * n**-0.5) ** (1.0 / 3.0)
+                               * math.log(n) ** (2.0 / 3.0) + 1.6 * n**-0.5),
+            rel=1e-12)
+        members = fam.iter_members()
+        assert not built
+        first = next(members)
+        assert len(built) == 1 and first.name == f"prefix[1/{n}]"
+        assert [f.name for f in walk_family(3).iter_members()] == \
+            ["prefix[1/3]", "prefix[2/3]", "prefix[3/3]"]
 
     def test_smoothed_influence_of_prefix_family(self):
         from lindeberg_lab.smoothmax import smoothed_lambda_bounds
