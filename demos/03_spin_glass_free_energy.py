@@ -33,7 +33,7 @@ x = gen.standard_normal(layout.coordinate_count)
 
 fe = free_energy(layout, params, x)
 print(f"N={N}: free energy by block enumeration     F = {fe:.10f}")
-print(f"      via streaming smoothed max (level N)  F = "
+print(f"      via member-family soft max (level N)  F = "
       f"{softmax_value(sk_family(layout, params), float(N), x):.10f}")
 
 hard = N**-1.5 * ground_state(layout, x)[0]

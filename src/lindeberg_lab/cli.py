@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    GapReport,
+    c_constants,
     clt_experiment,
     estimate_lambda,
     fd_partial,
@@ -271,42 +271,43 @@ def _json_cell(v):
 # suites
 # ---------------------------------------------------------------------------
 
+def _report_table(report):
+    """One report as a runner result: (columns, rows, ok, reports)."""
+    return report.CSV_COLUMNS, [report.csv_row()], report.passed, [report]
+
+
 def _run_clt(config):
-    report = clt_experiment(
+    return _report_table(clt_experiment(
         parse_spec(config.dist_x), parse_spec(config.dist_y), config.size,
         test_function(config.g), config.replicates, config.seed,
         threads=config.threads,
-    )
-    return GapReport.CSV_COLUMNS, [report.csv_row()], [report]
+    ))
 
 
 def _run_wigner(config):
-    report = semicircle_experiment(
+    return _report_table(semicircle_experiment(
         parse_spec(config.dist_x), parse_spec(config.dist_y), config.size,
         complex(config.z_re, config.z_im), test_function(config.g),
         config.replicates, config.seed, epsilon=config.epsilon,
         threads=config.threads,
-    )
-    return report.CSV_COLUMNS, [report.csv_row()], [report]
+    ))
 
 
 def _run_sk(config, kind: str):
-    report = sk_experiment(
+    return _report_table(sk_experiment(
         kind, parse_spec(config.dist_x), parse_spec(config.dist_y),
         SKParams(beta=config.beta, h=config.h), config.size,
         config.replicates, test_function(config.g), config.seed,
         threads=config.threads,
-    )
-    return report.CSV_COLUMNS, [report.csv_row()], [report]
+    ))
 
 
 def _run_erdos_kac(config):
-    report = erdos_kac_experiment(
+    return _report_table(erdos_kac_experiment(
         parse_spec(config.dist_x), parse_spec(config.dist_y), config.size,
         test_function(config.g), config.replicates, config.seed,
         threads=config.threads,
-    )
-    return report.CSV_COLUMNS, [report.csv_row()], [report]
+    ))
 
 
 def _audit_points(seed: int, label: str, n: int, count: int = 5):
@@ -315,10 +316,14 @@ def _audit_points(seed: int, label: str, n: int, count: int = 5):
 
 
 def _run_lambda_audit(config):
-    """Analytic vs empirical influence for every registered family."""
+    """Analytic vs empirical influence for every registered family.
+
+    Every family is audited at N = size clamped to 2..8: the empirical sups
+    enumerate members and coordinates in Python.
+    """
     columns = ("family", "size", "r", "analytic", "empirical", "ok", "seed")
     seed = config.seed
-    N = max(2, min(config.size, 8))   # enumeration-backed families stay small
+    N = max(2, min(config.size, 8))
     rows = []
 
     def add(name, size, analytic2, analytic3, empirical2, empirical3):
@@ -328,10 +333,9 @@ def _run_lambda_audit(config):
         rows.append((name, size, 3, analytic3, empirical3,
                      empirical3 <= analytic3 * tol, seed))
 
-    n_walk = max(config.size, 2)
-    fam = walk_family(n_walk)
-    est = estimate_family_lambda(fam, _audit_points(seed, "walk", n_walk))
-    add("walk", n_walk, fam.lambda2, fam.lambda3, est.lambda2, est.lambda3)
+    fam = walk_family(N)
+    est = estimate_family_lambda(fam, _audit_points(seed, "walk", N))
+    add("walk", N, fam.lambda2, fam.lambda3, est.lambda2, est.lambda3)
 
     layout = CouplingLayout(N)
     params = SKParams(beta=1.0, h=0.0)
@@ -359,11 +363,7 @@ def _run_lambda_audit(config):
                           _audit_points(seed, "wigner", wl.coordinate_count))
     add("wigner_stieltjes", N, bounds.lambda2, bounds.lambda3,
         est.lambda2, est.lambda3)
-
-    class _AuditOutcome:
-        passed = all(row[5] for row in rows)
-
-    return columns, rows, [_AuditOutcome()]
+    return columns, rows, all(row[5] for row in rows), []
 
 
 def _run_bound_table(config):
@@ -373,8 +373,6 @@ def _run_bound_table(config):
     gx = third_abs_moment(parse_spec(config.dist_x))
     gy = third_abs_moment(parse_spec(config.dist_y))
     gamma = max(gx, gy)
-    from .core import c_constants
-
     c1, c2 = c_constants(g)
     rows = []
     for size in config.sizes:
@@ -400,11 +398,7 @@ def _run_bound_table(config):
                                       parse_spec(config.dist_y), n, z, g,
                                       config.epsilon),
                      wb.lambda2, wb.lambda3))
-
-    class _Outcome:
-        passed = True
-
-    return columns, rows, [_Outcome()]
+    return columns, rows, True, []
 
 
 _RUNNERS = {
@@ -421,8 +415,7 @@ _RUNNERS = {
 def run(config: ExperimentConfig) -> RunManifest:
     """Execute a suite, write its output file, return the manifest."""
     start = time.perf_counter()
-    columns, rows, reports = _RUNNERS[config.suite](config)
-    ok = all(r.passed for r in reports)
+    columns, rows, ok, reports = _RUNNERS[config.suite](config)
     out = config.values.get("out")
     if out:
         text = (render_csv(columns, rows) if config.values["format"] == "csv"

@@ -22,7 +22,9 @@ third-moment form  2 C2(g) gamma n lambda_3(f).
 
 ``mc_gap`` estimates the left side by paired Monte Carlo (common replicate
 indices, independent counter-based streams for X and Y) and reports it against
-a caller-supplied bound with a 3-sigma noise margin.
+a caller-supplied bound with a 3-sigma noise margin.  Every suite ends the
+same way: ``paired_functional_values`` gives the per-replicate f(X), f(Y),
+and ``summarize_gap`` applies g to them and reduces the differences.
 """
 
 from __future__ import annotations
@@ -497,9 +499,15 @@ def paired_functional_values(eval_x: Callable[[np.ndarray], complex],
     return vx, vy
 
 
-def summarize_gap(diffs: np.ndarray, *, experiment_id: str, n: int,
-                  theoretical_bound: float, seed: int) -> GapReport:
-    """Deterministic reduction of per-replicate differences to a GapReport."""
+def summarize_gap(g: TestFunction, vx: np.ndarray, vy: np.ndarray, *,
+                  experiment_id: str, n: int, theoretical_bound: float,
+                  seed: int) -> GapReport:
+    """Apply g to paired real values and reduce g(vx) - g(vy) to a GapReport.
+
+    The one place where g meets the functional values; the reduction is
+    deterministic (``math.fsum``) and independent of scheduling order.
+    """
+    diffs = np.array([g.value(a) - g.value(b) for a, b in zip(vx, vy)])
     reps = len(diffs)
     mean = math.fsum(diffs) / reps
     var = math.fsum((d - mean) ** 2 for d in diffs) / (reps - 1)
@@ -526,8 +534,7 @@ def mc_gap(f: SmoothFunction, g: TestFunction, spec_x, spec_y,
         f.value, f.value, spec_x, spec_y, f.n, replicates, master_seed,
         experiment, threads=threads,
     )
-    diffs = np.array([g.value(a) - g.value(b) for a, b in zip(vx, vy)])
-    return summarize_gap(diffs, experiment_id=experiment, n=f.n,
+    return summarize_gap(g, vx, vy, experiment_id=experiment, n=f.n,
                          theoretical_bound=theoretical_bound, seed=master_seed)
 
 

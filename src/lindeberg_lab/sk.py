@@ -212,7 +212,7 @@ def family_member(layout: CouplingLayout, params: SKParams, sigma,
     x = np.asarray(x, dtype=float)
     if x.shape != (layout.coordinate_count,):
         raise ValueError("coupling vector has wrong length")
-    li, lj = np.array(layout.pairs()).T
+    li, lj = triangle_indices(N, 1)
     pair_sum = float(np.dot(x, sigma[li] * sigma[lj]))
     return (params.beta * N**-1.5 * pair_sum
             + params.beta * params.h / N * float(np.sum(sigma)))
@@ -233,13 +233,17 @@ def gray_spin_iter(N: int) -> Iterator[tuple[np.ndarray, int]]:
 
 
 def sk_family(layout: CouplingLayout, params: SKParams) -> FunctionFamily:
-    """The 2^N linear members as an iterator-backed family (never materialized)."""
+    """The 2^N linear members as an iterator-backed family.
+
+    Members and their pair index arrays are built on iteration, so reading
+    the family's influence and size costs O(1) in N.
+    """
     N = layout.size
-    li, lj = np.array(layout.pairs()).T
     scale = params.beta * N**-1.5
     field_term = params.beta * params.h / N
 
     def make_member(sigma: np.ndarray) -> SmoothFunction:
+        li, lj = triangle_indices(N, 1)
         pairprod = (sigma[li] * sigma[lj]).astype(float)
         offset = field_term * float(np.sum(sigma))
 
@@ -483,8 +487,7 @@ def sk_experiment(kind: SKKind | str, spec_x: DistributionSpec,
         evaluate, evaluate, spec_x, spec_y, n, replicates, master_seed,
         experiment, threads=threads,
     )
-    diffs = np.array([g.value(a) - g.value(b) for a, b in zip(vx, vy)])
-    report = summarize_gap(diffs, experiment_id=experiment, n=n,
+    report = summarize_gap(g, vx, vy, experiment_id=experiment, n=n,
                            theoretical_bound=bound, seed=master_seed)
     return SKReport(kind=kind, N=N, params=params, dist_x=spec_x.label,
                     dist_y=spec_y.label, report=report)

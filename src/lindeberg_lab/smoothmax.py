@@ -18,11 +18,10 @@ weights p(x, f) = exp(alpha f(x)) / Z(x) and scores a_i(x, f) = alpha d_i f(x):
 The chain is implemented as exactly this recursion so each link can be audited
 against its uniform bound (|e_i| <= alpha C1 and so on) term by term.
 
-Values and partials stream over the family in fixed passes with O(1) state, so
-implicitly defined exponential families (members given by an iterator) never
-need to be materialized.  ``softmax_state``/``coordinate_chain`` additionally
-expose the per-member weight and score arrays for diagnostic inspection of
-modest-size families.
+``softmax_state`` materializes the members' Gibbs weights at one point and
+``coordinate_chain`` the per-member score arrays of one coordinate; the value
+and the partials are read off them.  Families of up to 2^22 members are
+materialized; the SK free energy value is enumerated in ``sk`` without them.
 """
 
 from __future__ import annotations
@@ -69,10 +68,11 @@ class FunctionFamily:
     """A finite family of smooth functions with family-wide derivative bounds.
 
     ``members`` is either a sequence of SmoothFunction or a zero-argument
-    callable returning a fresh iterator (for families too large to hold in
-    memory, e.g. all 2^N spin configurations).  ``c1, c2, c3`` are sup bounds
-    on |d_i f|, |d_i^2 f|, |d_i^3 f| over all members, coordinates and points;
-    they determine the family influence values exactly:
+    callable returning a fresh iterator (so a family whose bounds are read
+    without its members, e.g. all 2^N spin configurations, costs nothing to
+    build).  ``c1, c2, c3`` are sup bounds on |d_i f|, |d_i^2 f|, |d_i^3 f|
+    over all members, coordinates and points; they determine the family
+    influence values exactly:
 
         lambda_2(F) = max(c1^2, c2),  lambda_3(F) = max(c1^3, c2^(3/2), c3).
     """
@@ -116,28 +116,6 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _shifted_max(family: FunctionFamily, alpha: float, x: np.ndarray) -> float:
-    shift = -math.inf
-    for f in family.iter_members():
-        v = alpha * f.value(x)
-        if v > shift:
-            shift = v
-    if shift == -math.inf:
-        raise ValueError("family yielded no members")
-    return shift
-
-
-def softmax_value(family: FunctionFamily, alpha: float, x: np.ndarray) -> float:
-    """alpha^(-1) log sum exp(alpha f(x)), max-shifted; O(1) memory in |F|."""
-    alpha = _check_alpha(alpha)
-    x = np.asarray(x, dtype=float)
-    shift = _shifted_max(family, alpha, x)
-    acc = 0.0
-    for f in family.iter_members():
-        acc += math.exp(alpha * f.value(x) - shift)
-    return (shift + math.log(acc)) / alpha
-
-
 @dataclass(frozen=True)
 class SoftMaxState:
     """Gibbs-weight state of F_alpha at one point, for a materialized family."""
@@ -164,7 +142,8 @@ def softmax_state(family: FunctionFamily, alpha: float,
     alpha = _check_alpha(alpha)
     if family.size > _MATERIALIZE_LIMIT:
         raise ValueError(
-            "family too large to materialize weights; use the streaming ops"
+            f"family of {family.size} members is too large to materialize "
+            f"(limit {_MATERIALIZE_LIMIT})"
         )
     x = np.asarray(x, dtype=float)
     members = tuple(family.iter_members())
@@ -217,44 +196,16 @@ def coordinate_chain(family: FunctionFamily, state: SoftMaxState,
                         d2p=d2p, d2e=d2e)
 
 
+def softmax_value(family: FunctionFamily, alpha: float, x: np.ndarray) -> float:
+    """alpha^(-1) log sum exp(alpha f(x)), max-shifted."""
+    return softmax_state(family, alpha, x).value
+
+
 def softmax_partials(family: FunctionFamily, alpha: float, x: np.ndarray,
                      i: int) -> tuple[float, float, float]:
-    """(d_i F, d_i^2 F, d_i^3 F) by streaming the recursion; O(1) memory in |F|.
-
-    Four passes over the family: the shift, then (Z, e_i), then d_i e_i, then
-    d_i^2 e_i, each link evaluated per member exactly as in the recursion.
-    """
-    alpha = _check_alpha(alpha)
-    x = np.asarray(x, dtype=float)
-    shift = _shifted_max(family, alpha, x)
-
-    z = 0.0
-    e_num = 0.0
-    for f in family.iter_members():
-        w = math.exp(alpha * f.value(x) - shift)
-        z += w
-        e_num += alpha * f.partial(i, 1, x) * w
-    e = e_num / z
-
-    de = 0.0
-    for f in family.iter_members():
-        p = math.exp(alpha * f.value(x) - shift) / z
-        a = alpha * f.partial(i, 1, x)
-        da = alpha * f.partial(i, 2, x)
-        dp = (a - e) * p
-        de += p * da + a * dp
-
-    d2e = 0.0
-    for f in family.iter_members():
-        p = math.exp(alpha * f.value(x) - shift) / z
-        a = alpha * f.partial(i, 1, x)
-        da = alpha * f.partial(i, 2, x)
-        d2a = alpha * f.partial(i, 3, x)
-        dp = (a - e) * p
-        d2p = (da - de) * p + (a - e) ** 2 * p
-        d2e += p * d2a + 2.0 * da * dp + a * d2p
-
-    return e / alpha, de / alpha, d2e / alpha
+    """(d_i F, d_i^2 F, d_i^3 F) from the derivative chain at coordinate i."""
+    state = softmax_state(family, alpha, x)
+    return coordinate_chain(family, state, i).partials(state.alpha)
 
 
 def softmax_function(family: FunctionFamily, alpha: float) -> SmoothFunction:

@@ -140,8 +140,7 @@ def erdos_kac_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
         max_partial_sums, max_partial_sums, spec_x, spec_y, n, replicates,
         master_seed, experiment, threads=threads,
     )
-    diffs = np.array([g.value(a) - g.value(b) for a, b in zip(vx, vy)])
-    report = summarize_gap(diffs, experiment_id=experiment, n=n,
+    report = summarize_gap(g, vx, vy, experiment_id=experiment, n=n,
                            theoretical_bound=bound, seed=master_seed)
     return WalkReport(n=n, dist_x=spec_x.label, dist_y=spec_y.label,
                       report=report, ks_distance=ks_to_half_normal(vy))

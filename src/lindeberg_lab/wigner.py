@@ -202,17 +202,16 @@ def stieltjes_partials(layout: WignerLayout, x: np.ndarray, z: complex,
     """First three partials of the transform in one flat coordinate."""
     if not 0 <= coordinate < layout.coordinate_count:
         raise ValueError("coordinate out of range")
-    cache = _ResolventCache(layout, z)
-    G, G2 = cache.at(x)
+    G = resolvent(layout, x, z)
     i, j = layout.pairs()[coordinate]
-    return _entry_partials(layout.size, i, j, G, G2)
+    return _entry_partials(layout.size, i, j, G, G @ G)
 
 
 def stieltjes_partials_all(layout: WignerLayout, x: np.ndarray,
                            z: complex) -> np.ndarray:
     """(n, 3) complex array of all coordinate partials from one factorization."""
-    cache = _ResolventCache(layout, z)
-    G, G2 = cache.at(x)
+    G = resolvent(layout, x, z)
+    G2 = G @ G
     out = np.empty((layout.coordinate_count, 3), dtype=complex)
     for c, (i, j) in enumerate(layout.pairs()):
         out[c] = _entry_partials(layout.size, i, j, G, G2)
@@ -384,16 +383,12 @@ def semicircle_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
         replicates, master_seed, experiment, threads=threads,
         dtype=complex,
     )
-    diffs_re = np.array([g.value(a.real) - g.value(b.real)
-                         for a, b in zip(vx, vy)])
-    diffs_im = np.array([g.value(a.imag) - g.value(b.imag)
-                         for a, b in zip(vx, vy)])
-    report_re = summarize_gap(diffs_re, experiment_id=experiment + "/re",
-                              n=layout.coordinate_count,
-                              theoretical_bound=bound, seed=master_seed)
-    report_im = summarize_gap(diffs_im, experiment_id=experiment + "/im",
-                              n=layout.coordinate_count,
-                              theoretical_bound=bound, seed=master_seed)
+    report_re, report_im = (
+        summarize_gap(g, part(vx), part(vy),
+                      experiment_id=f"{experiment}/{tag}",
+                      n=layout.coordinate_count, theoretical_bound=bound,
+                      seed=master_seed)
+        for part, tag in ((np.real, "re"), (np.imag, "im")))
     mean_m = complex(math.fsum(v.real for v in vx) / len(vx),
                      math.fsum(v.imag for v in vx) / len(vx))
     return SemicircleReport(

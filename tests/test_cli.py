@@ -2,16 +2,18 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
 from lindeberg_lab import cli
 from lindeberg_lab.cli import ConfigError, build_config, main, run
-from lindeberg_lab.core import GapReport, swap_bound
+from lindeberg_lab.core import GapReport, swap_bound, third_moment_bound
 from lindeberg_lab.core import c_constants
 from lindeberg_lab.core import test_function as named_g
 from lindeberg_lab.distributions import parse_spec, third_abs_moment
-from lindeberg_lab.sk import SKParams, free_energy_lambda
+from lindeberg_lab.sk import SKParams, family_lambda, free_energy_lambda
+from lindeberg_lab.smoothmax import k_constant
 from lindeberg_lab.walks import erdos_kac_bound
 
 
@@ -179,6 +181,13 @@ class TestOutputs:
             assert out.read_text().splitlines()[0] == header, suite
             assert manifest.ok, suite
 
+    def test_lambda_audit_clamps_every_family(self):
+        start = time.perf_counter()
+        manifest = run(build_config("lambda_audit", None, {"size": 20000}))
+        assert time.perf_counter() - start < 2.0
+        assert {row[1] for row in manifest.rows} == {8}
+        assert manifest.ok
+
     def test_lambda_audit_all_rows_ok(self, tmp_path):
         manifest = run(build_config("lambda_audit", None, {"size": 6}))
         assert all(row[5] for row in manifest.rows)
@@ -210,11 +219,81 @@ class TestBoundTable:
         assert row[3] == pytest.approx(l2, rel=1e-14)
         assert row[4] == pytest.approx(l3, rel=1e-14)
 
+    def test_large_size_is_arithmetic_only(self):
+        # no row may enumerate pairs or members, which at n = 4000 costs
+        # seconds and a gigabyte
+        start = time.perf_counter()
+        cfg = build_config("bound_table", None, {"sizes": "4000"})
+        manifest = run(cfg)
+        assert time.perf_counter() - start < 1.0
+        table = {row[0]: row for row in manifest.rows}
+        g = named_g(cfg.g)
+        gamma = max(third_abs_moment(parse_spec(cfg.dist_x)),
+                    third_abs_moment(parse_spec(cfg.dist_y)))
+        _, c2 = c_constants(g)
+        n, pairs = 4000, 4000 * 3999 // 2
+        l2f, l3f = free_energy_lambda(SKParams(beta=1.0), n)
+        assert table["sk_free_energy"][2:] == (
+            third_moment_bound(c2, gamma, pairs, l3f), l2f, l3f)
+        lam2, lam3, log_size = family_lambda(SKParams(beta=1.0), n)
+        gnl = gamma * pairs * lam3
+        assert table["sk_ground_state"][2] == pytest.approx(
+            k_constant(g) * (gnl ** (1 / 3) * log_size ** (2 / 3) + gnl),
+            rel=1e-14)
+        assert table["sk_ground_state"][3:] == (lam2, lam3)
+        assert table["erdos_kac"][2] == pytest.approx(
+            erdos_kac_bound(g, gamma, n), rel=1e-14)
+
     def test_erdos_kac_rows_decrease(self):
         manifest = run(build_config("bound_table", None,
                                     {"sizes": "8,16,32,64"}))
         vals = [r[2] for r in manifest.rows if r[0] == "erdos_kac"]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+class TestRunnerContract:
+    @staticmethod
+    def _gap_reports(reports):
+        # the walk of perfbench/child.py::gap_numbers: a report with an
+        # mc_gap, else its GapReport fields in declaration order
+        found = []
+        for report in reports:
+            if hasattr(report, "mc_gap"):
+                found.append(report)
+            else:
+                found.extend(v for v in vars(report).values()
+                             if hasattr(v, "mc_gap"))
+        return found
+
+    @pytest.mark.parametrize("suite, over", [
+        ("clt", {"size": 16}),
+        ("wigner", {"size": 6}),
+        ("sk_free_energy", {"size": 5}),
+        ("sk_ground_state", {"size": 5}),
+        ("erdos_kac", {"size": 16}),
+    ])
+    def test_monte_carlo_suites(self, suite, over):
+        manifest = run(build_config(suite, None,
+                                    {**over, "replicates": 100, "seed": 6}))
+        [report] = manifest.reports
+        assert manifest.ok is report.passed
+        assert manifest.rows == [report.csv_row()]
+        gaps = self._gap_reports(manifest.reports)
+        if suite == "wigner":
+            assert gaps == [report.report_re, report.report_im]
+            assert [r.experiment_id[-3:] for r in gaps] == ["/re", "/im"]
+        else:
+            assert gaps == [getattr(report, "report", report)]
+        assert all(isinstance(r, GapReport) for r in gaps)
+
+    @pytest.mark.parametrize("suite, over", [
+        ("lambda_audit", {"size": 5}),
+        ("bound_table", {"sizes": "8"}),
+    ])
+    def test_table_suites_have_no_reports(self, suite, over):
+        manifest = run(build_config(suite, None, over))
+        assert manifest.reports == []
+        assert manifest.ok is True
 
 
 class TestMainExitCodes:
@@ -274,7 +353,7 @@ class TestMainExitCodes:
         monkeypatch.setitem(
             cli._RUNNERS, "clt",
             lambda cfg: (GapReport.CSV_COLUMNS, [failing.csv_row()],
-                         [failing]))
+                         failing.passed, [failing]))
         code = main(["clt", "--size", "16", "--replicates", "120"])
         assert code == 1
         assert "ok=false" in capsys.readouterr().out

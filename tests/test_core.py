@@ -20,6 +20,7 @@ from lindeberg_lab.core import (
     mean_function,
     monomial,
     paired_functional_values,
+    summarize_gap,
     swap_bound,
     telescoping_decomposition,
     third_moment_bound,
@@ -341,6 +342,37 @@ class TestMcGap:
         with pytest.raises(ValueError):
             mc_gap(mean_function(3), SIN, specs, specs, replicates=400,
                    master_seed=2)
+
+    @staticmethod
+    def _diffs_summary(diffs):
+        # oracle: the reduction over an explicit list of g differences
+        diffs = np.array(diffs)
+        reps = len(diffs)
+        mean = math.fsum(diffs) / reps
+        var = math.fsum((d - mean) ** 2 for d in diffs) / (reps - 1)
+        return abs(mean), math.sqrt(var / reps), reps
+
+    @pytest.mark.parametrize("g", [SIN, TANH, IDENTITY, CLIPPED],
+                             ids=lambda g: g.name)
+    def test_summarize_gap_matches_list_of_diffs(self, g):
+        gen = np.random.default_rng(17)
+        vx = 3.0 * gen.standard_normal(257)
+        vy = 3.0 * gen.standard_normal(257)
+        zx = vx + 1j * gen.standard_normal(257)
+        zy = vy + 1j * gen.standard_normal(257)
+        cases = [(vx, vy, [g.value(a) - g.value(b) for a, b in zip(vx, vy)]),
+                 (np.real(zx), np.real(zy),
+                  [g.value(a.real) - g.value(b.real) for a, b in zip(zx, zy)]),
+                 (np.imag(zx), np.imag(zy),
+                  [g.value(a.imag) - g.value(b.imag) for a, b in zip(zx, zy)])]
+        for x, y, diffs in cases:
+            report = summarize_gap(g, x, y, experiment_id="e", n=5,
+                                   theoretical_bound=0.25, seed=9)
+            gap, err, reps = self._diffs_summary(diffs)
+            assert (report.mc_gap, report.std_error, report.replicates) == \
+                (gap, err, reps)
+            assert (report.experiment_id, report.n, report.theoretical_bound,
+                    report.seed) == ("e", 5, 0.25, 9)
 
     def test_gap_report_passed_is_derived(self):
         r = GapReport(experiment_id="e", n=1, replicates=100, mc_gap=0.5,

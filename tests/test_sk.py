@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -136,6 +137,17 @@ class TestFamilyLambda:
         assert est.lambda2 == pytest.approx(lam2, rel=1e-14)
         assert est.lambda3 == pytest.approx(lam3, rel=1e-14)
 
+    def test_family_is_lazy(self):
+        # bounds read only the family's influence and size; the N(N-1)/2
+        # pair indices are built when members are
+        N = 20000
+        start = time.perf_counter()
+        fam = sk_family(CouplingLayout(N), SKParams())
+        assert time.perf_counter() - start < 1.0
+        assert fam.size == 1 << N
+        assert fam.c1 == N**-1.5
+        assert fam.log_size == N * math.log(2.0)
+
     def test_family_metadata(self):
         fam = sk_family(CouplingLayout(6), SKParams(beta=1.0))
         assert fam.size == 64
@@ -164,8 +176,8 @@ class TestFreeEnergy:
                 math.log(2.0 * math.cosh(beta * h)), rel=1e-13, abs=1e-13)
 
     def test_agrees_with_streaming_soft_max(self):
-        # two independent code paths: block enumeration vs streaming the
-        # member family through the smoothed max at level N
+        # two independent code paths: block enumeration vs the member
+        # family's smoothed max at level N
         for N in (3, 6, 8):
             layout = CouplingLayout(N)
             params = SKParams(beta=1.2, h=0.25)

@@ -164,17 +164,6 @@ class TestSoftMaxPartials:
         assert d3 == pytest.approx(fd_partial(F.value, 0, 3, x), rel=1e-4,
                                    abs=5e-7)
 
-    def test_chain_equals_streaming(self):
-        fam = sine_family(4)
-        gen = np.random.default_rng(9)
-        for alpha in (1.0, 5.0):
-            x = gen.uniform(-1, 1, size=2)
-            state = softmax_state(fam, alpha, x)
-            for i in (0, 1):
-                chain = coordinate_chain(fam, state, i)
-                assert chain.partials(alpha) == pytest.approx(
-                    softmax_partials(fam, alpha, x, i), rel=1e-13)
-
 
 def assert_chain_inequalities(fam, alpha, x):
     """The five uniform links of the derivative chain, componentwise."""
