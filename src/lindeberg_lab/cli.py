@@ -41,7 +41,8 @@ from .core import (
     third_moment_bound,
     SmoothFunction,
 )
-from .distributions import parse_spec, third_abs_moment
+from .distributions import parse_spec, third_abs_moment, \
+    truncated_third_moment
 from .rng import RandomStream
 from .sk import (
     ENUMERATION_LIMIT,
@@ -71,37 +72,29 @@ class ConfigError(Exception):
     """Invalid or incomplete experiment configuration."""
 
 
-_COMMON_DEFAULTS = {
-    "dist_x": "rademacher",
-    "dist_y": "gaussian",
-    "g": "sin",
-    "replicates": 1000,
-    "seed": 20240,
-    "threads": 1,
-    "out": "",
-    "format": "csv",
-}
+_COMMON_DEFAULTS = {"out": "", "format": "csv"}
+_LAWS = {"dist_x": "rademacher", "dist_y": "gaussian", "g": "sin"}
+_MONTE_CARLO = {**_LAWS, "replicates": 1000, "seed": 20240, "threads": 1}
 
+# every key a suite declares is one it reads
 _SUITE_DEFAULTS = {
-    "clt": {"size": 400},
-    "wigner": {"size": 100, "z_re": 0.0, "z_im": 2.0, "epsilon": 0.2,
-               "g": "identity", "replicates": 500},
-    "sk_free_energy": {"size": 12, "beta": 1.0, "h": 0.0, "g": "tanh"},
-    "sk_ground_state": {"size": 10, "beta": 1.0, "h": 0.0, "A": 1.0,
-                        "epsilon": 0.5, "g": "tanh", "replicates": 500},
-    "erdos_kac": {"size": 400, "replicates": 10000},
-    "lambda_audit": {"size": 6, "z_re": 0.0, "z_im": 1.0},
-    "bound_table": {"sizes": "8,12,16", "z_re": 0.0, "z_im": 2.0,
-                    "epsilon": 0.2, "beta": 1.0, "A": 1.0, "g": "tanh"},
+    "clt": {**_MONTE_CARLO, "size": 400},
+    "wigner": {**_MONTE_CARLO, "size": 100, "z_re": 0.0, "z_im": 2.0,
+               "epsilon": 0.2, "g": "identity", "replicates": 500},
+    "sk_free_energy": {**_MONTE_CARLO, "size": 12, "beta": 1.0, "h": 0.0,
+                       "g": "tanh"},
+    "sk_ground_state": {**_MONTE_CARLO, "size": 10, "g": "tanh",
+                        "replicates": 500},
+    "erdos_kac": {**_MONTE_CARLO, "size": 400, "replicates": 10000},
+    "lambda_audit": {"size": 6, "z_re": 0.0, "z_im": 1.0, "seed": 20240},
+    "bound_table": {**_LAWS, "sizes": "8,12,16", "z_re": 0.0, "z_im": 2.0,
+                    "epsilon": 0.2, "beta": 1.0, "g": "tanh"},
 }
 
-# suites whose bound takes E|X|^3 untruncated (wigner truncates at eps sqrt(N))
-_THIRD_MOMENT_SUITES = {"clt", "sk_free_energy", "sk_ground_state",
-                        "erdos_kac", "bound_table"}
 _INT_KEYS = {"size", "replicates", "seed", "threads"}
-_FLOAT_KEYS = {"z_re", "z_im", "beta", "h", "A", "epsilon"}
-# keys for which inf or nan reaches the arithmetic (epsilon and A have their
-# own range checks, and inf there is a well-defined limit)
+_FLOAT_KEYS = {"z_re", "z_im", "beta", "h", "epsilon"}
+# keys for which inf or nan reaches the arithmetic (epsilon has its own
+# range check, and inf there is a well-defined limit)
 _FINITE_KEYS = {"z_re", "z_im", "beta", "h"}
 _SEED_LIMIT = 1 << 64   # the Philox key holds 64 bits of the master seed
 
@@ -161,7 +154,7 @@ def build_config(suite: str, file_path: str | None,
     for key in sorted(_FINITE_KEYS & values.keys()):
         if not math.isfinite(values[key]):
             raise ConfigError(f"{key} must be a finite number")
-    if values["threads"] < 1:
+    if values.get("threads", 1) < 1:
         raise ConfigError("threads must be at least 1")
     config = ExperimentConfig(suite=suite, values=values)
     _validate_suite_inputs(config)
@@ -171,14 +164,6 @@ def build_config(suite: str, file_path: str | None,
 def _validate_suite_inputs(config: ExperimentConfig) -> None:
     values = config.values
     try:
-        if "dist_x" in values:
-            for key in ("dist_x", "dist_y"):
-                spec = parse_spec(values[key])
-                if config.suite in _THIRD_MOMENT_SUITES and \
-                        math.isinf(third_abs_moment(spec)):
-                    raise ValueError(f"{values[key]} has an infinite third "
-                                     f"absolute moment; the {config.suite} "
-                                     f"suite needs it finite")
         if "g" in values:
             test_function(values["g"])
         if "sizes" in values:
@@ -194,13 +179,23 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
             raise ValueError("the running maximum needs at least two steps")
         if "epsilon" in values and not values["epsilon"] > 0.0:
             raise ValueError("epsilon must be positive")
+        if "dist_x" in values:
+            # the bound's body channel at the suite's truncation level: wigner
+            # truncates at eps sqrt(N), every other suite at K = inf
+            K = (values["epsilon"] * math.sqrt(values["size"])
+                 if config.suite == "wigner" else math.inf)
+            for key in ("dist_x", "dist_y"):
+                if math.isinf(truncated_third_moment(parse_spec(values[key]),
+                                                     K)):
+                    raise ValueError(
+                        f"{values[key]} has an infinite body third moment "
+                        f"E(|X|^3; |X| <= K) at K = {K:g}; the "
+                        f"{config.suite} bound needs it finite")
         if "beta" in values:
             beta = values["beta"]
             # the spin-glass bounds scale as beta^3
             if not (beta > 0.0 and math.isfinite(beta * beta * beta)):
                 raise ValueError("beta must be positive with a finite cube")
-        if "A" in values and not values["A"] >= 1.0:
-            raise ValueError("A must be at least 1")
         if "z_im" in values:
             # the bounds fall as N grows, so order 1 covers every size
             derivative_bounds(1, values["z_im"])
@@ -208,10 +203,6 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
                 not 2 <= values["size"] <= ENUMERATION_LIMIT:
             raise ValueError(f"exact enumeration needs size in "
                              f"2..{ENUMERATION_LIMIT}")
-        if config.suite == "sk_ground_state" and \
-                (values["beta"] != 1.0 or values["h"] != 0.0):
-            raise ValueError("the ground-state experiment is defined at "
-                             "beta = 1, h = 0")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -293,10 +284,10 @@ def _run_wigner(config):
     ))
 
 
-def _run_sk(config, kind: str):
+def _run_sk(config, kind: str, params: SKParams):
     return _report_table(sk_experiment(
         kind, parse_spec(config.dist_x), parse_spec(config.dist_y),
-        SKParams(beta=config.beta, h=config.h), config.size,
+        params, config.size,
         config.replicates, test_function(config.g), config.seed,
         threads=config.threads,
     ))
@@ -319,7 +310,7 @@ def _run_lambda_audit(config):
     """Analytic vs empirical influence for every registered family.
 
     Every family is audited at N = size clamped to 2..8: the empirical sups
-    enumerate members and coordinates in Python.
+    loop over coordinates and points in Python.
     """
     columns = ("family", "size", "r", "analytic", "empirical", "ok", "seed")
     seed = config.seed
@@ -404,8 +395,10 @@ def _run_bound_table(config):
 _RUNNERS = {
     "clt": _run_clt,
     "wigner": _run_wigner,
-    "sk_free_energy": lambda cfg: _run_sk(cfg, "free_energy"),
-    "sk_ground_state": lambda cfg: _run_sk(cfg, "ground_state"),
+    "sk_free_energy": lambda cfg: _run_sk(
+        cfg, "free_energy", SKParams(beta=cfg.beta, h=cfg.h)),
+    # the ground-state experiment is defined at beta = 1, h = 0
+    "sk_ground_state": lambda cfg: _run_sk(cfg, "ground_state", SKParams()),
     "erdos_kac": _run_erdos_kac,
     "lambda_audit": _run_lambda_audit,
     "bound_table": _run_bound_table,
@@ -448,7 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--z-im", dest="z_im", type=float)
     parser.add_argument("--beta", type=float)
     parser.add_argument("--h", type=float)
-    parser.add_argument("--A", type=float)
     parser.add_argument("--epsilon", type=float)
     parser.add_argument("--g", help="test function name")
     parser.add_argument("--replicates", type=int)
@@ -471,7 +463,9 @@ def main(argv=None) -> int:
     try:
         manifest = run(config)
     except Exception as exc:  # runtime fault contract
-        print(f"runtime fault: {exc}", file=sys.stderr)
+        # the type names faults whose message is empty, e.g. MemoryError
+        detail = ": ".join(filter(None, (type(exc).__name__, str(exc))))
+        print(f"runtime fault: {detail}", file=sys.stderr)
         return 3
     print(f"lindeberg-lab {manifest.version} suite={manifest.suite} "
           f"rows={len(manifest.rows)} ok={str(manifest.ok).lower()} "

@@ -89,18 +89,10 @@ class DistributionSpec:
         return 1.0
 
     @property
-    def gamma_i(self) -> float:
-        """E|X|^3; ``math.inf`` for Pareto tails with exponent <= 3."""
-        return third_abs_moment(self)
-
-    @property
     def label(self) -> str:
         if self.family is Family.TRUNCATED_PARETO:
             return f"pareto:{self.params[0]:g}"
         return self.family.value
-
-    def sample(self, gen: np.random.Generator, size=None):
-        return sample(self, gen, size)
 
 
 GAUSSIAN = DistributionSpec(Family.GAUSSIAN)
@@ -252,7 +244,11 @@ def truncated_second_moment(spec: DistributionSpec, K: float) -> float:
 
 
 def truncated_third_moment(spec: DistributionSpec, K: float) -> float:
-    """Body third moment E(|X|^3; |X| <= K), exact (finite for every K)."""
+    """Body third moment E(|X|^3; |X| <= K), exact.
+
+    Finite for every finite K; at K = inf it is ``third_abs_moment``, which
+    is infinite for Pareto tail exponents <= 3.
+    """
     K = _check_k(K)
     fam = spec.family
     if fam is Family.GAUSSIAN:

@@ -218,51 +218,36 @@ def family_member(layout: CouplingLayout, params: SKParams, sigma,
             + params.beta * params.h / N * float(np.sum(sigma)))
 
 
-def gray_spin_iter(N: int) -> Iterator[tuple[np.ndarray, int]]:
-    """All 2^N configurations, one spin flip apart; yields (sigma, flipped).
-
-    The yielded array is reused; copy it if it must survive the iteration.
-    The first item flips index -1 (nothing): the all -1 configuration.
-    """
-    sigma = -np.ones(N, dtype=np.int8)
-    yield sigma, -1
-    for k in range(1, 1 << N):
-        flip = (k & -k).bit_length() - 1
-        sigma[flip] = -sigma[flip]
-        yield sigma, flip
-
-
 def sk_family(layout: CouplingLayout, params: SKParams) -> FunctionFamily:
-    """The 2^N linear members as an iterator-backed family.
+    """The 2^N linear members as an array-backed family, in code order.
 
-    Members and their pair index arrays are built on iteration, so reading
-    the family's influence and size costs O(1) in N.
+    Member k is the configuration with code k (``_code_to_sigma``): its
+    values come from the split-spin energy grid of ``_pair_energies``, and
+    its partial in the coupling of pair (a, b) is scale s_a s_b, read off the
+    code bits as scale (1 - 2 (bit_a xor bit_b)).  Nothing is built until
+    they are read, so reading the family's influence and size costs O(1)
+    in N.
     """
     N = layout.size
     scale = params.beta * N**-1.5
     field_term = params.beta * params.h / N
 
-    def make_member(sigma: np.ndarray) -> SmoothFunction:
+    def values(x):
+        pair, mag = _pair_energies(layout, x, 0, 1 << N)
+        return scale * pair + field_term * mag
+
+    def partials(i, x):
         li, lj = triangle_indices(N, 1)
-        pairprod = (sigma[li] * sigma[lj]).astype(float)
-        offset = field_term * float(np.sum(sigma))
-
-        def value(x):
-            return scale * float(np.dot(pairprod, x)) + offset
-
-        def partial(i, p, x):
-            return scale * pairprod[i] if p == 1 else 0.0
-
-        return SmoothFunction(n=layout.coordinate_count, value=value,
-                              partial=partial)
-
-    def members():
-        for sigma, _ in gray_spin_iter(N):
-            yield make_member(sigma.copy())
+        codes = np.arange(1 << N)
+        differ = ((codes >> (N - 1 - li[i])) ^ (codes >> (N - 1 - lj[i]))) & 1
+        out = np.zeros((3, 1 << N))
+        out[0] = scale * (1 - 2 * differ)
+        return out
 
     return FunctionFamily(
         n=layout.coordinate_count,
-        members=members,
+        values=values,
+        partials=partials,
         c1=scale,
         c2=0.0,
         c3=0.0,

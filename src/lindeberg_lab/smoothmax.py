@@ -18,17 +18,22 @@ weights p(x, f) = exp(alpha f(x)) / Z(x) and scores a_i(x, f) = alpha d_i f(x):
 The chain is implemented as exactly this recursion so each link can be audited
 against its uniform bound (|e_i| <= alpha C1 and so on) term by term.
 
-``softmax_state`` materializes the members' Gibbs weights at one point and
-``coordinate_chain`` the per-member score arrays of one coordinate; the value
-and the partials are read off them.  Families of up to 2^22 members are
-materialized; the SK free energy value is enumerated in ``sk`` without them.
+A family hands over its members as two arrays in member order: their values
+at x, and their first three partials in one coordinate.  ``softmax_state``
+turns the values into the Gibbs weights at one point and ``coordinate_chain``
+runs the recursion on the partial rows of one coordinate; the value and the
+partials are read off them.  For a linear family da = d2a = 0, and the chain
+is the closed form d_i F = E_p[w_i], d_i^2 F = alpha Var_p(w_i),
+d_i^3 F = alpha^2 E_p[(w_i - E_p w_i)^3] in the member coefficients w_i.
+Every array read is guarded at 2^22 members; the SK free energy value is
+enumerated in ``sk`` without them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +44,6 @@ from .core import (
     SmoothFunction,
     TestFunction,
     c_constants,
-    estimate_lambda,
 )
 
 __all__ = [
@@ -67,18 +71,20 @@ _MATERIALIZE_LIMIT = 1 << 22
 class FunctionFamily:
     """A finite family of smooth functions with family-wide derivative bounds.
 
-    ``members`` is either a sequence of SmoothFunction or a zero-argument
-    callable returning a fresh iterator (so a family whose bounds are read
-    without its members, e.g. all 2^N spin configurations, costs nothing to
-    build).  ``c1, c2, c3`` are sup bounds on |d_i f|, |d_i^2 f|, |d_i^3 f|
-    over all members, coordinates and points; they determine the family
-    influence values exactly:
+    The members are read as arrays in one fixed member order: ``values(x)``
+    has shape ``(size,)``, and ``partials(i, x)`` has shape ``(3, size)`` with
+    rows d_i f, d_i^2 f, d_i^3 f.  Nothing is built until they are called, so
+    a family whose bounds are read without its members, e.g. all 2^N spin
+    configurations, costs nothing to build.  ``c1, c2, c3`` are sup bounds on
+    |d_i f|, |d_i^2 f|, |d_i^3 f| over all members, coordinates and points;
+    they determine the family influence values exactly:
 
         lambda_2(F) = max(c1^2, c2),  lambda_3(F) = max(c1^3, c2^(3/2), c3).
     """
 
     n: int
-    members: Sequence[SmoothFunction] | Callable[[], Iterable[SmoothFunction]]
+    values: Callable[[np.ndarray], np.ndarray]
+    partials: Callable[[int, np.ndarray], np.ndarray]
     c1: float
     c2: float
     c3: float
@@ -94,11 +100,6 @@ class FunctionFamily:
             raise ValueError("derivative sup bounds must be nonnegative")
         if math.isnan(self.log_size):
             object.__setattr__(self, "log_size", math.log(self.size))
-
-    def iter_members(self) -> Iterable[SmoothFunction]:
-        if callable(self.members):
-            return self.members()
-        return iter(self.members)
 
     @property
     def lambda2(self) -> float:
@@ -116,6 +117,14 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_materializable(family: FunctionFamily) -> None:
+    if family.size > _MATERIALIZE_LIMIT:
+        raise ValueError(
+            f"family of {family.size} members is too large to materialize "
+            f"(limit {_MATERIALIZE_LIMIT})"
+        )
+
+
 @dataclass(frozen=True)
 class SoftMaxState:
     """Gibbs-weight state of F_alpha at one point, for a materialized family."""
@@ -126,7 +135,6 @@ class SoftMaxState:
     shift: float           # max_f alpha f(x)
     log_partition: float   # log Z = log sum exp(alpha f)
     weights: np.ndarray    # p(x, f), sums to 1
-    members: tuple[SmoothFunction, ...]
 
     @property
     def partition(self) -> float:
@@ -140,14 +148,9 @@ class SoftMaxState:
 def softmax_state(family: FunctionFamily, alpha: float,
                   x: np.ndarray) -> SoftMaxState:
     alpha = _check_alpha(alpha)
-    if family.size > _MATERIALIZE_LIMIT:
-        raise ValueError(
-            f"family of {family.size} members is too large to materialize "
-            f"(limit {_MATERIALIZE_LIMIT})"
-        )
+    _check_materializable(family)
     x = np.asarray(x, dtype=float)
-    members = tuple(family.iter_members())
-    scaled = np.array([alpha * f.value(x) for f in members])
+    scaled = alpha * family.values(x)
     shift = float(scaled.max())
     w = np.exp(scaled - shift)
     z = float(w.sum())
@@ -158,7 +161,6 @@ def softmax_state(family: FunctionFamily, alpha: float,
         shift=shift,
         log_partition=shift + math.log(z),
         weights=w / z,
-        members=members,
     )
 
 
@@ -183,10 +185,8 @@ class SoftMaxChain:
 def coordinate_chain(family: FunctionFamily, state: SoftMaxState,
                      i: int) -> SoftMaxChain:
     """The derivative recursion at coordinate i with per-member arrays exposed."""
-    alpha, x, p = state.alpha, state.point, state.weights
-    a = np.array([alpha * f.partial(i, 1, x) for f in state.members])
-    da = np.array([alpha * f.partial(i, 2, x) for f in state.members])
-    d2a = np.array([alpha * f.partial(i, 3, x) for f in state.members])
+    p = state.weights
+    a, da, d2a = state.alpha * family.partials(i, state.point)
     e = float(np.dot(a, p))
     dp = (a - e) * p
     de = float(np.sum(p * da + a * dp))
@@ -284,15 +284,20 @@ def optimized_max_bound(g: TestFunction, gamma: float, n: int,
 
 def estimate_family_lambda(family: FunctionFamily,
                            points) -> LambdaEstimate:
-    """Empirical family influence: member-wise sup of the empirical sups."""
-    sups = [0.0, 0.0, 0.0]
-    count = 0
-    for f in family.iter_members():
-        est = estimate_lambda(f, points)
-        sups = [max(s, e) for s, e in zip(sups, est.per_order_sup)]
-        count += 1
-    if count == 0:
-        raise ValueError("family yielded no members")
+    """Empirical family influence: sup of |d_i^p f(x)|^(r/p) over members,
+    coordinates and the given points, read from the partial arrays."""
+    _check_materializable(family)
+    points = [np.asarray(pt, dtype=float) for pt in points]
+    if not points:
+        raise ValueError("estimate_family_lambda needs at least one point")
+    sups = np.zeros(3)
+    for pt in points:
+        if pt.shape != (family.n,):
+            raise ValueError("point dimension mismatch")
+        for i in range(family.n):
+            np.maximum(sups, np.abs(family.partials(i, pt)).max(axis=1),
+                       out=sups)
+    sups = sups.tolist()
     lam = [max(sups[p - 1] ** (r / p) for p in range(1, r + 1))
            for r in (1, 2, 3)]
     return LambdaEstimate(lambda1=lam[0], lambda2=lam[1], lambda3=lam[2],

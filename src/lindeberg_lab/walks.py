@@ -23,7 +23,6 @@ from scipy.special import erf
 from .core import (
     GapReport,
     InfiniteGammaError,
-    SmoothFunction,
     TestFunction,
     paired_functional_values,
     summarize_gap,
@@ -45,26 +44,26 @@ __all__ = [
 def walk_family(n: int) -> FunctionFamily:
     """Prefix-mean family f_j(x) = n^(-1/2) sum_{i<=j} x_i, j = 1..n.
 
-    Members are built on iteration, so the bound, which reads only the
-    family's influence and size, costs O(1) in n.
+    Member j - 1 is prefix j: the values are n^(-1/2) cumsum(x) and the
+    partials in coordinate i are n^(-1/2) 1{j > i}.  Nothing is built until
+    they are read, so the bound, which reads only the family's influence and
+    size, costs O(1) in n.
     """
     if n < 1:
         raise ValueError("need at least one step")
     root = 1.0 / math.sqrt(n)
 
-    def make_member(j: int) -> SmoothFunction:
-        def value(x):
-            return root * float(np.sum(x[:j]))
+    def values(x):
+        return root * np.cumsum(x)
 
-        def partial(i, p, x):
-            return root if (p == 1 and i < j) else 0.0
+    def partials(i, x):
+        out = np.zeros((3, n))
+        out[0, i:] = root
+        return out
 
-        return SmoothFunction(n=n, value=value, partial=partial,
-                              name=f"prefix[{j}/{n}]")
-
-    return FunctionFamily(
-        n=n, members=lambda: (make_member(j) for j in range(1, n + 1)),
-        c1=root, c2=0.0, c3=0.0, size=n, name=f"walk[{n}]")
+    return FunctionFamily(n=n, values=values, partials=partials,
+                          c1=root, c2=0.0, c3=0.0, size=n,
+                          name=f"walk[{n}]")
 
 
 def max_partial_sums(x) -> float:

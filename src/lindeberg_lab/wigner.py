@@ -43,6 +43,7 @@ from scipy.linalg.lapack import dsytrd
 
 from .core import (
     GapReport,
+    InfiniteGammaError,
     SmoothFunction,
     TestFunction,
     c_constants,
@@ -179,7 +180,8 @@ def _entry_partials(N: int, i: int, j: int, G: np.ndarray,
 
 
 class _ResolventCache:
-    """One-slot cache of (G, G^2) keyed by the coordinate vector bytes."""
+    """One-slot cache of (G, G^2) for the partials, keyed by the coordinate
+    vector bytes."""
 
     def __init__(self, layout: WignerLayout, z: complex):
         self.layout = layout
@@ -234,8 +236,7 @@ def stieltjes_function(layout: WignerLayout, z: complex,
             "im": lambda w: w.imag}[part]
 
     def value(x):
-        G, _ = cache.at(x)
-        return take(complex(np.trace(G)) / N)
+        return take(stieltjes(layout, x, z))
 
     def partial(i, p, x):
         G, G2 = cache.at(x)
@@ -343,13 +344,22 @@ class SemicircleReport:
 def semicircle_bound(spec_x: DistributionSpec, spec_y: DistributionSpec,
                      N: int, z: complex, g: TestFunction,
                      epsilon: float) -> float:
-    """Swap bound for Re/Im of the transform at truncation K = eps sqrt(N)."""
+    """Swap bound for Re/Im of the transform at truncation K = eps sqrt(N).
+
+    Raises InfiniteGammaError when a body third moment is infinite at K,
+    which happens at K = inf for Pareto tails with exponent <= 3.
+    """
     K = epsilon * math.sqrt(N)
     n = WignerLayout(N).coordinate_count
     tail_sum = n * (truncated_second_moment(spec_x, K)
                     + truncated_second_moment(spec_y, K))
     body_sum = n * (truncated_third_moment(spec_x, K)
                     + truncated_third_moment(spec_y, K))
+    if math.isinf(body_sum):
+        raise InfiniteGammaError(
+            f"body third moment is infinite at truncation level K = {K:g}; "
+            f"use a finite truncation level"
+        )
     bounds = derivative_bounds(N, z.imag)
     c1, c2 = c_constants(g)
     return swap_bound(c1, c2, bounds.lambda2, bounds.lambda3,

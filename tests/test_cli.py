@@ -251,7 +251,40 @@ class TestBoundTable:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+class RecordingValues(dict):
+    """Config values that record every key a run reads."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 class TestRunnerContract:
+    @pytest.mark.parametrize("suite, over", [
+        ("clt", {"size": 16, "replicates": 100}),
+        ("wigner", {"size": 6, "replicates": 100}),
+        ("sk_free_energy", {"size": 5, "replicates": 100}),
+        ("sk_ground_state", {"size": 5, "replicates": 100}),
+        ("erdos_kac", {"size": 16, "replicates": 100}),
+        ("lambda_audit", {"size": 3}),
+        ("bound_table", {"sizes": "8"}),
+    ])
+    def test_suite_reads_every_key_it_declares(self, tmp_path, suite, over):
+        # a declared key that no run reads is a flag that does nothing
+        config = build_config(suite, None,
+                              {**over, "out": str(tmp_path / "r.csv")})
+        config.values = RecordingValues(config.values)
+        run(config)
+        assert config.values.read == set(config.values)
+
     @staticmethod
     def _gap_reports(reports):
         # the walk of perfbench/child.py::gap_numbers: a report with an
@@ -333,10 +366,33 @@ class TestMainExitCodes:
         ["sk_free_energy", "--beta", "1e200"],
         ["bound_table", "--beta", "1e200"],
         ["clt", "--seed", "18446744073709551621"],
+        ["lambda_audit", "--replicates", "500"],
+        ["bound_table", "--seed", "3"],
+        ["sk_ground_state", "--epsilon", "0.3"],
+        ["sk_ground_state", "--h", "0"],
+        ["wigner", "--epsilon", "inf", "--dist-x", "pareto:2.5"],
     ])
     def test_out_of_domain_input_exits_2(self, argv, capsys):
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_removed_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sk_ground_state", "--A", "2"])
+        assert exc.value.code == 2
+
+    def test_infinite_truncation_with_finite_third_moment_runs(self, capsys):
+        assert main(["wigner", "--epsilon", "inf", "--dist-x", "pareto:4",
+                     "--size", "6", "--replicates", "100"]) == 0
+
+    def test_fault_without_message_names_its_type(self, capsys,
+                                                  monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._RUNNERS, "clt", exhausted)
+        assert main(["clt", "--size", "16", "--replicates", "120"]) == 3
+        assert "runtime fault: MemoryError" in capsys.readouterr().err
 
     def test_runtime_fault_exits_3(self, capsys):
         code = main(["clt", "--size", "16", "--replicates", "120",

@@ -156,6 +156,45 @@ class TestFamilyLambda:
         assert fam.c2 == fam.c3 == 0.0
 
 
+class TestFamilyArrays:
+    # member k is the k-th spin tuple in lexicographic order, -1 before +1
+
+    def test_values_match_family_member_at_every_code(self):
+        for N in range(2, 9):
+            layout = CouplingLayout(N)
+            params = SKParams(beta=0.8, h=-0.35)
+            fam = sk_family(layout, params)
+            for x in coupling_draws(f"values{N}", N, 2):
+                got = fam.values(x)
+                expect = [family_member(layout, params, np.array(sigma), x)
+                          for sigma in itertools.product((-1, 1), repeat=N)]
+                assert got.shape == (1 << N,)
+                assert got == pytest.approx(expect, rel=1e-12, abs=1e-14)
+
+    def test_partials_are_scaled_pair_spin_products(self):
+        N = 5
+        layout = CouplingLayout(N)
+        params = SKParams(beta=1.7, h=0.4)
+        fam = sk_family(layout, params)
+        sigmas = np.array(list(itertools.product((-1, 1), repeat=N)))
+        x = coupling_draws("partials", N, 1)[0]
+        for c, (a, b) in enumerate(layout.pairs()):
+            parts = fam.partials(c, x)
+            assert parts.shape == (3, 1 << N)
+            assert parts[0].tolist() == (
+                1.7 * N**-1.5 * sigmas[:, a] * sigmas[:, b]).tolist()
+            assert not parts[1:].any()
+
+    def test_lambda_estimate_refuses_unmaterializable_family(self):
+        N = 23
+        layout = CouplingLayout(N)
+        fam = sk_family(layout, SKParams())
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too large to materialize"):
+            estimate_family_lambda(fam, [np.zeros(layout.coordinate_count)])
+        assert time.perf_counter() - start < 1.0
+
+
 class TestFreeEnergy:
     def test_two_spin_hand_enumeration(self):
         # oracle: four configurations, sigma1 sigma2 = +1 twice, -1 twice

@@ -46,12 +46,28 @@ def sine_member(k: int, n: int = 2) -> SmoothFunction:
                           name=f"sine{k}")
 
 
+def member_family(members, **fields) -> FunctionFamily:
+    """A family read off SmoothFunction members, in member order: the
+    generic recursion's oracle for nonlinear members."""
+    members = tuple(members)
+    fields.setdefault("size", len(members))
+
+    def values(x):
+        return np.array([f.value(x) for f in members])
+
+    def partials(i, x):
+        return np.array([[f.partial(i, p, x) for f in members]
+                         for p in (1, 2, 3)])
+
+    return FunctionFamily(n=members[0].n, values=values, partials=partials,
+                          **fields)
+
+
 def sine_family(m: int = 4) -> FunctionFamily:
     members = tuple(sine_member(k) for k in range(m))
     # sup over members of w^p amp = (k+1)^p / (k+2), largest at k = m-1
     c = [max((k + 1) ** p / (k + 2) for k in range(m)) for p in (1, 2, 3)]
-    return FunctionFamily(n=2, members=members, c1=c[0], c2=c[1], c3=c[2],
-                          size=m, name="sine")
+    return member_family(members, c1=c[0], c2=c[1], c3=c[2], name="sine")
 
 
 def constant_member(v: float, n: int = 1) -> SmoothFunction:
@@ -67,16 +83,14 @@ def linear_member(n: int) -> SmoothFunction:
 
 class TestSoftMaxValue:
     def test_single_member_is_exact(self):
-        fam = FunctionFamily(n=2, members=(sine_member(2),), c1=1.0, c2=2.0,
-                             c3=4.0, size=1)
+        fam = member_family((sine_member(2),), c1=1.0, c2=2.0, c3=4.0)
         x = np.array([0.4, -0.9])
         for alpha in (1.0, 3.0, 50.0):
             assert softmax_value(fam, alpha, x) == sine_member(2).value(x)
 
     def test_duplicated_members_shift_by_log_m(self):
         base = sine_member(1)
-        fam = FunctionFamily(n=2, members=(base,) * 5, c1=1.0, c2=2.0,
-                             c3=4.0, size=5)
+        fam = member_family((base,) * 5, c1=1.0, c2=2.0, c3=4.0)
         x = np.array([-0.3, 0.7])
         for alpha in (1.0, 2.5):
             expect = base.value(x) + math.log(5.0) / alpha
@@ -85,9 +99,8 @@ class TestSoftMaxValue:
 
     def test_two_member_hand_value(self):
         # members {0, x_0} at x_0 = 0, alpha = 1 -> log 2
-        fam = FunctionFamily(n=1, members=(constant_member(0.0),
-                                           linear_member(1)),
-                             c1=1.0, c2=0.0, c3=0.0, size=2)
+        fam = member_family((constant_member(0.0), linear_member(1)),
+                            c1=1.0, c2=0.0, c3=0.0)
         assert softmax_value(fam, 1.0, np.zeros(1)) == pytest.approx(
             math.log(2.0), rel=1e-15)
 
@@ -103,7 +116,7 @@ class TestSoftMaxValue:
             gap = uniform_gap_bound(fam, alpha)
             for _ in range(1000):
                 x = gen.uniform(-3, 3, size=2)
-                hard = max(f.value(x) for f in fam.iter_members())
+                hard = float(fam.values(x).max())
                 soft = softmax_value(fam, alpha, x)
                 assert -1e-12 <= soft - hard <= gap + 1e-12
 
@@ -120,8 +133,7 @@ class TestSoftMaxValue:
 class TestSoftMaxPartials:
     def test_single_member_collapses_to_member_partials(self):
         f = sine_member(1)
-        fam = FunctionFamily(n=2, members=(f,), c1=2.0, c2=4.0, c3=8.0,
-                             size=1)
+        fam = member_family((f,), c1=2.0, c2=4.0, c3=8.0)
         x = np.array([0.2, -0.5])
         for i in (0, 1):
             d1, d2, d3 = softmax_partials(fam, 2.0, x, i)
@@ -147,9 +159,8 @@ class TestSoftMaxPartials:
     def test_linear_members_derivatives_from_weights_only(self):
         # for linear members the second and third member partials vanish, so
         # d2 and d3 of the soft max come purely from weight derivatives
-        fam = FunctionFamily(
-            n=1, members=(constant_member(0.0), linear_member(1)),
-            c1=1.0, c2=0.0, c3=0.0, size=2)
+        fam = member_family((constant_member(0.0), linear_member(1)),
+                            c1=1.0, c2=0.0, c3=0.0)
         alpha = 3.0
         x = np.array([0.37])
         d1, d2, d3 = softmax_partials(fam, alpha, x, 0)
@@ -211,8 +222,7 @@ class TestBounds:
 
     def test_single_member_bound_dominates_true_influence(self):
         f = sine_member(0)
-        fam = FunctionFamily(n=2, members=(f,), c1=0.5, c2=0.5, c3=0.5,
-                             size=1)
+        fam = member_family((f,), c1=0.5, c2=0.5, c3=0.5)
         gen = np.random.default_rng(2)
         pts = [gen.uniform(-2, 2, size=2) for _ in range(40)]
         for alpha in (1.0, 2.0):
@@ -233,20 +243,20 @@ class TestBounds:
             assert est.lambda3 <= l3
 
     def test_uniform_gap_bound_values(self):
-        single = FunctionFamily(n=1, members=(constant_member(1.0),),
-                                c1=0.0, c2=0.0, c3=0.0, size=1)
+        single = member_family((constant_member(1.0),),
+                               c1=0.0, c2=0.0, c3=0.0)
         assert uniform_gap_bound(single, 5.0) == 0.0
         # 2^N members at level N: the gap is log 2 regardless of N
         for N in (4, 10, 30):
-            fam = FunctionFamily(n=1, members=(constant_member(0.0),),
-                                 c1=0.0, c2=0.0, c3=0.0, size=2**N,
-                                 log_size=N * math.log(2.0))
+            fam = member_family((constant_member(0.0),),
+                                c1=0.0, c2=0.0, c3=0.0, size=2**N,
+                                log_size=N * math.log(2.0))
             assert uniform_gap_bound(fam, float(N)) == pytest.approx(
                 math.log(2.0), rel=1e-15)
 
     def test_max_swap_bound_zero_case(self):
-        single = FunctionFamily(n=1, members=(constant_member(0.0),),
-                                c1=1.0, c2=0.0, c3=0.0, size=1)
+        single = member_family((constant_member(0.0),),
+                               c1=1.0, c2=0.0, c3=0.0)
         assert max_swap_bound(SIN, 2.0, single, 0.0, 0.0) == 0.0
 
     def test_max_swap_bound_formula(self):
@@ -275,8 +285,8 @@ class TestBounds:
                             logm ** (-1 / 3) + 1e-15
 
     def test_optimized_bound_single_member(self):
-        single = FunctionFamily(n=3, members=(linear_member(3),),
-                                c1=1.0, c2=0.0, c3=0.0, size=1)
+        single = member_family((linear_member(3),),
+                               c1=1.0, c2=0.0, c3=0.0)
         gamma, n = 1.5, 3
         got = optimized_max_bound(SIN, gamma, n, single)
         assert got == pytest.approx(k_constant(SIN) * gamma * n * 1.0,

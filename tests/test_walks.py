@@ -8,7 +8,6 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from lindeberg_lab import walks
 from lindeberg_lab.core import test_function as named_g
 from lindeberg_lab.core import InfiniteGammaError
 from lindeberg_lab.distributions import GAUSSIAN, RADEMACHER, pareto, \
@@ -54,7 +53,7 @@ class TestMaxPartialSums:
         gen = RandomStream(3, "walk-test").replicate(0)
         for _ in range(5):
             x = gen.standard_normal(n)
-            hard = max(f.value(x) for f in fam.iter_members())
+            hard = float(fam.values(x).max())
             assert max_partial_sums(x) == pytest.approx(hard, rel=1e-13)
 
 
@@ -74,23 +73,14 @@ class TestWalkFamily:
         assert fam.c1 == pytest.approx(1.0 / 3.0)
         assert fam.lambda3 == pytest.approx(9.0**-1.5)
 
-    def test_family_is_lazy(self, monkeypatch):
+    def test_family_is_lazy(self):
         # the family and its bound read only size and influence, so neither
-        # may build a member: n closures would cost O(n) time and memory
-        built = []
-        real = walks.SmoothFunction
-
-        def counting(*args, **kwargs):
-            built.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(walks, "SmoothFunction", counting)
+        # may touch an array of n members
         n = 10**7
         start = time.perf_counter()
         fam = walk_family(n)
         bound = erdos_kac_bound(SIN, 1.6, n)
         assert time.perf_counter() - start < 1.0
-        assert not built
         assert fam.size == n
         assert fam.lambda3 == pytest.approx(n**-1.5, rel=1e-14)
         assert fam.log_size == pytest.approx(math.log(n), rel=1e-15)
@@ -98,12 +88,21 @@ class TestWalkFamily:
             k_constant(SIN) * ((1.6 * n**-0.5) ** (1.0 / 3.0)
                                * math.log(n) ** (2.0 / 3.0) + 1.6 * n**-0.5),
             rel=1e-12)
-        members = fam.iter_members()
-        assert not built
-        first = next(members)
-        assert len(built) == 1 and first.name == f"prefix[1/{n}]"
-        assert [f.name for f in walk_family(3).iter_members()] == \
-            ["prefix[1/3]", "prefix[2/3]", "prefix[3/3]"]
+
+    def test_member_arrays_are_prefix_sums(self):
+        n = 7
+        fam = walk_family(n)
+        x = RandomStream(6, "walk-arrays").replicate(0).standard_normal(n)
+        root = 1.0 / math.sqrt(n)
+        expect = [root * math.fsum(x[:j]) for j in range(1, n + 1)]
+        assert fam.values(x) == pytest.approx(expect, rel=1e-14, abs=1e-15)
+        for i in range(n):
+            parts = fam.partials(i, x)
+            assert parts.shape == (3, n)
+            # member j - 1 is prefix j, which holds coordinate i iff j > i
+            assert parts[0].tolist() == [root * (j > i)
+                                         for j in range(1, n + 1)]
+            assert not parts[1:].any()
 
     def test_smoothed_influence_of_prefix_family(self):
         from lindeberg_lab.smoothmax import smoothed_lambda_bounds

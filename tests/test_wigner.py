@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from lindeberg_lab.core import estimate_lambda, fd_partial, mc_gap
+from lindeberg_lab.core import InfiniteGammaError, estimate_lambda, \
+    fd_partial, mc_gap
 from lindeberg_lab.core import test_function as named_g
 from lindeberg_lab.distributions import GAUSSIAN, RADEMACHER, pareto
 from lindeberg_lab.rng import RandomStream
@@ -18,6 +19,7 @@ from lindeberg_lab.wigner import (
     derivative_bounds,
     pastur_term,
     resolvent,
+    semicircle_bound,
     semicircle_experiment,
     semicircle_stieltjes,
     stieltjes,
@@ -348,6 +350,19 @@ class TestPasturTerm:
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             pastur_term(GAUSSIAN, 10, 0.0)
+
+
+class TestSemicircleBound:
+    def test_infinite_body_moment_is_refused(self):
+        # at K = eps sqrt(N) = inf the body moment of pareto:a is E|X|^3,
+        # infinite for a <= 3 and finite above
+        with pytest.raises(InfiniteGammaError):
+            semicircle_bound(pareto(2.5), GAUSSIAN, 10, 2j, IDENTITY,
+                             math.inf)
+        assert math.isfinite(semicircle_bound(pareto(4.0), GAUSSIAN, 10, 2j,
+                                              IDENTITY, math.inf))
+        assert math.isfinite(semicircle_bound(pareto(2.5), GAUSSIAN, 10, 2j,
+                                              IDENTITY, 0.2))
 
 
 class TestSemicircleExperiment:
