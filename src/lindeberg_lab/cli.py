@@ -170,8 +170,9 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
             sizes = [int(tok) for tok in str(values["sizes"]).split(",") if tok]
             if not sizes:
                 raise ValueError("empty size grid")
-            if min(sizes) < 2:
-                raise ValueError("every size in the grid must be at least 2")
+            # above 2^53, n and n - 1 round to the same float
+            if not 2 <= min(sizes) <= max(sizes) <= 1 << 53:
+                raise ValueError("every size in the grid must lie in 2..2**53")
             values["sizes"] = sizes
         if values.get("size", 1) < 1:
             raise ValueError("size must be positive")

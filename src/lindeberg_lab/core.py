@@ -46,6 +46,7 @@ __all__ = [
     "LindebergError",
     "InfiniteGammaError",
     "SmoothFunction",
+    "partials_at_point",
     "TestFunction",
     "LambdaKind",
     "LambdaEstimate",
@@ -109,6 +110,26 @@ class SmoothFunction:
         lo, hi = self.domain
         if not (lo < 0.0 < hi):
             raise ValueError("domain must be an open interval containing 0")
+
+
+def partials_at_point(table: Callable[[np.ndarray], np.ndarray]
+                      ) -> Callable[[int, int, np.ndarray], complex]:
+    """``partial(i, p, x)`` read off ``table(x)``, the (n, 3) array of all
+    first three partials at x, kept in one slot keyed by the bytes of x.
+
+    ``estimate_lambda`` asks for every (i, p) at one point, so it pays for
+    one table per point.  The slot takes no lock: its readers are serial.
+    """
+    key, rows = None, None
+
+    def partial(i, p, x):
+        nonlocal key, rows
+        x = np.asarray(x, dtype=float)
+        if x.tobytes() != key:
+            rows, key = table(x).tolist(), x.tobytes()
+        return rows[i][p - 1]
+
+    return partial
 
 
 @dataclass(frozen=True)
@@ -384,13 +405,16 @@ def estimate_lambda(f: SmoothFunction,
                 mag = abs(f.partial(i, p, pt))
                 if mag > sups[p - 1]:
                     sups[p - 1] = mag
-    s1, s2, s3 = sups
-    lam = [0.0, 0.0, 0.0]
-    for r in (1, 2, 3):
-        lam[r - 1] = max(sups[p - 1] ** (r / p) for p in range(1, r + 1))
-    return LambdaEstimate(lambda1=lam[0], lambda2=lam[1], lambda3=lam[2],
-                          kind=LambdaKind.EMPIRICAL_SUP,
-                          per_order_sup=(s1, s2, s3))
+    return _lambda_from_sups(sups)
+
+
+def _lambda_from_sups(sups) -> LambdaEstimate:
+    """lambda_r = max_{p <= r} sup_p^(r/p) from the per-order sups."""
+    sups = tuple(sups)
+    lam = [max(sups[p - 1] ** (r / p) for p in range(1, r + 1))
+           for r in (1, 2, 3)]
+    return LambdaEstimate(*lam, kind=LambdaKind.EMPIRICAL_SUP,
+                          per_order_sup=sups)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -56,6 +56,7 @@ from .smoothmax import (
     max_swap_bound,
     optimized_max_bound,
     smoothed_lambda_bounds,
+    softmax_function,
 )
 
 __all__ = [
@@ -251,7 +252,6 @@ def sk_family(layout: CouplingLayout, params: SKParams) -> FunctionFamily:
         c1=scale,
         c2=0.0,
         c3=0.0,
-        size=1 << N,
         log_size=N * math.log(2.0),
         name=f"sk[N={N},beta={params.beta:g},h={params.h:g}]",
     )
@@ -331,20 +331,14 @@ def free_energy_gray(layout: CouplingLayout, params: SKParams, x) -> float:
 
 def free_energy_function(layout: CouplingLayout,
                          params: SKParams) -> SmoothFunction:
-    """The free energy as a SmoothFunction; partials via the soft-max chain."""
-    from .smoothmax import softmax_partials
-
-    family = sk_family(layout, params)
+    """The free energy as a SmoothFunction: the soft-max of ``sk_family`` at
+    level N, whose partials come from one Gibbs state per point, with the
+    value taken from the enumeration kernel of ``free_energy``."""
     N = layout.size
-
-    def value(x):
-        return free_energy(layout, params, x)
-
-    def partial(i, p, x):
-        return softmax_partials(family, float(N), np.asarray(x, float), i)[p - 1]
-
-    return SmoothFunction(n=layout.coordinate_count, value=value,
-                          partial=partial, name=f"sk-free-energy[N={N}]")
+    return replace(
+        softmax_function(sk_family(layout, params), N),
+        value=lambda x: free_energy(layout, params, x),
+        name=f"sk-free-energy[N={N}]")
 
 
 def free_energy_lambda(params: SKParams, N: int) -> tuple[float, float]:

@@ -22,8 +22,9 @@ A family hands over its members as two arrays in member order: their values
 at x, and their first three partials in one coordinate.  ``softmax_state``
 turns the values into the Gibbs weights at one point and ``coordinate_chain``
 runs the recursion on the partial rows of one coordinate; the value and the
-partials are read off them.  For a linear family da = d2a = 0, and the chain
-is the closed form d_i F = E_p[w_i], d_i^2 F = alpha Var_p(w_i),
+partials are read off them, one state per point for all coordinates.  For
+a linear family da = d2a = 0, and the chain is the closed form
+d_i F = E_p[w_i], d_i^2 F = alpha Var_p(w_i),
 d_i^3 F = alpha^2 E_p[(w_i - E_p w_i)^3] in the member coefficients w_i.
 Every array read is guarded at 2^22 members; the SK free energy value is
 enumerated in ``sk`` without them.
@@ -32,7 +33,7 @@ enumerated in ``sk`` without them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,10 +41,11 @@ import numpy as np
 from .core import (
     InfiniteGammaError,
     LambdaEstimate,
-    LambdaKind,
     SmoothFunction,
     TestFunction,
+    _lambda_from_sups,
     c_constants,
+    partials_at_point,
 )
 
 __all__ = [
@@ -72,12 +74,12 @@ class FunctionFamily:
     """A finite family of smooth functions with family-wide derivative bounds.
 
     The members are read as arrays in one fixed member order: ``values(x)``
-    has shape ``(size,)``, and ``partials(i, x)`` has shape ``(3, size)`` with
-    rows d_i f, d_i^2 f, d_i^3 f.  Nothing is built until they are called, so
-    a family whose bounds are read without its members, e.g. all 2^N spin
-    configurations, costs nothing to build.  ``c1, c2, c3`` are sup bounds on
-    |d_i f|, |d_i^2 f|, |d_i^3 f| over all members, coordinates and points;
-    they determine the family influence values exactly:
+    has one entry per member, ``partials(i, x)`` has rows d_i f, d_i^2 f,
+    d_i^3 f, and ``log_size`` = log |F| is all the bounds read of their
+    number.  Nothing is built until they are called, so a family of all 2^N
+    spin configurations costs nothing to build.  ``c1, c2, c3`` are sup
+    bounds on |d_i f|, |d_i^2 f|, |d_i^3 f| over all members, coordinates
+    and points; they determine the family influence values exactly:
 
         lambda_2(F) = max(c1^2, c2),  lambda_3(F) = max(c1^3, c2^(3/2), c3).
     """
@@ -88,18 +90,14 @@ class FunctionFamily:
     c1: float
     c2: float
     c3: float
-    size: int
-    log_size: float = field(default=math.nan)
-    domain: tuple[float, float] = (-math.inf, math.inf)
+    log_size: float
     name: str = ""
 
     def __post_init__(self):
-        if self.size < 1:
+        if not self.log_size >= 0.0:
             raise ValueError("a family must have at least one member")
         if any(c < 0.0 for c in (self.c1, self.c2, self.c3)):
             raise ValueError("derivative sup bounds must be nonnegative")
-        if math.isnan(self.log_size):
-            object.__setattr__(self, "log_size", math.log(self.size))
 
     @property
     def lambda2(self) -> float:
@@ -118,10 +116,11 @@ def _check_alpha(alpha: float) -> float:
 
 
 def _check_materializable(family: FunctionFamily) -> None:
-    if family.size > _MATERIALIZE_LIMIT:
+    # 22 log 2 == log 2^22 in floating point, so 2^22 members pass exactly
+    if family.log_size > math.log(_MATERIALIZE_LIMIT):
         raise ValueError(
-            f"family of {family.size} members is too large to materialize "
-            f"(limit {_MATERIALIZE_LIMIT})"
+            f"family of 2^{family.log_size / math.log(2.0):.4g} members is "
+            f"too large to materialize (limit 2^22)"
         )
 
 
@@ -209,17 +208,20 @@ def softmax_partials(family: FunctionFamily, alpha: float, x: np.ndarray,
 
 
 def softmax_function(family: FunctionFamily, alpha: float) -> SmoothFunction:
-    """F_alpha wrapped as a SmoothFunction with analytic partials."""
+    """F_alpha wrapped as a SmoothFunction with analytic partials, read
+    from one state and n coordinate chains per point."""
     alpha = _check_alpha(alpha)
 
     def value(x):
         return softmax_value(family, alpha, x)
 
-    def partial(i, p, x):
-        return softmax_partials(family, alpha, x, i)[p - 1]
+    def table(x):
+        state = softmax_state(family, alpha, x)
+        return np.array([coordinate_chain(family, state, i).partials(alpha)
+                         for i in range(family.n)])
 
-    return SmoothFunction(n=family.n, value=value, partial=partial,
-                          domain=family.domain,
+    return SmoothFunction(n=family.n, value=value,
+                          partial=partials_at_point(table),
                           name=f"softmax[{family.name or 'family'},a={alpha:g}]")
 
 
@@ -297,9 +299,4 @@ def estimate_family_lambda(family: FunctionFamily,
         for i in range(family.n):
             np.maximum(sups, np.abs(family.partials(i, pt)).max(axis=1),
                        out=sups)
-    sups = sups.tolist()
-    lam = [max(sups[p - 1] ** (r / p) for p in range(1, r + 1))
-           for r in (1, 2, 3)]
-    return LambdaEstimate(lambda1=lam[0], lambda2=lam[1], lambda3=lam[2],
-                          kind=LambdaKind.EMPIRICAL_SUP,
-                          per_order_sup=tuple(sups))
+    return _lambda_from_sups(sups.tolist())

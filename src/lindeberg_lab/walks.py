@@ -62,7 +62,7 @@ def walk_family(n: int) -> FunctionFamily:
         return out
 
     return FunctionFamily(n=n, values=values, partials=partials,
-                          c1=root, c2=0.0, c3=0.0, size=n,
+                          c1=root, c2=0.0, c3=0.0, log_size=math.log(n),
                           name=f"walk[{n}]")
 
 

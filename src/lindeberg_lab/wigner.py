@@ -20,9 +20,11 @@ coordinate partials:
 where E = dA/dx_ij carries N^(-1/2) at (i,j) and (j,i).  The partials need
 the full resolvent G, which ``resolvent`` builds by a dense complex LU; the
 tests also use it as the reference for the transform value.  Because G is
-symmetric, each trace collapses to a handful of entries of G and G^2, so all
-n coordinate partials cost O(n) after one O(N^3) factorization.  Spectral
-calculus bounds the partials uniformly:
+symmetric, each trace collapses to a handful of entries of G and G^2, so
+``stieltjes_partials_all`` gives all n coordinates' partials as one (n, 3)
+table, one vectorised O(n) pass after one LU and one product G @ G.  Every
+single-coordinate partial is read off that table.  Spectral calculus bounds
+the partials uniformly:
 
     |d1| <= 2 |v|^-2 N^(-3/2), |d2| <= 4 |v|^-3 N^-2, |d3| <= 12 |v|^-4 N^(-5/2),
 
@@ -48,6 +50,7 @@ from .core import (
     TestFunction,
     c_constants,
     paired_functional_values,
+    partials_at_point,
     summarize_gap,
     swap_bound,
     triangle_indices,
@@ -160,64 +163,38 @@ def stieltjes(layout: WignerLayout, x: np.ndarray, z: complex) -> complex:
     return -total / layout.size
 
 
-def _entry_partials(N: int, i: int, j: int, G: np.ndarray,
-                    G2: np.ndarray) -> tuple[complex, complex, complex]:
-    # trace reductions using symmetry of G and G^2; s = N^(-1/2)
+def stieltjes_partials_all(layout: WignerLayout, x: np.ndarray,
+                           z: complex) -> np.ndarray:
+    """(n, 3) complex table of every coordinate's first three partials.
+
+    One vectorised pass over the pairs i <= j after one LU ``resolvent`` G
+    and one G @ G.  The traces reduce to entries of G and G^2 by symmetry;
+    E of a diagonal coordinate has one entry, not two, so it takes the
+    off-diagonal formula times 2^(-p).
+    """
+    G = resolvent(layout, x, z)
+    G2 = G @ G
+    N = layout.size
+    i, j = triangle_indices(N, 0)
+    gij, gii, gjj = G[i, j], G[i, i], G[j, j]
+    hij, hii, hjj = G2[i, j], G2[i, i], G2[j, j]
     s = 1.0 / math.sqrt(N)
-    if i == j:
-        t1 = s * G2[i, i]
-        t2 = s * s * G[i, i] * G2[i, i]
-        t3 = s**3 * G[i, i] ** 2 * G2[i, i]
-    else:
-        t1 = 2.0 * s * G2[i, j]
-        t2 = s * s * (2.0 * G[i, j] * G2[i, j]
-                      + G[i, i] * G2[j, j] + G[j, j] * G2[i, i])
-        t3 = s**3 * 2.0 * (G[i, j] ** 2 * G2[i, j]
-                           + G[i, j] * G[j, j] * G2[i, i]
-                           + G[i, i] * G[j, j] * G2[i, j]
-                           + G[i, i] * G[i, j] * G2[j, j])
-    return -t1 / N, 2.0 * t2 / N, -6.0 * t3 / N
-
-
-class _ResolventCache:
-    """One-slot cache of (G, G^2) for the partials, keyed by the coordinate
-    vector bytes."""
-
-    def __init__(self, layout: WignerLayout, z: complex):
-        self.layout = layout
-        self.z = _check_z(z)
-        self._key: bytes | None = None
-        self._G: np.ndarray | None = None
-        self._G2: np.ndarray | None = None
-
-    def at(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if key != self._key:
-            G = resolvent(self.layout, x, self.z)
-            self._key, self._G, self._G2 = key, G, G @ G
-        return self._G, self._G2
+    t1 = 2.0 * s * hij
+    t2 = s * s * (2.0 * gij * hij + gii * hjj + gjj * hii)
+    t3 = s**3 * 2.0 * (gij**2 * hij + gij * gjj * hii + gii * gjj * hij
+                       + gii * gij * hjj)
+    half = np.where(i == j, 0.5, 1.0)
+    return np.stack([-t1 * half / N, 2.0 * t2 * half**2 / N,
+                     -6.0 * t3 * half**3 / N], axis=1)
 
 
 def stieltjes_partials(layout: WignerLayout, x: np.ndarray, z: complex,
                        coordinate: int) -> tuple[complex, complex, complex]:
-    """First three partials of the transform in one flat coordinate."""
+    """First three partials of the transform in one flat coordinate: its row
+    of ``stieltjes_partials_all``."""
     if not 0 <= coordinate < layout.coordinate_count:
         raise ValueError("coordinate out of range")
-    G = resolvent(layout, x, z)
-    i, j = layout.pairs()[coordinate]
-    return _entry_partials(layout.size, i, j, G, G @ G)
-
-
-def stieltjes_partials_all(layout: WignerLayout, x: np.ndarray,
-                           z: complex) -> np.ndarray:
-    """(n, 3) complex array of all coordinate partials from one factorization."""
-    G = resolvent(layout, x, z)
-    G2 = G @ G
-    out = np.empty((layout.coordinate_count, 3), dtype=complex)
-    for c, (i, j) in enumerate(layout.pairs()):
-        out[c] = _entry_partials(layout.size, i, j, G, G2)
-    return out
+    return tuple(stieltjes_partials_all(layout, x, z)[coordinate].tolist())
 
 
 def stieltjes_function(layout: WignerLayout, z: complex,
@@ -225,12 +202,12 @@ def stieltjes_function(layout: WignerLayout, z: complex,
     """The transform at fixed z as a SmoothFunction of the coordinates.
 
     ``part`` selects the complex value or its real/imaginary projection; the
-    projections inherit the influence bounds of the complex transform.
+    projections inherit the influence bounds of the complex transform.  The
+    partials read one ``stieltjes_partials_all`` table per point.
     """
     if part not in ("complex", "re", "im"):
         raise ValueError("part must be 'complex', 're' or 'im'")
-    cache = _ResolventCache(layout, z)
-    pairs = layout.pairs()
+    z = _check_z(z)
     N = layout.size
     take = {"complex": lambda w: w, "re": lambda w: w.real,
             "im": lambda w: w.imag}[part]
@@ -238,13 +215,11 @@ def stieltjes_function(layout: WignerLayout, z: complex,
     def value(x):
         return take(stieltjes(layout, x, z))
 
-    def partial(i, p, x):
-        G, G2 = cache.at(x)
-        a, b = pairs[i]
-        return take(_entry_partials(N, a, b, G, G2)[p - 1])
+    def table(x):
+        return take(stieltjes_partials_all(layout, x, z))
 
     return SmoothFunction(n=layout.coordinate_count, value=value,
-                          partial=partial,
+                          partial=partials_at_point(table),
                           name=f"stieltjes[N={N},z={z},{part}]")
 
 

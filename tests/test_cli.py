@@ -244,6 +244,14 @@ class TestBoundTable:
         assert table["erdos_kac"][2] == pytest.approx(
             erdos_kac_bound(g, gamma, n), rel=1e-14)
 
+    def test_largest_size_is_arithmetic_only(self):
+        # 2^53 is the largest size whose n and n - 1 are distinct floats
+        start = time.perf_counter()
+        manifest = run(build_config("bound_table", None,
+                                    {"sizes": str(1 << 53)}))
+        assert time.perf_counter() - start < 1.0
+        assert [row[1] for row in manifest.rows] == [1 << 53] * 5
+
     def test_erdos_kac_rows_decrease(self):
         manifest = run(build_config("bound_table", None,
                                     {"sizes": "8,16,32,64"}))
@@ -371,6 +379,8 @@ class TestMainExitCodes:
         ["sk_ground_state", "--epsilon", "0.3"],
         ["sk_ground_state", "--h", "0"],
         ["wigner", "--epsilon", "inf", "--dist-x", "pareto:2.5"],
+        ["bound_table", "--sizes", "9007199254740993"],
+        ["bound_table", "--sizes", "1" + "0" * 400],
     ])
     def test_out_of_domain_input_exits_2(self, argv, capsys):
         assert main(argv) == 2

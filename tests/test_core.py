@@ -36,6 +36,8 @@ from lindeberg_lab.distributions import (
     truncated_third_moment,
 )
 from lindeberg_lab.rng import RandomStream
+from lindeberg_lab import sk, smoothmax, wigner
+from lindeberg_lab.walks import walk_family
 
 SIN = named_g("sin")
 TANH = named_g("tanh")
@@ -231,6 +233,64 @@ class TestLambdaEstimates:
                     for p in range(1, r + 1))
                 assert getattr(got, f"lambda{r}") == pytest.approx(
                     expect, rel=1e-12)
+
+
+def _stieltjes_case():
+    layout, z = wigner.WignerLayout(5), 0.3 + 1.0j
+    return (wigner.stieltjes_function(layout, z), wigner, "resolvent",
+            lambda x: wigner.stieltjes_partials_all(layout, x, z).tolist())
+
+
+def _softmax_case():
+    fam, alpha = walk_family(6), 2.5
+    return (smoothmax.softmax_function(fam, alpha), smoothmax,
+            "softmax_state",
+            lambda x: [list(smoothmax.softmax_partials(fam, alpha, x, i))
+                       for i in range(fam.n)])
+
+
+def _free_energy_case():
+    layout, params = sk.CouplingLayout(5), sk.SKParams(beta=1.1, h=0.2)
+    fam = sk.sk_family(layout, params)
+    return (sk.free_energy_function(layout, params), smoothmax,
+            "softmax_state",
+            lambda x: [list(smoothmax.softmax_partials(fam, 5.0, x, i))
+                       for i in range(fam.n)])
+
+
+PARTIAL_TABLE_CASES = {"stieltjes": _stieltjes_case,
+                       "softmax": _softmax_case,
+                       "free_energy": _free_energy_case}
+
+
+class TestPartialTables:
+    # every analytic factory serves its partials from one (n, 3) table per
+    # point, so reading all (i, p) at a point costs one factorization/state
+
+    @pytest.mark.parametrize("case", PARTIAL_TABLE_CASES)
+    def test_one_table_per_point(self, case, monkeypatch):
+        f, module, name, _ = PARTIAL_TABLE_CASES[case]()
+        calls = []
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        x = RandomStream(41, f"table/{case}").replicate(0).standard_normal(f.n)
+        estimate_lambda(f, [x])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", PARTIAL_TABLE_CASES)
+    def test_each_point_reads_its_own_table(self, case):
+        f, _, _, reference = PARTIAL_TABLE_CASES[case]()
+        gen = RandomStream(42, f"table/{case}").replicate(0)
+        a, b = gen.standard_normal(f.n), gen.standard_normal(f.n)
+        for x in (a, b, a):
+            got = [[f.partial(i, p, x) for p in (1, 2, 3)]
+                   for i in range(f.n)]
+            assert got == reference(x)
 
 
 class TestTelescoping:

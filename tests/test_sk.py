@@ -144,13 +144,11 @@ class TestFamilyLambda:
         start = time.perf_counter()
         fam = sk_family(CouplingLayout(N), SKParams())
         assert time.perf_counter() - start < 1.0
-        assert fam.size == 1 << N
         assert fam.c1 == N**-1.5
         assert fam.log_size == N * math.log(2.0)
 
     def test_family_metadata(self):
         fam = sk_family(CouplingLayout(6), SKParams(beta=1.0))
-        assert fam.size == 64
         assert fam.log_size == pytest.approx(6 * math.log(2.0))
         assert fam.c1 == pytest.approx(6.0**-1.5)
         assert fam.c2 == fam.c3 == 0.0

@@ -50,7 +50,7 @@ def member_family(members, **fields) -> FunctionFamily:
     """A family read off SmoothFunction members, in member order: the
     generic recursion's oracle for nonlinear members."""
     members = tuple(members)
-    fields.setdefault("size", len(members))
+    fields.setdefault("log_size", math.log(len(members)))
 
     def values(x):
         return np.array([f.value(x) for f in members])
@@ -249,7 +249,7 @@ class TestBounds:
         # 2^N members at level N: the gap is log 2 regardless of N
         for N in (4, 10, 30):
             fam = member_family((constant_member(0.0),),
-                                c1=0.0, c2=0.0, c3=0.0, size=2**N,
+                                c1=0.0, c2=0.0, c3=0.0,
                                 log_size=N * math.log(2.0))
             assert uniform_gap_bound(fam, float(N)) == pytest.approx(
                 math.log(2.0), rel=1e-15)

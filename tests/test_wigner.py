@@ -178,23 +178,24 @@ class TestPartials:
                                    rel=1e-13)
 
     def test_entry_formulas_match_trace_definition(self):
-        # oracle: literal matrix products tr(E G^2), tr(E G E G^2), ...
-        N = 8
-        layout = WignerLayout(N)
+        # oracle: literal matrix products tr(E G^2), tr(E G E G^2), ...;
+        # N = 1 has only a diagonal coordinate
         z = 0.4 + 1.0j
-        for x in random_draws("tracedef", layout, 3):
-            G = resolvent(layout, x, z)
-            G2 = G @ G
-            got = stieltjes_partials_all(layout, x, z)
-            for c, (i, j) in enumerate(layout.pairs()):
-                E = np.zeros((N, N))
-                E[i, j] = E[j, i] = N**-0.5
-                d1 = -np.trace(E @ G2) / N
-                d2 = 2.0 * np.trace(E @ G @ E @ G2) / N
-                d3 = -6.0 * np.trace(E @ G @ E @ G @ E @ G2) / N
-                assert got[c, 0] == pytest.approx(d1, rel=1e-12)
-                assert got[c, 1] == pytest.approx(d2, rel=1e-12)
-                assert got[c, 2] == pytest.approx(d3, rel=1e-12)
+        for N in (1, 2, 8):
+            layout = WignerLayout(N)
+            for x in random_draws("tracedef", layout, 3):
+                G = resolvent(layout, x, z)
+                G2 = G @ G
+                got = stieltjes_partials_all(layout, x, z)
+                for c, (i, j) in enumerate(layout.pairs()):
+                    E = np.zeros((N, N))
+                    E[i, j] = E[j, i] = N**-0.5
+                    d1 = -np.trace(E @ G2) / N
+                    d2 = 2.0 * np.trace(E @ G @ E @ G2) / N
+                    d3 = -6.0 * np.trace(E @ G @ E @ G @ E @ G2) / N
+                    assert got[c, 0] == pytest.approx(d1, rel=1e-12)
+                    assert got[c, 1] == pytest.approx(d2, rel=1e-12)
+                    assert got[c, 2] == pytest.approx(d3, rel=1e-12)
 
     def test_partials_match_finite_differences(self):
         N = 6
