@@ -35,11 +35,9 @@ from .core import (
     c_constants,
     clt_experiment,
     estimate_lambda,
-    fd_partial,
     swap_bound,
     test_function,
     third_moment_bound,
-    SmoothFunction,
 )
 from .distributions import parse_spec, third_abs_moment, \
     truncated_third_moment
@@ -49,7 +47,7 @@ from .sk import (
     CouplingLayout,
     SKParams,
     family_lambda,
-    free_energy,
+    free_energy_function,
     free_energy_lambda,
     sk_experiment,
     sk_family,
@@ -338,13 +336,7 @@ def _run_lambda_audit(config):
     add("sk_family", N, lam2, lam3, est.lambda2, est.lambda3)
 
     fe_bounds = free_energy_lambda(params, N)
-    fd_f = SmoothFunction(
-        n=layout.coordinate_count,
-        value=lambda xv: free_energy(layout, params, xv),
-        partial=lambda i, p, xv: fd_partial(
-            lambda w: free_energy(layout, params, w), i, p, xv),
-    )
-    est = estimate_lambda(fd_f, pts[:3])
+    est = estimate_lambda(free_energy_function(layout, params), pts[:3])
     add("sk_free_energy", N, fe_bounds[0], fe_bounds[1],
         est.lambda2, est.lambda3)
 

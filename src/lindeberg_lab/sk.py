@@ -12,8 +12,7 @@ family influences lambda_2 = beta^2 N^-3 and lambda_3 = beta^3 N^(-9/2) with
     F(x) = N^(-1) log sum_sigma exp(N f_sigma(x)),
 
 computed here by exact enumeration, and the ground state is the hard max of
-the pair sum, enumerated over half the configurations via the sigma -> -sigma
-symmetry.
+the pair sum.
 
 Enumeration splits the spins: the leading ceil(N/2) spins form a and the
 trailing floor(N/2) form b, and configuration code = a 2^lo + b keeps the
@@ -21,13 +20,22 @@ lexicographic order of the spin tuples.  The pair sum is
 
     a'X_aa a / 2 + b'X_bb b / 2 + a'X_ab b,
 
-so one replicate costs one small GEMM, (A X_ab) B' over the cached +-1 tables
-A (2^hi x hi) and B (2^lo x lo), about lo 2^N flops, plus a row table and a
-column table; the resulting 2^hi x 2^lo energy grid feeds a max-shifted
-log-sum-exp (free energy) or a first-maximizer argmax (ground state).  The
-grid is produced in power-of-two row blocks of at most _BLOCK entries, which
-bounds memory up to N = ENUMERATION_LIMIT.  A Gray-code single-flip evaluator
-is kept as an independent cross-check path.
+so with the cached +-1 tables A (2^hi x hi) and B (2^lo x lo) the energy grid
+is one GEMM, L W, of the augmented operands
+
+    L = [A | row | 1]           (2^hi x (hi+2)),
+    W = [X_ab B' ; 1' ; col']   ((hi+2) x 2^lo),
+
+where row and col hold the within-half pair sums a'X_aa a / 2 and b'X_bb b / 2
+(cached s_i s_j tables times the pair couplings) plus the field term (cached
+magnetisation tables, skipped at zero field): about (hi+2) 2^N flops and no
+pass over the grid afterwards.  The 2^hi x 2^lo grid feeds a max-shifted
+log-sum-exp (free energy) or a first-maximizer argmax (ground state).  It is
+produced in power-of-two row blocks of at most _BLOCK entries, which bounds
+memory up to N = ENUMERATION_LIMIT.  Without a field E(sigma) = E(-sigma), so
+the free energy at h = 0 and the ground state read only the first half of the
+grid rows, where s_1 = -1.  A Gray-code single-flip evaluator is kept as an
+independent cross-check path.
 """
 
 from __future__ import annotations
@@ -164,6 +172,26 @@ def _spin_table(bits: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _magnetisation(bits: int) -> np.ndarray:
+    """sum_i s_i of every row of ``_spin_table(bits)``.  Cached read-only."""
+    mag = _spin_table(bits).sum(axis=1)
+    mag.setflags(write=False)
+    return mag
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_products(bits: int) -> np.ndarray:
+    """s_i s_j of every row of ``_spin_table(bits)``, one column per pair
+    i < j in ``triangle_indices(bits, 1)`` order, so that this table times
+    the pair couplings is the pair sum of every row.  Cached read-only."""
+    table = _spin_table(bits)
+    i, j = triangle_indices(bits, 1)
+    products = table[:, i] * table[:, j]
+    products.setflags(write=False)
+    return products
+
+
 def _split(N: int) -> tuple[int, int]:
     """(hi, lo): the leading ceil(N/2) spins index the rows of the energy
     grid, the trailing floor(N/2) its columns, so code = row 2^lo + column."""
@@ -180,6 +208,8 @@ def _energy_blocks(layout: CouplingLayout, x, scale: float, field: float,
     """Yield (row, E) with E[r, b] = scale * pair + field * mag of the code
     (row + r) 2^lo + b, for grid rows covering [row_start, row_stop).
 
+    Each block is one GEMM, L[rows] @ W, of the augmented operands of the
+    module docstring, so the row and column terms ride in the product.
     Blocks hold a fixed power-of-two number of rows, set by N and _BLOCK
     alone, and start at multiples of it: every caller runs the same GEMM
     shapes on the same operands, so a code's energy has the same bits
@@ -188,19 +218,21 @@ def _energy_blocks(layout: CouplingLayout, x, scale: float, field: float,
     arithmetic.
     """
     hi, lo = _split(layout.size)
-    X = layout.coupling_matrix(x)
-    A, B = _spin_table(hi), _spin_table(lo)
-    X_ab = scale * X[:hi, hi:]
-    row_term = (0.5 * scale * np.einsum("ri,ri->r", A @ X[:hi, :hi], A)
-                + field * A.sum(axis=1))
-    col_term = (0.5 * scale * np.einsum("ri,ri->r", B @ X[hi:, hi:], B)
-                + field * B.sum(axis=1))
+    X = scale * layout.coupling_matrix(x)
+    L = np.empty((1 << hi, hi + 2))
+    L[:, :hi] = _spin_table(hi)
+    L[:, hi] = _pair_products(hi) @ X[triangle_indices(hi, 1)]
+    L[:, hi + 1] = 1.0
+    W = np.empty((hi + 2, 1 << lo))
+    np.matmul(X[:hi, hi:], _spin_table(lo).T, out=W[:hi])
+    W[hi] = 1.0
+    W[hi + 1] = _pair_products(lo) @ X[hi:, hi:][triangle_indices(lo, 1)]
+    if field:
+        L[:, hi] += field * _magnetisation(hi)
+        W[hi + 1] += field * _magnetisation(lo)
     rows = max(1, min(1 << hi, _BLOCK >> lo))
     for row in range(row_start - row_start % rows, row_stop, rows):
-        E = (A[row:row + rows] @ X_ab) @ B.T
-        E += row_term[row:row + rows, None]
-        E += col_term
-        yield row, E[:row_stop - row]
+        yield row, (L[row:row + rows] @ W)[:row_stop - row]
 
 
 def family_member(layout: CouplingLayout, params: SKParams, sigma,
@@ -275,8 +307,8 @@ def _pair_energies(layout: CouplingLayout, x: np.ndarray,
     first = blocks[0][0] << lo
     pair = np.concatenate([E.ravel() for _, E in blocks])
     codes = np.arange(start, stop)
-    mag = (_spin_table(hi).sum(axis=1)[codes >> lo]
-           + _spin_table(lo).sum(axis=1)[codes & ((1 << lo) - 1)])
+    mag = (_magnetisation(hi)[codes >> lo]
+           + _magnetisation(lo)[codes & ((1 << lo) - 1)])
     return pair[start - first:stop - first], mag
 
 
@@ -284,22 +316,32 @@ def free_energy(layout: CouplingLayout, params: SKParams, x) -> float:
     """N^(-1) log sum_sigma exp{ beta/sqrt(N) sum x ss + beta h sum s }.
 
     Exact enumeration over the split-spin energy grid with a running
-    max-shifted accumulator over its row blocks.  Coincides with the soft-max
-    of the member family at level N.
+    max-shifted accumulator over its row blocks.  At h = 0 every energy
+    equals that of the flipped configuration, so only the grid rows with
+    s_1 = -1 enter the sum, which counts twice.  The row blocks keep their
+    fixed size, so where one block spans the whole grid (N <= 14 at the
+    default _BLOCK) the GEMM still fills it and the halving saves the exp
+    and the sum.  Coincides with the soft-max of the member family at
+    level N.
     """
     N = layout.size
     _check_enumerable(N)
     beta = params.beta
+    hi = _split(N)[0]
+    symmetric = params.h == 0.0
+    row_stop = 1 << (hi - 1) if symmetric else 1 << hi
     shift = -math.inf
     acc = 0.0
     for _, e in _energy_blocks(layout, x, beta / math.sqrt(N),
-                               beta * params.h, 0, 1 << _split(N)[0]):
+                               beta * params.h, 0, row_stop):
         m = float(e.max())
         if m > shift:
             acc = acc * math.exp(shift - m) if acc else 0.0
             shift = m
         e -= shift
         acc += float(np.exp(e, out=e).sum())
+    if symmetric:
+        acc *= 2.0
     return (shift + math.log(acc)) / N
 
 

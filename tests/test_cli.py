@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from lindeberg_lab import cli
+from lindeberg_lab import cli, sk
 from lindeberg_lab.cli import ConfigError, build_config, main, run
 from lindeberg_lab.core import GapReport, swap_bound, third_moment_bound
 from lindeberg_lab.core import c_constants
@@ -79,7 +79,8 @@ class TestConfigResolution:
                             ("wigner", {"z_im": 0.0}),
                             ("wigner", {"size": 0}),
                             ("sk_free_energy", {"beta": 0.0}),
-                            ("sk_ground_state", {"A": 0.5})):
+                            ("sk_free_energy", {"size": 1}),
+                            ("sk_ground_state", {"size": 25})):
             with pytest.raises(ConfigError):
                 build_config(suite, None, over)
 
@@ -187,6 +188,21 @@ class TestOutputs:
         assert time.perf_counter() - start < 2.0
         assert {row[1] for row in manifest.rows} == {8}
         assert manifest.ok
+
+    def test_lambda_audit_free_energy_row_is_analytic(self, monkeypatch):
+        # one energy grid per free-energy audit point, for its Gibbs state;
+        # finite differences took 15 per coordinate and point
+        calls = []
+        blocks = sk._energy_blocks
+
+        def counting(*args):
+            calls.append(args)
+            return blocks(*args)
+
+        monkeypatch.setattr(sk, "_energy_blocks", counting)
+        manifest = run(build_config("lambda_audit", None, {"size": 8}))
+        assert manifest.ok
+        assert len(calls) == 3
 
     def test_lambda_audit_all_rows_ok(self, tmp_path):
         manifest = run(build_config("lambda_audit", None, {"size": 6}))

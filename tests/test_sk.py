@@ -225,26 +225,62 @@ class TestFreeEnergy:
                 assert a == pytest.approx(b, abs=1e-12)
 
     def test_agrees_with_gray_code_path(self):
-        # every split of N into row and column spins, odd and even
+        # every split of N into row and column spins, odd and even; h = 0
+        # takes the half grid, h != 0 the full one
         for N in range(2, 14):
             layout = CouplingLayout(N)
-            params = SKParams(beta=0.9, h=-0.2)
-            for x in coupling_draws(f"gray{N}", N, 2):
-                assert free_energy(layout, params, x) == pytest.approx(
-                    free_energy_gray(layout, params, x), abs=1e-12)
+            for params in (SKParams(beta=0.9, h=-0.2),
+                           SKParams(beta=0.9, h=0.0),
+                           SKParams(beta=1.7, h=0.0)):
+                for x in coupling_draws(f"gray{N}", N, 2):
+                    assert free_energy(layout, params, x) == pytest.approx(
+                        free_energy_gray(layout, params, x), abs=1e-12)
 
     @pytest.mark.parametrize("block", [64, 1])
     def test_multi_block_grid_agrees_with_gray_code_path(self, monkeypatch,
                                                          block):
         # N = 10 has a 32 x 32 grid: 64 entries give 2-row blocks, 1 entry
-        # clamps to single-row blocks
+        # clamps to single-row blocks; N = 11 has a 64 x 32 grid
         monkeypatch.setattr(sk, "_BLOCK", block)
-        N = 10
+        for N in (10, 11):
+            layout = CouplingLayout(N)
+            for params in (SKParams(beta=1.3, h=0.4),
+                           SKParams(beta=1.3, h=0.0)):
+                for x in coupling_draws("multiblock", N, 2):
+                    assert free_energy(layout, params, x) == pytest.approx(
+                        free_energy_gray(layout, params, x), abs=1e-12)
+
+    @pytest.mark.parametrize("N", [2, 9, 14])
+    def test_zero_field_enumerates_half_the_grid_rows(self, monkeypatch, N):
+        asked = []
+        blocks = sk._energy_blocks
+
+        def recorder(layout, x, scale, field, row_start, row_stop):
+            asked.append((row_start, row_stop))
+            return blocks(layout, x, scale, field, row_start, row_stop)
+
+        monkeypatch.setattr(sk, "_energy_blocks", recorder)
         layout = CouplingLayout(N)
-        params = SKParams(beta=1.3, h=0.4)
-        for x in coupling_draws("multiblock", N, 2):
-            assert free_energy(layout, params, x) == pytest.approx(
-                free_energy_gray(layout, params, x), abs=1e-12)
+        x = coupling_draws(f"rows{N}", N, 1)[0]
+        hi = (N + 1) // 2
+        free_energy(layout, SKParams(beta=1.0, h=0.0), x)
+        free_energy(layout, SKParams(beta=1.0, h=0.3), x)
+        assert asked == [(0, 1 << (hi - 1)), (0, 1 << hi)]
+
+    @pytest.mark.parametrize("N", [3, 8, 12])
+    def test_zero_field_half_grid_matches_full_log_sum_exp(self, N):
+        # the half grid doubled against an independent log-sum-exp over
+        # every code's pair sum
+        layout = CouplingLayout(N)
+        for beta in (0.9, 1.7):
+            scale = beta / math.sqrt(N)
+            for x in coupling_draws(f"lse{N}", N, 3):
+                pair, _ = sk._pair_energies(layout, x, 0, 1 << N)
+                energies = scale * pair
+                top = float(energies.max())
+                full = (top + math.log(math.fsum(np.exp(energies - top)))) / N
+                got = free_energy(layout, SKParams(beta=beta, h=0.0), x)
+                assert got == pytest.approx(full, rel=1e-13)
 
     def test_sandwich_around_hard_max(self):
         N = 7
@@ -497,14 +533,15 @@ class TestSkExperiment:
         assert row[0] == "ground_state"
 
     def test_csv_byte_identical_across_threads(self, tmp_path):
-        outs = []
-        for threads in (1, 2):
-            out = tmp_path / f"sk{threads}.csv"
-            run(build_config("sk_free_energy", None,
-                             {"size": 10, "replicates": 200, "seed": 6,
-                              "threads": threads, "out": str(out)}))
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        for suite in ("sk_free_energy", "sk_ground_state"):
+            outs = []
+            for threads in (1, 2):
+                out = tmp_path / f"{suite}{threads}.csv"
+                run(build_config(suite, None,
+                                 {"size": 10, "replicates": 200, "seed": 6,
+                                  "threads": threads, "out": str(out)}))
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1], suite
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
