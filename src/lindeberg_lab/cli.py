@@ -14,6 +14,10 @@ content: identical configs reproduce them byte for byte.  Floats are printed
 with 17 significant digits; every row carries the master seed and replicate
 count so it can be reproduced standalone.
 
+``--threads`` (1 to THREAD_LIMIT = 256) splits the replicates into contiguous
+chunks of whole replicate blocks, one worker per chunk; the output does not
+depend on it.
+
 Exit status: 0 on success, 1 if any gap report failed its bound, 2 on invalid
 configuration, 3 on a runtime fault.
 """
@@ -95,6 +99,9 @@ _FLOAT_KEYS = {"z_re", "z_im", "beta", "h", "epsilon"}
 # range check, and inf there is a well-defined limit)
 _FINITE_KEYS = {"z_re", "z_im", "beta", "h"}
 _SEED_LIMIT = 1 << 64   # the Philox key holds 64 bits of the master seed
+# --threads ceiling: every worker is an OS thread, and no desk machine runs
+# more than this many at once
+THREAD_LIMIT = 256
 
 
 @dataclass
@@ -152,8 +159,8 @@ def build_config(suite: str, file_path: str | None,
     for key in sorted(_FINITE_KEYS & values.keys()):
         if not math.isfinite(values[key]):
             raise ConfigError(f"{key} must be a finite number")
-    if values.get("threads", 1) < 1:
-        raise ConfigError("threads must be at least 1")
+    if not 1 <= values.get("threads", 1) <= THREAD_LIMIT:
+        raise ConfigError(f"threads must lie in 1..{THREAD_LIMIT}")
     config = ExperimentConfig(suite=suite, values=values)
     _validate_suite_inputs(config)
     return config

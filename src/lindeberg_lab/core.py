@@ -22,8 +22,9 @@ third-moment form  2 C2(g) gamma n lambda_3(f).
 
 ``mc_gap`` estimates the left side by paired Monte Carlo (common replicate
 indices, independent counter-based streams for X and Y) and reports it against
-a caller-supplied bound with a 3-sigma noise margin.  Every suite ends the
-same way: ``paired_functional_values`` gives the per-replicate f(X), f(Y),
+a caller-supplied bound with a 3-sigma noise margin.  Every suite is an
+adapter over the same two calls: ``paired_functional_values`` draws the
+replicates in (B, n) blocks and maps each block to its B values f(X), f(Y),
 and ``summarize_gap`` applies g to them and reduces the differences.
 """
 
@@ -481,44 +482,70 @@ def _as_spec_list(spec, n: int) -> list[DistributionSpec]:
     return specs
 
 
-def paired_functional_values(eval_x: Callable[[np.ndarray], complex],
-                             eval_y: Callable[[np.ndarray], complex],
+# float64 entries in one replicate block: the engine draws block_rows(n)
+# replicates per block, so vectors of more than BLOCK_ELEMENTS / 2
+# coordinates go one replicate at a time, and the SK kernel sizes its stacks
+# of coupling vectors by the same count
+BLOCK_ELEMENTS = 1 << 15
+
+
+def block_rows(n: int) -> int:
+    """Replicates per engine block for vectors of n coordinates."""
+    return max(1, BLOCK_ELEMENTS // n)
+
+
+def paired_functional_values(eval_x: Callable[[np.ndarray], np.ndarray],
+                             eval_y: Callable[[np.ndarray], np.ndarray],
                              spec_x, spec_y, n: int, replicates: int,
                              master_seed: int, experiment: str,
                              threads: int = 1,
                              dtype=float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replicate functional values (eval_x(X_r), eval_y(Y_r)), paired.
+    """Functional values (eval_x(X_r), eval_y(Y_r)) of every replicate r.
 
     The sides share replicate indices but use independent counter-based
-    streams.  Replicate r of each side is a pure function of (master_seed,
-    experiment, side, r); results land in replicate-indexed arrays, so the
-    reduction is independent of scheduling order.
+    streams, and replicate r of each side is a pure function of
+    (master_seed, experiment, side, r).  Replicates are drawn in blocks of
+    B <= ``block_rows(n)`` rows: row k of the (B, n) block is filled from the
+    stream positioned at its replicate, one in-place transform runs over the
+    whole block, and ``eval_x``/``eval_y`` map the block to its (B,) values,
+    which land in replicate-indexed arrays.
 
-    Each worker draws every replicate of a side into one reused buffer, so
-    ``eval_x``/``eval_y`` must not keep a reference to their argument.
+    A functional must compute each row's value from that row alone, with the
+    same arithmetic for every B, so that no value depends on the block it
+    lands in, its position there or ``threads``.  It must not keep a
+    reference to the block, which the next draw overwrites.  Threads take
+    contiguous chunks of whole blocks, at most one chunk per thread, and
+    each worker owns its streams and its block buffer.
     """
     if replicates < 100:
         raise ValueError("at least 100 replicates are required")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     draw_x = make_vector_sampler(_as_spec_list(spec_x, n))
     draw_y = make_vector_sampler(_as_spec_list(spec_y, n))
     vx = np.empty(replicates, dtype=dtype)
     vy = np.empty(replicates, dtype=dtype)
+    rows = block_rows(n)
 
     def run_range(lo: int, hi: int) -> None:
         sx = RandomStream(master_seed, experiment + "/x")
         sy = RandomStream(master_seed, experiment + "/y")
-        bx, by = np.empty(n), np.empty(n)
-        for r in range(lo, hi):
-            vx[r] = eval_x(draw_x(sx.replicate(r), bx))
-            vy[r] = eval_y(draw_y(sy.replicate(r), by))
+        buffer = np.empty((min(rows, hi - lo), n))
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            block = buffer[:stop - start]
+            span = range(start, stop)
+            vx[start:stop] = eval_x(draw_x(map(sx.replicate, span), block))
+            vy[start:stop] = eval_y(draw_y(map(sy.replicate, span), block))
 
-    if threads <= 1:
+    blocks = -(-replicates // rows)
+    chunk = -(-blocks // threads) * rows
+    ranges = [(lo, min(lo + chunk, replicates))
+              for lo in range(0, replicates, chunk)]
+    if len(ranges) == 1:
         run_range(0, replicates)
     else:
-        chunk = max(100, -(-replicates // threads))
-        ranges = [(lo, min(lo + chunk, replicates))
-                  for lo in range(0, replicates, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             list(pool.map(lambda ab: run_range(*ab), ranges))
     return vx, vy
 
@@ -551,11 +578,16 @@ def mc_gap(f: SmoothFunction, g: TestFunction, spec_x, spec_y,
            theoretical_bound: float = 0.0, threads: int = 1) -> GapReport:
     """Paired estimate of |E g(f(X)) - E g(f(Y))| against a bound.
 
-    With the default bound 0 the report is a pure noise check: it passes
-    exactly when the estimated gap is within 3 standard errors of zero.
+    ``f.value`` runs on each row of every replicate block.  With the default
+    bound 0 the report is a pure noise check: it passes exactly when the
+    estimated gap is within 3 standard errors of zero.
     """
+
+    def values(block):
+        return np.fromiter(map(f.value, block), dtype=float, count=len(block))
+
     vx, vy = paired_functional_values(
-        f.value, f.value, spec_x, spec_y, f.n, replicates, master_seed,
+        values, values, spec_x, spec_y, f.n, replicates, master_seed,
         experiment, threads=threads,
     )
     return summarize_gap(g, vx, vy, experiment_id=experiment, n=f.n,
@@ -568,15 +600,23 @@ def clt_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec, n: int,
     """Normalized-sum gap vs the exact third-moment bound C2 (g_x + g_y)/sqrt(n).
 
     The bound is the swap bound at K = oo: the tail channel vanishes and the
-    body channel carries the full third moments of both laws.
+    body channel carries the full third moments of both laws.  The
+    functional is ``mean_function(n)`` applied to a whole block at once.
     """
     gx = third_abs_moment(spec_x)
     gy = third_abs_moment(spec_y)
     if math.isinf(gx) or math.isinf(gy):
         raise InfiniteGammaError("CLT bound needs finite third moments")
     c1, c2 = c_constants(g)
-    f = mean_function(n)
     bound = swap_bound(c1, c2, 1.0 / n, n**-1.5, 0.0, n * (gx + gy))
-    return mc_gap(f, g, spec_x, spec_y, replicates, master_seed,
-                  experiment=f"clt/{spec_x.label}-vs-{spec_y.label}/n{n}",
-                  theoretical_bound=bound, threads=threads)
+    root = 1.0 / math.sqrt(n)
+
+    def mean(block):
+        return root * block.sum(axis=1)
+
+    experiment = f"clt/{spec_x.label}-vs-{spec_y.label}/n{n}"
+    vx, vy = paired_functional_values(mean, mean, spec_x, spec_y, n,
+                                      replicates, master_seed, experiment,
+                                      threads=threads)
+    return summarize_gap(g, vx, vy, experiment_id=experiment, n=n,
+                         theoretical_bound=bound, seed=master_seed)

@@ -19,7 +19,7 @@ elementwise ufuncs: no ``np.where`` and no ``where=``-masked ufunc, each of
 which costs more per value than the ``np.power`` of the Pareto transform.
 Branches become arithmetic on the comparison (``u - (u < 0.5)``) or a sign
 copy (``np.copysign``), chosen so every value is bit-identical to the
-two-branch formula.  The engine reuses one buffer per side and worker.
+two-branch formula.  The engine reuses one replicate block per worker.
 """
 
 from __future__ import annotations
@@ -169,22 +169,35 @@ def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
 def make_vector_sampler(specs):
     """Compile a per-coordinate spec list into a fast ``draw(gen, out=None)``.
 
-    Coordinate i always consumes the i-th uniform of the generator, whether
+    Coordinate i always consumes the i-th uniform of its generator, whether
     the list is homogeneous (one vectorized transform) or mixed (grouped
-    transforms through index arrays).  ``draw`` fills ``out`` (a float array
-    of length n) when given, else a fresh array, and returns it; a caller
-    that passes the same ``out`` on every call must not keep a reference to
-    an earlier result.
+    transforms through index arrays).  ``gen`` is a generator, which fills
+    one vector of length n, or an iterable of generators, one per row of a
+    2-D ``out`` of shape (B, n): each row is filled before the next
+    generator is taken, so the iterable may reposition one shared generator
+    per row.  The transform then runs once over the whole block, elementwise,
+    so a row's values do not depend on the block around it.  ``draw`` fills
+    ``out`` when given (a vector may also be drawn into a fresh array) and
+    returns it; a caller that passes the same ``out`` on every call must not
+    keep a reference to an earlier result.
     """
     specs = list(specs)
     n = len(specs)
     if n == 0:
         raise ValueError("need at least one coordinate spec")
+
+    def fill(gen, out):
+        if isinstance(gen, np.random.Generator):
+            return gen.random(n, out=out)
+        for row, g in zip(out, gen):
+            g.random(out=row)
+        return out
+
     if specs.count(specs[0]) == n:
         spec0 = specs[0]
 
-        def draw(gen: np.random.Generator, out=None) -> np.ndarray:
-            return _transform(spec0, gen.random(n, out=out))
+        def draw(gen, out=None) -> np.ndarray:
+            return _transform(spec0, fill(gen, out))
 
         return draw
 
@@ -193,10 +206,10 @@ def make_vector_sampler(specs):
         groups.setdefault(s, []).append(i)
     compiled = [(spec, np.array(idx)) for spec, idx in groups.items()]
 
-    def draw(gen: np.random.Generator, out=None) -> np.ndarray:
-        u = gen.random(n, out=out)
+    def draw(gen, out=None) -> np.ndarray:
+        u = fill(gen, out)
         for spec, idx in compiled:
-            u[idx] = _transform(spec, u[idx])
+            u[..., idx] = _transform(spec, u[..., idx])
         return u
 
     return draw

@@ -31,11 +31,20 @@ where row and col hold the within-half pair sums a'X_aa a / 2 and b'X_bb b / 2
 magnetisation tables, skipped at zero field): about (hi+2) 2^N flops and no
 pass over the grid afterwards.  The 2^hi x 2^lo grid feeds a max-shifted
 log-sum-exp (free energy) or a first-maximizer argmax (ground state).  It is
-produced in power-of-two row blocks of at most _BLOCK entries, which bounds
-memory up to N = ENUMERATION_LIMIT.  Without a field E(sigma) = E(-sigma), so
-the free energy at h = 0 and the ground state read only the first half of the
-grid rows, where s_1 = -1.  A Gray-code single-flip evaluator is kept as an
+produced in power-of-two row blocks of at most _BLOCK entries and at most
+half the rows, which bounds memory up to N = ENUMERATION_LIMIT.  Without a
+field E(sigma) = E(-sigma), so the free energy at h = 0 and the ground state
+read only the first half of the grid rows, where s_1 = -1, and hand BLAS
+only those rows.  A Gray-code single-flip evaluator is kept as an
 independent cross-check path.
+
+``free_energy`` and ``ground_state`` also take a (B, n) block of coupling
+vectors, as the paired Monte Carlo engine hands them.  The block is
+enumerated in stacks of vectors sized under the engine's BLOCK_ELEMENTS
+budget (three at N = 14, one from N = 15 on): each row block of a stack is
+one stacked GEMM with one BLAS call per vector, followed by a per-vector
+max-shift, exp and sum (or argmax), so every value has the bits it has when
+its vector is enumerated alone.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import (
+    BLOCK_ELEMENTS,
     GapReport,
     SmoothFunction,
     TestFunction,
@@ -116,14 +126,15 @@ class CouplingLayout:
         return i * self.size - i * (i + 1) // 2 + (j - i - 1)
 
     def coupling_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Symmetric zero-diagonal matrix X with X[i, j] = x_ij."""
+        """Symmetric zero-diagonal matrix X with X[i, j] = x_ij; a (B, n)
+        stack of coupling vectors gives the (B, N, N) stack of matrices."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.coordinate_count,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.coordinate_count:
             raise ValueError("coupling vector has wrong length")
         N = self.size
-        X = np.zeros((N, N))
-        X[triangle_indices(N, 1)] = x
-        return X + X.T
+        X = np.zeros(x.shape[:-1] + (N, N))
+        X[(..., *triangle_indices(N, 1))] = x
+        return X + np.swapaxes(X, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -198,41 +209,83 @@ def _split(N: int) -> tuple[int, int]:
     return (N + 1) // 2, N // 2
 
 
-def _code_to_sigma(code: int, N: int) -> np.ndarray:
-    return ((code >> np.arange(N - 1, -1, -1)) & 1) * 2 - 1
+def _code_to_sigma(code, N: int) -> np.ndarray:
+    """Spins of a code, or a (B, N) array of them for an array of codes."""
+    return ((np.asarray(code)[..., None] >> np.arange(N - 1, -1, -1))
+            & 1) * 2 - 1
 
 
-def _energy_blocks(layout: CouplingLayout, x, scale: float, field: float,
-                   row_start: int,
+def _block_rows(N: int) -> int:
+    """Grid rows per energy block: a power of two set by N and _BLOCK alone,
+    at most half the rows, so a caller that reads only the first half of the
+    grid hands BLAS only those rows."""
+    hi, lo = _split(N)
+    return max(1, min(1 << (hi - 1), _BLOCK >> lo))
+
+
+def _stack_size(N: int) -> int:
+    """Coupling vectors per enumeration stack: as many as keep their L and W
+    operands and one energy block each within BLOCK_ELEMENTS, at least one
+    (from N = 15 on, one)."""
+    hi, lo = _split(N)
+    per_vector = (_block_rows(N) << lo) + (hi + 2) * ((1 << hi) + (1 << lo))
+    return max(1, BLOCK_ELEMENTS // per_vector)
+
+
+def _as_stack(layout: CouplingLayout, x) -> tuple[np.ndarray, bool]:
+    """x as a (B, n) stack of coupling vectors, and whether x was one."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != layout.coordinate_count:
+        raise ValueError("coupling vector has wrong length")
+    return (x[None], True) if x.ndim == 1 else (x, False)
+
+
+def _column_stack(v: np.ndarray) -> np.ndarray:
+    """The rows of v as a C-ordered (B, p, 1) stack of column vectors, the
+    layout for which numpy's stacked matmul makes one BLAS matrix-vector
+    call per vector, as it does for a single vector; fancy indexing leaves
+    v strided, and the stacked product then rounds differently."""
+    return np.ascontiguousarray(v)[..., None]
+
+
+def _energy_blocks(layout: CouplingLayout, x: np.ndarray, scale: float,
+                   field: float, row_start: int,
                    row_stop: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (row, E) with E[r, b] = scale * pair + field * mag of the code
-    (row + r) 2^lo + b, for grid rows covering [row_start, row_stop).
+    """Yield (row, E) with E[k, r, b] = scale * pair + field * mag of the
+    code (row + r) 2^lo + b under the coupling vector x[k], for grid rows
+    covering [row_start, row_stop); x is a (B, n) stack.
 
-    Each block is one GEMM, L[rows] @ W, of the augmented operands of the
-    module docstring, so the row and column terms ride in the product.
-    Blocks hold a fixed power-of-two number of rows, set by N and _BLOCK
-    alone, and start at multiples of it: every caller runs the same GEMM
-    shapes on the same operands, so a code's energy has the same bits
-    whichever range asked for it (BLAS kernels may round differently for
-    other row counts).  The last block is trimmed to row_stop only after the
-    arithmetic.
+    Each block is one stacked GEMM, L[:, rows] @ W, of the augmented
+    operands of the module docstring, so the row and column terms ride in
+    the product; numpy runs one BLAS call per stacked vector, and the
+    within-half pair sums are one matrix-vector product per vector, so each
+    vector's energies have the bits they have in a stack of one.  Blocks
+    hold ``_block_rows(N)`` rows and start at multiples of it: every caller
+    runs the same GEMM shapes on the same operands, so a code's energy has
+    the same bits whichever range asked for it (BLAS kernels may round
+    differently for other row counts).  The last block is trimmed to
+    row_stop only after the arithmetic.
     """
     hi, lo = _split(layout.size)
     X = scale * layout.coupling_matrix(x)
-    L = np.empty((1 << hi, hi + 2))
-    L[:, :hi] = _spin_table(hi)
-    L[:, hi] = _pair_products(hi) @ X[triangle_indices(hi, 1)]
-    L[:, hi + 1] = 1.0
-    W = np.empty((hi + 2, 1 << lo))
-    np.matmul(X[:hi, hi:], _spin_table(lo).T, out=W[:hi])
-    W[hi] = 1.0
-    W[hi + 1] = _pair_products(lo) @ X[hi:, hi:][triangle_indices(lo, 1)]
+    hi_i, hi_j = triangle_indices(hi, 1)
+    lo_i, lo_j = triangle_indices(lo, 1)
+    L = np.empty((len(X), 1 << hi, hi + 2))
+    L[..., :hi] = _spin_table(hi)
+    np.matmul(_pair_products(hi), _column_stack(X[:, hi_i, hi_j]),
+              out=L[..., hi:hi + 1])
+    L[..., hi + 1] = 1.0
+    W = np.empty((len(X), hi + 2, 1 << lo))
+    np.matmul(X[:, :hi, hi:], _spin_table(lo).T, out=W[:, :hi])
+    W[:, hi] = 1.0
+    np.matmul(_pair_products(lo), _column_stack(X[:, hi + lo_i, hi + lo_j]),
+              out=W[:, hi + 1, :, None])
     if field:
-        L[:, hi] += field * _magnetisation(hi)
-        W[hi + 1] += field * _magnetisation(lo)
-    rows = max(1, min(1 << hi, _BLOCK >> lo))
+        L[..., hi] += field * _magnetisation(hi)
+        W[:, hi + 1] += field * _magnetisation(lo)
+    rows = _block_rows(layout.size)
     for row in range(row_start - row_start % rows, row_stop, rows):
-        yield row, (L[row:row + rows] @ W)[:row_stop - row]
+        yield row, (L[:, row:row + rows] @ W)[:, :row_stop - row]
 
 
 def family_member(layout: CouplingLayout, params: SKParams, sigma,
@@ -302,47 +355,66 @@ def _pair_energies(layout: CouplingLayout, x: np.ndarray,
                    start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """(sum_{i<j} x_ij s_i s_j, sum_i s_i) for codes [start, stop)."""
     hi, lo = _split(layout.size)
-    blocks = list(_energy_blocks(layout, x, 1.0, 0.0, start >> lo,
+    stack, _ = _as_stack(layout, x)
+    blocks = list(_energy_blocks(layout, stack, 1.0, 0.0, start >> lo,
                                  -(-stop >> lo)))
     first = blocks[0][0] << lo
-    pair = np.concatenate([E.ravel() for _, E in blocks])
+    pair = np.concatenate([E[0].ravel() for _, E in blocks])
     codes = np.arange(start, stop)
     mag = (_magnetisation(hi)[codes >> lo]
            + _magnetisation(lo)[codes & ((1 << lo) - 1)])
     return pair[start - first:stop - first], mag
 
 
-def free_energy(layout: CouplingLayout, params: SKParams, x) -> float:
+def free_energy(layout: CouplingLayout, params: SKParams, x):
     """N^(-1) log sum_sigma exp{ beta/sqrt(N) sum x ss + beta h sum s }.
 
     Exact enumeration over the split-spin energy grid with a running
     max-shifted accumulator over its row blocks.  At h = 0 every energy
     equals that of the flipped configuration, so only the grid rows with
-    s_1 = -1 enter the sum, which counts twice.  The row blocks keep their
-    fixed size, so where one block spans the whole grid (N <= 14 at the
-    default _BLOCK) the GEMM still fills it and the halving saves the exp
-    and the sum.  Coincides with the soft-max of the member family at
-    level N.
+    s_1 = -1 enter the sum, which counts twice.  Coincides with the
+    soft-max of the member family at level N.
+
+    One coupling vector gives a float; a (B, n) block of them gives the
+    (B,) free energies, enumerated in stacks of ``_stack_size(N)`` vectors,
+    each row with the arithmetic of its own vector.
     """
     N = layout.size
     _check_enumerable(N)
+    stack, single = _as_stack(layout, x)
+    size = _stack_size(N)
+    values = np.concatenate([
+        _free_energy_stack(layout, params, stack[k:k + size])
+        for k in range(0, len(stack), size)])
+    return float(values[0]) if single else values
+
+
+def _free_energy_stack(layout: CouplingLayout, params: SKParams,
+                       x: np.ndarray) -> np.ndarray:
+    """``free_energy`` of every vector of the (B, n) stack x: per vector a
+    max-shift, exp and sum over each row block."""
+    N = layout.size
     beta = params.beta
     hi = _split(N)[0]
     symmetric = params.h == 0.0
     row_stop = 1 << (hi - 1) if symmetric else 1 << hi
-    shift = -math.inf
-    acc = 0.0
+    shift = acc = None
     for _, e in _energy_blocks(layout, x, beta / math.sqrt(N),
                                beta * params.h, 0, row_stop):
-        m = float(e.max())
-        if m > shift:
-            acc = acc * math.exp(shift - m) if acc else 0.0
-            shift = m
-        e -= shift
-        acc += float(np.exp(e, out=e).sum())
+        e = e.reshape(len(e), -1)
+        m = e.max(axis=1)
+        if shift is None:
+            shift, acc = m, np.zeros(len(e))
+        else:
+            for k in np.flatnonzero(m > shift):
+                acc[k] *= math.exp(shift[k] - m[k])
+                shift[k] = m[k]
+        e -= shift[:, None]
+        acc += np.exp(e, out=e).sum(axis=1)
     if symmetric:
         acc *= 2.0
-    return (shift + math.log(acc)) / N
+    return np.array([(top + math.log(total)) / N
+                     for top, total in zip(shift.tolist(), acc.tolist())])
 
 
 def free_energy_gray(layout: CouplingLayout, params: SKParams, x) -> float:
@@ -389,24 +461,35 @@ def free_energy_lambda(params: SKParams, N: int) -> tuple[float, float]:
     return smoothed_lambda_bounds(sk_family(layout, params), float(N))
 
 
-def ground_state(layout: CouplingLayout, x) -> tuple[float, np.ndarray]:
+def ground_state(layout: CouplingLayout, x):
     """max_sigma sum_{i<j} x_ij s_i s_j and one maximizer.
 
     The sigma -> -sigma symmetry halves the search to configurations with
     s_1 = -1, the first half of the grid rows; ties break to the
     lexicographically smallest spin tuple, which is the first maximizer in
-    code order.
+    code order.  One coupling vector gives (float, sigma); a (B, n) block
+    gives the (B,) maxima and (B, N) maximizers, searched in stacks of
+    ``_stack_size(N)`` vectors.
     """
     N = layout.size
     _check_enumerable(N)
     hi, lo = _split(N)
-    best = -math.inf
-    best_code = 0
-    for row, pair in _energy_blocks(layout, x, 1.0, 0.0, 0, 1 << (hi - 1)):
-        k = int(np.argmax(pair))   # row-major: first maximizer in code order
-        if pair.flat[k] > best:
-            best = float(pair.flat[k])
-            best_code = (row << lo) + k
+    stack, single = _as_stack(layout, x)
+    size = _stack_size(N)
+    best = np.full(len(stack), -math.inf)
+    best_code = np.zeros(len(stack), dtype=np.int64)
+    for k in range(0, len(stack), size):
+        top, code = best[k:k + size], best_code[k:k + size]
+        for row, pair in _energy_blocks(layout, stack[k:k + size], 1.0, 0.0,
+                                        0, 1 << (hi - 1)):
+            flat = pair.reshape(len(pair), -1)
+            arg = flat.argmax(axis=1)   # row-major: first maximizer
+            value = flat[np.arange(len(flat)), arg]
+            better = value > top
+            top[better] = value[better]
+            code[better] = (row << lo) + arg[better]
+    if single:
+        return float(best[0]), _code_to_sigma(best_code[0], N)
     return best, _code_to_sigma(best_code, N)
 
 
@@ -487,8 +570,8 @@ def sk_experiment(kind: SKKind | str, spec_x: DistributionSpec,
         lam3_smoothed = 13.0 * params.beta**3 * N**-2.5
         bound = third_moment_bound(c2, gamma, n, lam3_smoothed)
 
-        def evaluate(xv):
-            return free_energy(layout, params, xv)
+        def evaluate(block):
+            return free_energy(layout, params, block)
 
     else:
         if params.beta != 1.0 or params.h != 0.0:
@@ -499,8 +582,8 @@ def sk_experiment(kind: SKKind | str, spec_x: DistributionSpec,
         bound = optimized_max_bound(g, gamma, n, family)
         scale = N**-1.5
 
-        def evaluate(xv):
-            return scale * ground_state(layout, xv)[0]
+        def evaluate(block):
+            return scale * ground_state(layout, block)[0]
 
     experiment = (f"sk-{kind.value}/{spec_x.label}-vs-{spec_y.label}/N{N}/"
                   f"beta{params.beta:g}/h{params.h:g}")

@@ -349,7 +349,8 @@ def semicircle_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
     """Paired transform gap for Re and Im parts against the swap bound.
 
     Both parts are tested against the same bound (the projections can only
-    shrink the influence values).  The mean transform over the X-side
+    shrink the influence values).  ``stieltjes`` runs on each row of every
+    replicate block.  The mean transform over the X-side
     replicates is reported next to the semicircle reference.
     """
     z = _check_z(z)
@@ -360,8 +361,9 @@ def semicircle_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
     experiment = (f"wigner/{spec_x.label}-vs-{spec_y.label}/"
                   f"N{N}/z{z.real:g}+{z.imag:g}i")
 
-    def transform(xv):
-        return stieltjes(layout, xv, z)
+    def transform(block):
+        return np.fromiter((stieltjes(layout, xv, z) for xv in block),
+                           dtype=complex, count=len(block))
 
     vx, vy = paired_functional_values(
         transform, transform, spec_x, spec_y, layout.coordinate_count,

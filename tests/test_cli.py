@@ -372,6 +372,7 @@ class TestMainExitCodes:
         ["sk_ground_state", "--h", "0.5"],
         ["clt", "--threads", "-3"],
         ["clt", "--threads", "0"],
+        ["clt", "--threads", "257"],
         ["bound_table", "--sizes", "1"],
         ["bound_table", "--sizes", "0"],
         ["erdos_kac", "--size", "1"],

@@ -386,7 +386,11 @@ class TestMcGap:
         n, experiment = 24, "regen"
         specs_x = [RADEMACHER, pareto(4.0)] * (n // 2)
         f = mean_function(n)
-        vx, vy = paired_functional_values(f.value, f.value, specs_x, GAUSSIAN,
+
+        def values(block):
+            return np.array([f.value(row) for row in block])
+
+        vx, vy = paired_functional_values(values, values, specs_x, GAUSSIAN,
                                           n, 300, 13, experiment, threads=3)
         for r in (0, 137, 299):
             gx = RandomStream(13, experiment + "/x").replicate(r)
