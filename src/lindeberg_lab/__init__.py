@@ -14,11 +14,11 @@ from .core import (
     GapReport,
     InfiniteGammaError,
     LambdaEstimate,
-    LambdaKind,
     LindebergError,
     SmoothFunction,
     TestFunction,
     c_constants,
+    clt_bound,
     clt_experiment,
     estimate_lambda,
     fd_partial,
@@ -37,8 +37,6 @@ from .distributions import (
     UNIFORM,
     DistributionSpec,
     Family,
-    MomentProfile,
-    moment_profile,
     pareto,
     parse_spec,
     sample,
@@ -55,6 +53,7 @@ from .sk import (
     free_energy_lambda,
     ground_state,
     ground_state_bound,
+    sk_bound,
     sk_experiment,
     sk_family,
 )

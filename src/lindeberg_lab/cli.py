@@ -14,9 +14,14 @@ content: identical configs reproduce them byte for byte.  Floats are printed
 with 17 significant digits; every row carries the master seed and replicate
 count so it can be reproduced standalone.
 
+Each suite declares its keys and their defaults once, in ``_SUITE_DEFAULTS``:
+the parser has one ``--key`` flag per declared key, and flag and file values
+both take the type of the key's default.
+
 ``--threads`` (1 to THREAD_LIMIT = 256) splits the replicates into contiguous
 chunks of whole replicate blocks, one worker per chunk; the output does not
-depend on it.
+depend on it.  Replicate counts, the coordinate count n of a drawn vector and
+``bound_table`` sizes stop at COUNT_LIMIT = 2**53.
 
 Exit status: 0 on success, 1 if any gap report failed its bound, 2 on invalid
 configuration, 3 on a runtime fault.
@@ -35,14 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (
-    c_constants,
-    clt_experiment,
-    estimate_lambda,
-    swap_bound,
-    test_function,
-    third_moment_bound,
-)
+from .core import clt_bound, clt_experiment, estimate_lambda, test_function
 from .distributions import parse_spec, third_abs_moment, \
     truncated_third_moment
 from .rng import RandomStream
@@ -53,10 +51,11 @@ from .sk import (
     family_lambda,
     free_energy_function,
     free_energy_lambda,
+    sk_bound,
     sk_experiment,
     sk_family,
 )
-from .smoothmax import estimate_family_lambda, optimized_max_bound
+from .smoothmax import estimate_family_lambda
 from .walks import erdos_kac_bound, erdos_kac_experiment, walk_family
 from .wigner import (
     WignerLayout,
@@ -65,9 +64,6 @@ from .wigner import (
     semicircle_experiment,
     stieltjes_function,
 )
-
-SUITES = ("clt", "wigner", "sk_free_energy", "sk_ground_state", "erdos_kac",
-          "lambda_audit", "bound_table")
 
 
 class ConfigError(Exception):
@@ -93,15 +89,21 @@ _SUITE_DEFAULTS = {
                     "epsilon": 0.2, "beta": 1.0, "g": "tanh"},
 }
 
-_INT_KEYS = {"size", "replicates", "seed", "threads"}
-_FLOAT_KEYS = {"z_re", "z_im", "beta", "h", "epsilon"}
+SUITES = tuple(_SUITE_DEFAULTS)
+
 # keys for which inf or nan reaches the arithmetic (epsilon has its own
-# range check, and inf there is a well-defined limit)
-_FINITE_KEYS = {"z_re", "z_im", "beta", "h"}
+# range check, and inf there is a well-defined limit; SKParams checks beta
+# and h)
+_FINITE_KEYS = {"z_re", "z_im"}
 _SEED_LIMIT = 1 << 64   # the Philox key holds 64 bits of the master seed
 # --threads ceiling: every worker is an OS thread, and no desk machine runs
 # more than this many at once
 THREAD_LIMIT = 256
+# ceiling of replicate and coordinate counts and of bound_table sizes: above
+# 2^53, n and n - 1 round to the same float, and numpy indexes a float64 or
+# complex128 array of every count up to it (whether memory holds one is a
+# runtime matter)
+COUNT_LIMIT = 1 << 53
 
 
 @dataclass
@@ -123,8 +125,8 @@ def build_config(suite: str, file_path: str | None,
                  overrides: dict) -> ExperimentConfig:
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
-    values = dict(_COMMON_DEFAULTS)
-    values.update(_SUITE_DEFAULTS[suite])
+    defaults = {**_COMMON_DEFAULTS, **_SUITE_DEFAULTS[suite]}
+    values = dict(defaults)
     if file_path:
         parser = configparser.ConfigParser()
         read = parser.read(file_path)
@@ -141,19 +143,18 @@ def build_config(suite: str, file_path: str | None,
         if key not in values:
             raise ConfigError(f"flag --{key} does not apply to suite {suite}")
         values[key] = val
-    # normalize types (file values arrive as strings)
-    try:
-        for key in list(values):
-            if key in _INT_KEYS:
-                values[key] = int(values[key])
-            elif key in _FLOAT_KEYS:
-                values[key] = float(values[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value: {exc}") from None
-    if values.get("format") not in ("csv", "json"):
+    # flag and file values arrive as strings: each takes its default's type
+    for key, default in defaults.items():
+        try:
+            values[key] = type(default)(values[key])
+        except ValueError:
+            raise ConfigError(f"{key} must be of type "
+                              f"{type(default).__name__}, not "
+                              f"{values[key]!r}") from None
+    if values["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
-    if "replicates" in values and values["replicates"] < 100:
-        raise ConfigError("at least 100 replicates are required")
+    if not 100 <= values.get("replicates", 100) <= COUNT_LIMIT:
+        raise ConfigError("replicates must lie in 100..2**53")
     if not 0 <= values.get("seed", 0) < _SEED_LIMIT:
         raise ConfigError("seed must lie in 0..2**64 - 1")
     for key in sorted(_FINITE_KEYS & values.keys()):
@@ -175,14 +176,20 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
             sizes = [int(tok) for tok in str(values["sizes"]).split(",") if tok]
             if not sizes:
                 raise ValueError("empty size grid")
-            # above 2^53, n and n - 1 round to the same float
-            if not 2 <= min(sizes) <= max(sizes) <= 1 << 53:
+            if not 2 <= min(sizes) <= max(sizes) <= COUNT_LIMIT:
                 raise ValueError("every size in the grid must lie in 2..2**53")
             values["sizes"] = sizes
         if values.get("size", 1) < 1:
             raise ValueError("size must be positive")
         if config.suite == "erdos_kac" and values["size"] < 2:
             raise ValueError("the running maximum needs at least two steps")
+        if "replicates" in values:
+            n = (WignerLayout(values["size"]).coordinate_count
+                 if config.suite == "wigner" else values["size"])
+            if n > COUNT_LIMIT:
+                raise ValueError(f"a {config.suite} vector of size "
+                                 f"{values['size']} has {n} coordinates; "
+                                 f"at most 2**53 are supported")
         if "epsilon" in values and not values["epsilon"] > 0.0:
             raise ValueError("epsilon must be positive")
         if "dist_x" in values:
@@ -198,10 +205,7 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
                         f"E(|X|^3; |X| <= K) at K = {K:g}; the "
                         f"{config.suite} bound needs it finite")
         if "beta" in values:
-            beta = values["beta"]
-            # the spin-glass bounds scale as beta^3
-            if not (beta > 0.0 and math.isfinite(beta * beta * beta)):
-                raise ValueError("beta must be positive with a finite cube")
+            params = SKParams(beta=values["beta"], h=values.get("h", 0.0))
         if "z_im" in values:
             # the bounds fall as N grows, so order 1 covers every size
             derivative_bounds(1, values["z_im"])
@@ -209,6 +213,11 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
                 not 2 <= values["size"] <= ENUMERATION_LIMIT:
             raise ValueError(f"exact enumeration needs size in "
                              f"2..{ENUMERATION_LIMIT}")
+        # the field energy beta h sum_i s_i reaches beta |h| N
+        if config.suite == "sk_free_energy" and \
+                not math.isfinite(params.beta * abs(params.h) * values["size"]):
+            raise ValueError("beta |h| size must be finite: the field energy "
+                             "overflows")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -358,35 +367,30 @@ def _run_lambda_audit(config):
 
 
 def _run_bound_table(config):
-    """Tabulated bound formulas over a size grid; pure arithmetic."""
+    """Every suite's bound over a size grid, from the function its run
+    calls; pure arithmetic."""
     columns = ("setup", "size", "bound", "lambda2", "lambda3")
+    spec_x, spec_y = parse_spec(config.dist_x), parse_spec(config.dist_y)
     g = test_function(config.g)
-    gx = third_abs_moment(parse_spec(config.dist_x))
-    gy = third_abs_moment(parse_spec(config.dist_y))
-    gamma = max(gx, gy)
-    c1, c2 = c_constants(g)
+    gamma = max(third_abs_moment(spec_x), third_abs_moment(spec_y))
+    params = SKParams(beta=config.beta)
+    z = complex(config.z_re, config.z_im)
     rows = []
-    for size in config.sizes:
-        n = size
-        rows.append(("clt", n,
-                     swap_bound(c1, c2, 1.0 / n, n**-1.5, 0.0, n * (gx + gy)),
+    for n in config.sizes:
+        rows.append(("clt", n, clt_bound(spec_x, spec_y, n, g),
                      1.0 / n, n**-1.5))
         rows.append(("erdos_kac", n, erdos_kac_bound(g, gamma, n),
                      1.0 / n, n**-1.5))
-        params = SKParams(beta=config.beta, h=0.0)
-        pairs = n * (n - 1) // 2
-        l2f, l3f = free_energy_lambda(params, n)
         rows.append(("sk_free_energy", n,
-                     third_moment_bound(c2, gamma, pairs, l3f), l2f, l3f))
-        lam2, lam3, _ = family_lambda(SKParams(beta=1.0), n)
-        fam = sk_family(CouplingLayout(n), SKParams(beta=1.0))
+                     sk_bound("free_energy", spec_x, spec_y, params, n, g),
+                     *free_energy_lambda(params, n)))
         rows.append(("sk_ground_state", n,
-                     optimized_max_bound(g, gamma, pairs, fam), lam2, lam3))
-        z = complex(config.z_re, config.z_im)
+                     sk_bound("ground_state", spec_x, spec_y, SKParams(), n,
+                              g),
+                     *family_lambda(SKParams(), n)[:2]))
         wb = derivative_bounds(n, z.imag)
         rows.append(("wigner", n,
-                     semicircle_bound(parse_spec(config.dist_x),
-                                      parse_spec(config.dist_y), n, z, g,
+                     semicircle_bound(spec_x, spec_y, n, z, g,
                                       config.epsilon),
                      wb.lambda2, wb.lambda3))
     return columns, rows, True, []
@@ -433,21 +437,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("suite", choices=SUITES)
     parser.add_argument("--config", default=None, help="config file path")
-    parser.add_argument("--dist-x", dest="dist_x")
-    parser.add_argument("--dist-y", dest="dist_y")
-    parser.add_argument("--size", type=int, help="n (walks/clt) or N (matrix/spins)")
-    parser.add_argument("--sizes", help="comma-separated grid for bound_table")
-    parser.add_argument("--z-re", dest="z_re", type=float)
-    parser.add_argument("--z-im", dest="z_im", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--h", type=float)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--g", help="test function name")
-    parser.add_argument("--replicates", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"))
+    keys = dict.fromkeys(_COMMON_DEFAULTS)
+    for defaults in _SUITE_DEFAULTS.values():
+        keys.update(dict.fromkeys(defaults))
+    for key in keys:
+        suites = ("every suite" if key in _COMMON_DEFAULTS else "suites: "
+                  + ", ".join(suite for suite, defaults
+                              in _SUITE_DEFAULTS.items() if key in defaults))
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            help=suites)
     return parser
 
 

@@ -30,7 +30,6 @@ and ``summarize_gap`` applies g to them and reduces the differences.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -49,7 +48,6 @@ __all__ = [
     "SmoothFunction",
     "partials_at_point",
     "TestFunction",
-    "LambdaKind",
     "LambdaEstimate",
     "GapReport",
     "mean_function",
@@ -58,6 +56,7 @@ __all__ = [
     "c_constants",
     "swap_bound",
     "third_moment_bound",
+    "clt_bound",
     "fd_partial",
     "estimate_lambda",
     "telescoping_decomposition",
@@ -330,6 +329,24 @@ def third_moment_bound(c2: float, gamma: float, n: int, lambda3: float) -> float
     return 2.0 * c2 * gamma * n * lambda3
 
 
+def clt_bound(spec_x: DistributionSpec, spec_y: DistributionSpec, n: int,
+              g: TestFunction) -> float:
+    """Bound of the normalized-sum gap: the swap bound at K = oo.
+
+    The mean function has lambda_2 = 1/n and lambda_3 = n^(-3/2); at K = oo
+    the tail channel vanishes and the body channel carries the full third
+    moments of both laws, which gives C2 (g_x + g_y) / sqrt(n).
+    """
+    if n < 1:
+        raise ValueError("the normalized sum needs at least one term")
+    gx = third_abs_moment(spec_x)
+    gy = third_abs_moment(spec_y)
+    if math.isinf(gx) or math.isinf(gy):
+        raise InfiniteGammaError("CLT bound needs finite third moments")
+    c1, c2 = c_constants(g)
+    return swap_bound(c1, c2, 1.0 / n, n**-1.5, 0.0, n * (gx + gy))
+
+
 # ---------------------------------------------------------------------------
 # finite differences (validation oracle for analytic partials)
 # ---------------------------------------------------------------------------
@@ -373,17 +390,11 @@ def fd_partial(value: Callable[[np.ndarray], complex], i: int, p: int,
 # empirical influence estimates
 # ---------------------------------------------------------------------------
 
-class LambdaKind(enum.Enum):
-    ANALYTIC_BOUND = "analytic"
-    EMPIRICAL_SUP = "empirical"
-
-
 @dataclass(frozen=True)
 class LambdaEstimate:
     lambda1: float
     lambda2: float
     lambda3: float
-    kind: LambdaKind
     per_order_sup: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
@@ -414,8 +425,7 @@ def _lambda_from_sups(sups) -> LambdaEstimate:
     sups = tuple(sups)
     lam = [max(sups[p - 1] ** (r / p) for p in range(1, r + 1))
            for r in (1, 2, 3)]
-    return LambdaEstimate(*lam, kind=LambdaKind.EMPIRICAL_SUP,
-                          per_order_sup=sups)
+    return LambdaEstimate(*lam, per_order_sup=sups)
 
 
 # ---------------------------------------------------------------------------
@@ -597,18 +607,11 @@ def mc_gap(f: SmoothFunction, g: TestFunction, spec_x, spec_y,
 def clt_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec, n: int,
                    g: TestFunction, replicates: int, master_seed: int,
                    threads: int = 1) -> GapReport:
-    """Normalized-sum gap vs the exact third-moment bound C2 (g_x + g_y)/sqrt(n).
+    """Normalized-sum gap vs ``clt_bound``, C2 (g_x + g_y)/sqrt(n).
 
-    The bound is the swap bound at K = oo: the tail channel vanishes and the
-    body channel carries the full third moments of both laws.  The
-    functional is ``mean_function(n)`` applied to a whole block at once.
+    The functional is ``mean_function(n)`` applied to a whole block at once.
     """
-    gx = third_abs_moment(spec_x)
-    gy = third_abs_moment(spec_y)
-    if math.isinf(gx) or math.isinf(gy):
-        raise InfiniteGammaError("CLT bound needs finite third moments")
-    c1, c2 = c_constants(g)
-    bound = swap_bound(c1, c2, 1.0 / n, n**-1.5, 0.0, n * (gx + gy))
+    bound = clt_bound(spec_x, spec_y, n, g)
     root = 1.0 / math.sqrt(n)
 
     def mean(block):

@@ -34,14 +34,12 @@ from scipy.special import erfc, ndtri
 __all__ = [
     "Family",
     "DistributionSpec",
-    "MomentProfile",
     "parse_spec",
     "sample",
     "sample_vector",
     "truncated_second_moment",
     "truncated_third_moment",
     "third_abs_moment",
-    "moment_profile",
     "GAUSSIAN",
     "RADEMACHER",
     "UNIFORM",
@@ -79,14 +77,6 @@ class DistributionSpec:
                 )
         elif self.params:
             raise ValueError(f"{self.family.value} takes no parameters")
-
-    @property
-    def mean(self) -> float:
-        return 0.0
-
-    @property
-    def variance(self) -> float:
-        return 1.0
 
     @property
     def label(self) -> str:
@@ -320,28 +310,3 @@ def third_abs_moment(spec: DistributionSpec) -> float:
     if a <= 3.0:
         return math.inf
     return (a / (a - 3.0)) / _pareto_scale(a) ** 3
-
-
-@dataclass(frozen=True)
-class MomentProfile:
-    """Truncated-moment pair at level K: the two error channels of the bound."""
-
-    K: float
-    tail_second: float
-    body_third: float
-
-    def __post_init__(self):
-        if not self.K > 0.0:
-            raise ValueError("K must be positive")
-        if not 0.0 <= self.tail_second <= 1.0 + 1e-12:
-            raise ValueError("tail second moment must lie in [0, 1]")
-        if self.body_third < 0.0 or self.body_third > self.K * (1.0 + 1e-12):
-            raise ValueError("body third moment must lie in [0, K]")
-
-
-def moment_profile(spec: DistributionSpec, K: float) -> MomentProfile:
-    return MomentProfile(
-        K=float(K),
-        tail_second=truncated_second_moment(spec, K),
-        body_third=truncated_third_moment(spec, K),
-    )

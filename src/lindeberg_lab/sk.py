@@ -93,6 +93,7 @@ __all__ = [
     "ground_state_bound",
     "ground_state_bound_terms",
     "SKReport",
+    "sk_bound",
     "sk_experiment",
 ]
 
@@ -139,12 +140,23 @@ class CouplingLayout:
 
 @dataclass(frozen=True)
 class SKParams:
+    """Inverse temperature beta and external field h.
+
+    The spin-glass bounds scale as beta^3, so beta must be positive with a
+    finite cube (``beta ** 3`` would raise OverflowError, not give inf), and
+    h must be finite.
+    """
+
     beta: float = 1.0
     h: float = 0.0
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValueError("inverse temperature beta must be positive")
+        if not (self.beta > 0.0
+                and math.isfinite(self.beta * self.beta * self.beta)):
+            raise ValueError("inverse temperature beta must be positive "
+                             "with a finite cube")
+        if not math.isfinite(self.h):
+            raise ValueError("external field h must be finite")
 
 
 @dataclass(frozen=True)
@@ -550,36 +562,47 @@ class SKReport:
                 r.std_error, r.theoretical_bound, r.passed, r.seed)
 
 
+def sk_bound(kind: SKKind | str, spec_x: DistributionSpec,
+             spec_y: DistributionSpec, params: SKParams, N: int,
+             g: TestFunction) -> float:
+    """Bound of the coupling-universality gap of ``sk_experiment``.
+
+    Free energy: the third-moment bound with the smoothed influence of
+    ``free_energy_lambda``, 13 beta^3 N^(-5/2).  Ground state: the
+    alpha-optimized max bound of ``sk_family``, defined at beta = 1, h = 0.
+    Pure arithmetic in N: nothing is enumerated.
+    """
+    kind = SKKind(kind)
+    layout = CouplingLayout(N)
+    n = layout.coordinate_count
+    gamma = max(third_abs_moment(spec_x), third_abs_moment(spec_y))
+    if kind is SKKind.FREE_ENERGY:
+        _, c2 = c_constants(g)
+        return third_moment_bound(c2, gamma, n,
+                                  free_energy_lambda(params, N)[1])
+    if params.beta != 1.0 or params.h != 0.0:
+        raise ValueError(
+            "the ground-state experiment is defined at beta = 1, h = 0"
+        )
+    return optimized_max_bound(g, gamma, n, sk_family(layout, params))
+
+
 def sk_experiment(kind: SKKind | str, spec_x: DistributionSpec,
                   spec_y: DistributionSpec, params: SKParams, N: int,
                   replicates: int, g: TestFunction, master_seed: int,
                   threads: int = 1) -> SKReport:
-    """Paired coupling-universality gap with the matching theoretical bound.
-
-    Free energy: third-moment bound with the smoothed influence 13 b^3 N^(-5/2).
-    Ground state: the alpha-optimized max bound (beta = 1, h = 0 fixed).
-    """
+    """Paired coupling-universality gap against ``sk_bound``."""
     kind = SKKind(kind)
     layout = CouplingLayout(N)
     _check_enumerable(N)
     n = layout.coordinate_count
-    gamma = max(third_abs_moment(spec_x), third_abs_moment(spec_y))
-    _, c2 = c_constants(g)
+    bound = sk_bound(kind, spec_x, spec_y, params, N, g)
 
     if kind is SKKind.FREE_ENERGY:
-        lam3_smoothed = 13.0 * params.beta**3 * N**-2.5
-        bound = third_moment_bound(c2, gamma, n, lam3_smoothed)
-
         def evaluate(block):
             return free_energy(layout, params, block)
 
     else:
-        if params.beta != 1.0 or params.h != 0.0:
-            raise ValueError(
-                "the ground-state experiment is defined at beta = 1, h = 0"
-            )
-        family = sk_family(layout, params)
-        bound = optimized_max_bound(g, gamma, n, family)
         scale = N**-1.5
 
         def evaluate(block):

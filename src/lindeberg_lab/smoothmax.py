@@ -131,17 +131,8 @@ class SoftMaxState:
     alpha: float
     point: np.ndarray
     value: float
-    shift: float           # max_f alpha f(x)
     log_partition: float   # log Z = log sum exp(alpha f)
     weights: np.ndarray    # p(x, f), sums to 1
-
-    @property
-    def partition(self) -> float:
-        """Z itself; may overflow to inf for large alpha (use log_partition)."""
-        try:
-            return math.exp(self.log_partition)
-        except OverflowError:
-            return math.inf
 
 
 def softmax_state(family: FunctionFamily, alpha: float,
@@ -157,7 +148,6 @@ def softmax_state(family: FunctionFamily, alpha: float,
         alpha=alpha,
         point=x,
         value=(shift + math.log(z)) / alpha,
-        shift=shift,
         log_partition=shift + math.log(z),
         weights=w / z,
     )

@@ -257,15 +257,15 @@ def derivative_bounds(N: int, v: float) -> DerivativeBounds:
 def semicircle_stieltjes(z: complex) -> complex:
     """Transform of the semicircle density on [-2, 2].
 
-    Solves m^2 + z m + 1 = 0, taking the root whose imaginary part matches
-    the sign of Im z (the defining half-plane-preserving property).
+    The root of m^2 + z m + 1 = 0 whose imaginary part has the sign of Im z
+    (the defining half-plane-preserving property) is m = -2 / (z + w) with
+    w = sqrt(z - 2) sqrt(z + 2), the branch of sqrt(z^2 - 4) that grows like
+    z.  In u = z / 2 it reads m = -1 / (u + sqrt(u - 1) sqrt(u + 1)): no z^2
+    is formed, and the sum, close to z for large |z|, neither cancels nor
+    overflows, so every finite z off the real axis gives a finite value.
     """
-    z = _check_z(z)
-    w = cmath.sqrt(z * z - 4.0)
-    m = (-z + w) / 2.0
-    if m.imag * z.imag <= 0.0:
-        m = (-z - w) / 2.0
-    return m
+    u = _check_z(z) / 2.0
+    return -1.0 / (u + cmath.sqrt(u - 1.0) * cmath.sqrt(u + 1.0))
 
 
 def pastur_term(specs, N: int, epsilon: float) -> float:
@@ -355,8 +355,6 @@ def semicircle_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
     """
     z = _check_z(z)
     layout = WignerLayout(N)
-    if epsilon * math.sqrt(N) <= 0.0:
-        raise ValueError("epsilon must be positive")
     bound = semicircle_bound(spec_x, spec_y, N, z, g, epsilon)
     experiment = (f"wigner/{spec_x.label}-vs-{spec_y.label}/"
                   f"N{N}/z{z.real:g}+{z.imag:g}i")

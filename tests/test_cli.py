@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,66 @@ class TestConfigResolution:
     def test_empty_grid(self):
         with pytest.raises(ConfigError):
             build_config("bound_table", None, {"sizes": ""})
+
+    # a non-default value for every key a suite can declare
+    SETTINGS = {"out": "r.json", "format": "json", "dist_x": "cexp",
+                "dist_y": "uniform", "g": "sin", "replicates": "200",
+                "seed": "3", "threads": "2", "size": "7", "z_re": "0.5",
+                "z_im": "1.5", "epsilon": "0.3", "beta": "0.7", "h": "0.3",
+                "sizes": "8,9"}
+
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_flag_and_file_give_the_same_values(self, tmp_path, suite):
+        keys = {**cli._COMMON_DEFAULTS, **cli._SUITE_DEFAULTS[suite]}
+        settings = {key: self.SETTINGS[key] for key in keys}
+        argv = [suite]
+        for key, text in settings.items():
+            argv += ["--" + key.replace("_", "-"), text]
+        args = cli._build_parser().parse_args(argv)
+        flags = build_config(suite, None, {
+            k: v for k, v in vars(args).items() if k not in ("suite",
+                                                             "config")})
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"[{suite}]\n" + "".join(
+            f"{key} = {text}\n" for key, text in settings.items()))
+        from_file = build_config(suite, str(conf), {})
+        assert flags.values == from_file.values
+        for key, default in keys.items():
+            if key != "sizes":
+                assert type(flags.values[key]) is type(default), key
+                assert flags.values[key] == type(default)(settings[key])
+
+    def test_value_of_the_wrong_type(self, tmp_path):
+        conf = tmp_path / "exp.conf"
+        conf.write_text("[clt]\nsize = abc\n")
+        for file_path, over in ((str(conf), {}), (None, {"size": "abc"}),
+                                (None, {"beta": "x"}),
+                                (None, {"replicates": "1e3"})):
+            suite = "sk_free_energy" if "beta" in over else "clt"
+            with pytest.raises(ConfigError):
+                build_config(suite, file_path, over)
+
+    def test_every_flag_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = capsys.readouterr().out
+        keys = set(cli._COMMON_DEFAULTS).union(*cli._SUITE_DEFAULTS.values())
+        for key in keys:
+            assert "--" + key.replace("_", "-") + " " in text, key
+
+    def test_readme_flag_table_matches_the_suites(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("## CLI", 1)[1].split("\n## ")[0]
+        table = {}
+        for line in section.splitlines():
+            cells = line.split("|")
+            if len(cells) == 4 and "`" in cells[1]:
+                flags = set(re.findall(r"--[a-z-]+", cells[2]))
+                for suite in re.findall(r"`(\w+)`", cells[1]):
+                    table[suite] = flags
+        assert table == {
+            suite: {"--" + key.replace("_", "-") for key in defaults}
+            for suite, defaults in cli._SUITE_DEFAULTS.items()}
 
     def test_numeric_domain_checks(self):
         for suite, over in (("wigner", {"epsilon": -1.0}),
@@ -275,6 +337,30 @@ class TestBoundTable:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+class TestOneBoundPerSuite:
+    LAWS = {"dist_x": "cexp", "dist_y": "gaussian", "g": "tanh"}
+
+    @pytest.mark.parametrize("suite, over", [
+        ("clt", {}),
+        ("erdos_kac", {}),
+        ("wigner", {"z_re": 0.3, "z_im": 1.5, "epsilon": 0.4}),
+        ("sk_free_energy", {"beta": 1.0}),
+        ("sk_free_energy", {"beta": 0.7}),
+        ("sk_ground_state", {}),
+    ])
+    def test_run_bound_is_its_bound_table_row(self, suite, over):
+        # the free-energy run once computed 13 beta^3 N^-2.5 itself, which
+        # differs from free_energy_lambda in the last bit at N = 12
+        table = run(build_config("bound_table", None,
+                                 {**self.LAWS, **over, "sizes": "12"}))
+        [row] = [row for row in table.rows if row[0] == suite]
+        manifest = run(build_config(suite, None,
+                                    {**self.LAWS, **over, "size": 12,
+                                     "replicates": 100}))
+        bound = manifest.rows[0][manifest.columns.index("bound")]
+        assert bound.hex() == row[2].hex()
+
+
 class RecordingValues(dict):
     """Config values that record every key a run reads."""
 
@@ -398,6 +484,18 @@ class TestMainExitCodes:
         ["wigner", "--epsilon", "inf", "--dist-x", "pareto:2.5"],
         ["bound_table", "--sizes", "9007199254740993"],
         ["bound_table", "--sizes", "1" + "0" * 400],
+        ["sk_free_energy", "--h", "1e308", "--size", "4",
+         "--replicates", "100"],
+        ["sk_free_energy", "--beta", "5e102", "--h", "1e206"],
+        ["clt", "--size", "1" + "0" * 20],
+        ["clt", "--size", "9007199254740993"],
+        ["erdos_kac", "--size", "9007199254740993"],
+        ["wigner", "--size", "100000000000"],
+        ["clt", "--replicates", "1" + "0" * 20],
+        ["clt", "--replicates", "9007199254740993"],
+        ["clt", "--size", "abc"],
+        ["wigner", "--z-im", "2i"],
+        ["clt", "--format", "xml"],
     ])
     def test_out_of_domain_input_exits_2(self, argv, capsys):
         assert main(argv) == 2
@@ -411,6 +509,17 @@ class TestMainExitCodes:
     def test_infinite_truncation_with_finite_third_moment_runs(self, capsys):
         assert main(["wigner", "--epsilon", "inf", "--dist-x", "pareto:4",
                      "--size", "6", "--replicates", "100"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        # the largest field energy beta |h| N = 1.6e308 is still finite
+        ["sk_free_energy", "--h", "8e307", "--size", "2"],
+        # z * z overflows, the semicircle transform must not
+        ["wigner", "--z-re", "1e308", "--size", "4"],
+    ])
+    def test_edge_of_the_domain_runs(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main([*argv, "--replicates", "100", "--out", str(out)]) == 0
+        assert "nan" not in out.read_text()
 
     def test_fault_without_message_names_its_type(self, capsys,
                                                   monkeypatch):

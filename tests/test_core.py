@@ -10,9 +10,9 @@ from scipy.optimize import minimize_scalar
 from lindeberg_lab.core import (
     GapReport,
     InfiniteGammaError,
-    LambdaKind,
     SmoothFunction,
     c_constants,
+    clt_bound,
     clt_experiment,
     estimate_lambda,
     fd_partial,
@@ -145,6 +145,14 @@ class TestBoundArithmetic:
         with pytest.raises(InfiniteGammaError):
             third_moment_bound(1.0, math.inf, 10, 1e-3)
 
+    def test_clt_bound_domain(self):
+        with pytest.raises(ValueError):
+            clt_bound(RADEMACHER, GAUSSIAN, 0, SIN)
+        with pytest.raises(InfiniteGammaError):
+            clt_bound(pareto(2.5), GAUSSIAN, 400, SIN)
+        with pytest.raises(InfiniteGammaError):
+            clt_bound(GAUSSIAN, pareto(3.0), 400, SIN)
+
 
 class TestFiniteDifferences:
     def test_linear_function_first_order_exact(self):
@@ -183,7 +191,6 @@ class TestLambdaEstimates:
         est = estimate_lambda(f, pts)
         assert est.lambda2 == pytest.approx(1.0 / 25.0, rel=1e-14)
         assert est.lambda3 == pytest.approx(25.0**-1.5, rel=1e-14)
-        assert est.kind is LambdaKind.EMPIRICAL_SUP
 
     def test_constant_function_zero(self):
         f = SmoothFunction(n=3, value=lambda x: 4.0,

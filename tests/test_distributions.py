@@ -23,10 +23,8 @@ from lindeberg_lab.distributions import (
     UNIFORM,
     DistributionSpec,
     Family,
-    MomentProfile,
     _transform,
     make_vector_sampler,
-    moment_profile,
     pareto,
     parse_spec,
     sample,
@@ -221,16 +219,6 @@ class TestMomentStructure:
         with pytest.raises(ValueError):
             truncated_third_moment(GAUSSIAN, -1.0)
 
-    def test_moment_profile_fields(self):
-        prof = moment_profile(GAUSSIAN, 2.0)
-        assert prof.K == 2.0
-        assert 0.0 <= prof.tail_second <= 1.0
-        assert prof.body_third <= prof.K
-        with pytest.raises(ValueError):
-            MomentProfile(K=1.0, tail_second=1.5, body_third=0.0)
-        with pytest.raises(ValueError):
-            MomentProfile(K=1.0, tail_second=0.2, body_third=2.0)
-
 
 class TestSampling:
     def gen(self, label, rep=0):
@@ -395,11 +383,6 @@ class TestParsing:
     def test_rejects_nonfinite_pareto(self, text):
         with pytest.raises(ValueError):
             parse_spec(text)
-
-    def test_standardized_constants(self):
-        spec = parse_spec("gaussian")
-        assert spec.mean == 0.0
-        assert spec.variance == 1.0
 
     def test_family_takes_no_params(self):
         with pytest.raises(ValueError):

@@ -353,6 +353,18 @@ class TestFreeEnergyLambda:
         with pytest.raises(ValueError):
             SKParams(beta=0.0)
 
+    @pytest.mark.parametrize("params", [
+        {"beta": 1e200}, {"beta": math.inf}, {"beta": math.nan},
+        {"beta": -1.0}, {"h": math.nan}, {"h": math.inf}, {"h": -math.inf},
+    ])
+    def test_params_outside_the_domain_rejected(self, params):
+        # beta^3 overflows at 1e200; a bound scaling as beta^3 is then inf
+        with pytest.raises(ValueError):
+            SKParams(**params)
+
+    def test_largest_beta_with_a_finite_cube_accepted(self):
+        assert SKParams(beta=5e102, h=-1e300).beta == 5e102
+
     def test_analytic_partials_match_finite_differences(self):
         from lindeberg_lab.sk import free_energy_function
 

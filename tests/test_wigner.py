@@ -1,5 +1,6 @@
 """Resolvent calculus, transform derivatives, semicircle reference, tail sums."""
 
+import cmath
 import math
 
 import numpy as np
@@ -297,6 +298,15 @@ class TestSemicircleReference:
     def test_real_axis_rejected(self):
         with pytest.raises(ValueError):
             semicircle_stieltjes(2.0)
+
+    def test_far_from_the_support_no_overflow(self):
+        # z * z overflows from |z| ~ 1.3e154 on
+        z = 1e200j
+        assert semicircle_stieltjes(z) == pytest.approx(-1.0 / z, rel=1e-15)
+        for z in (1e308 + 2j, -1.7e308 - 1e300j, 3e307j):
+            m = semicircle_stieltjes(z)
+            assert cmath.isfinite(m)
+            assert m.real == pytest.approx((-1.0 / z).real, rel=1e-15)
 
 
 class TestPasturTerm:
