@@ -40,11 +40,14 @@ independent cross-check path.
 
 ``free_energy`` and ``ground_state`` also take a (B, n) block of coupling
 vectors, as the paired Monte Carlo engine hands them.  The block is
-enumerated in stacks of vectors sized under the engine's BLOCK_ELEMENTS
-budget (three at N = 14, one from N = 15 on): each row block of a stack is
-one stacked GEMM with one BLAS call per vector, followed by a per-vector
-max-shift, exp and sum (or argmax), so every value has the bits it has when
-its vector is enumerated alone.
+enumerated in stacks of vectors whose operands and energy blocks fit the
+_STACK_ELEMENTS budget of 1 MB (twelve at N = 14, six at N = 15, one from
+N = 22 on), so each stack's fixed numpy and BLAS call overhead is spread
+over its vectors: each row block of a stack is one stacked GEMM with one
+BLAS call per vector, followed by a per-vector max-shift, exp and sum (or
+argmax), so every value has the bits it has when its vector is enumerated
+alone.  The coupling matrices of a stack come from one scatter through the
+cached flat offsets of the upper triangle.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from typing import Iterator
 import numpy as np
 
 from .core import (
-    BLOCK_ELEMENTS,
     GapReport,
     SmoothFunction,
     TestFunction,
@@ -99,6 +101,10 @@ __all__ = [
 
 ENUMERATION_LIMIT = 24   # 2^24 configurations is the desk-scale ceiling
 _BLOCK = 1 << 14
+# float64 entries (1 MB) of the L and W operands and one energy block of
+# every vector of an enumeration stack: about twelve vectors at N = 14, and
+# each stack pays its numpy and BLAS call overhead once
+_STACK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -133,9 +139,21 @@ class CouplingLayout:
         if x.ndim not in (1, 2) or x.shape[-1] != self.coordinate_count:
             raise ValueError("coupling vector has wrong length")
         N = self.size
-        X = np.zeros(x.shape[:-1] + (N, N))
-        X[(..., *triangle_indices(N, 1))] = x
+        X = np.zeros(x.shape[:-1] + (N * N,))
+        X[..., _upper_offsets(N)] = x
+        X = X.reshape(x.shape[:-1] + (N, N))
         return X + np.swapaxes(X, -1, -2)
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_offsets(N: int) -> np.ndarray:
+    """Flat offsets i N + j of the pairs i < j of an N x N matrix, in
+    ``triangle_indices(N, 1)`` order: one scatter fills the upper triangle.
+    Cached read-only."""
+    rows, cols = triangle_indices(N, 1)
+    offsets = rows * N + cols
+    offsets.setflags(write=False)
+    return offsets
 
 
 @dataclass(frozen=True)
@@ -237,11 +255,11 @@ def _block_rows(N: int) -> int:
 
 def _stack_size(N: int) -> int:
     """Coupling vectors per enumeration stack: as many as keep their L and W
-    operands and one energy block each within BLOCK_ELEMENTS, at least one
-    (from N = 15 on, one)."""
+    operands and one energy block each within _STACK_ELEMENTS, at least
+    one."""
     hi, lo = _split(N)
     per_vector = (_block_rows(N) << lo) + (hi + 2) * ((1 << hi) + (1 << lo))
-    return max(1, BLOCK_ELEMENTS // per_vector)
+    return max(1, _STACK_ELEMENTS // per_vector)
 
 
 def _as_stack(layout: CouplingLayout, x) -> tuple[np.ndarray, bool]:

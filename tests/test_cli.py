@@ -550,6 +550,18 @@ class TestMainExitCodes:
         assert code == 1
         assert "ok=false" in capsys.readouterr().out
 
+    def test_overflowing_bound_fails_the_run(self, tmp_path, capsys):
+        # beta^3 is finite, 13 beta^3 N^(-5/2) is not: an infinite bound
+        # is no dominance
+        out = tmp_path / "r.csv"
+        code = main(["sk_free_energy", "--beta", "5e102", "--size", "4",
+                     "--replicates", "100", "--out", str(out)])
+        assert code == 1
+        assert "ok=false" in capsys.readouterr().out
+        header, row = out.read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["bound"], cells["passed"]) == ("inf", "false")
+
     def test_config_file_flag(self, tmp_path, capsys):
         conf = tmp_path / "exp.conf"
         conf.write_text("[clt]\nsize = 24\nreplicates = 150\n")

@@ -1,6 +1,10 @@
 """Swap-bound arithmetic, influence estimates, finite differences, paired MC."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,7 @@ SIN = named_g("sin")
 TANH = named_g("tanh")
 IDENTITY = named_g("identity")
 CLIPPED = named_g("clipped_square")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestTestFunctions:
@@ -84,6 +89,29 @@ class TestTestFunctions:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             named_g("step")
+
+    def test_clipped_square_norms_keep_their_bits(self):
+        assert (CLIPPED.norm1.hex(), CLIPPED.norm2.hex(),
+                CLIPPED.norm3.hex()) == ("0x1.4d4ef3be31885p+4",
+                                         "0x1.0cf5c368c9d69p+3",
+                                         "0x1.8b6549edbedb3p+2")
+
+    def test_clipped_square_is_certified_on_first_use(self):
+        # a fresh interpreter: this module already asked for clipped_square
+        script = (
+            "import lindeberg_lab, lindeberg_lab.cli\n"
+            "from lindeberg_lab import core\n"
+            "assert core._clipped_square.cache_info().misses == 0\n"
+            "g = core.test_function('clipped_square')\n"
+            "assert core.test_function('clipped_square') is g\n"
+            "assert core._clipped_square.cache_info().misses == 1\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
 
 
 class TestBoundArithmetic:
@@ -452,6 +480,13 @@ class TestMcGap:
         r2 = GapReport(experiment_id="e", n=1, replicates=100, mc_gap=0.5,
                        std_error=0.05, theoretical_bound=0.4, seed=0)
         assert r2.passed
+
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bound_never_passes(self, bound):
+        r = GapReport(experiment_id="e", n=1, replicates=100, mc_gap=0.0,
+                      std_error=0.0, theoretical_bound=bound, seed=0)
+        assert not r.passed
+        assert r.csv_row()[GapReport.CSV_COLUMNS.index("passed")] is False
 
 
 class TestCltExperiment:

@@ -64,16 +64,21 @@ def recorded_functionals(monkeypatch, module) -> list:
     return seen
 
 
-def assert_rows_match_one_row(functional, one_row, block) -> None:
+def assert_rows_match_one_row(functional, one_row, block,
+                              stack: int = 0) -> None:
     """``functional`` over consecutive blocks of 1 and 7 rows (the first 70)
     and of ``block_rows(n)`` rows (all of them) gives, row for row, the bits
     of ``one_row`` on that row alone; checked on the first 70 rows and on 50
-    rows spread over the whole block."""
+    rows spread over the whole block.  A kernel that enumerates ``stack``
+    rows at a time is also run on blocks of stack + 1 and 2 stack - 1 rows
+    (all of them), each of which ends in a partial stack."""
     picked = sorted(set(range(70)) |
                     set(np.linspace(0, len(block) - 1, 50).astype(int)))
     expect = [one_row(block[r].copy()) for r in picked]
-    for rows, span in ((1, 70), (7, 70), (block_rows(block.shape[1]),
-                                          len(block))):
+    spans = [(1, 70), (7, 70), (block_rows(block.shape[1]), len(block))]
+    if stack:
+        spans += [(stack + 1, len(block)), (2 * stack - 1, len(block))]
+    for rows, span in spans:
         got = np.concatenate([functional(block[k:min(k + rows, span)].copy())
                               for k in range(0, span, rows)])
         assert same_bits(got[[r for r in picked if r < span]],
@@ -124,7 +129,7 @@ class TestBlockContract:
         n = layout.coordinate_count
         assert_rows_match_one_row(
             seen[0], lambda x: sk.free_energy(layout, params, x),
-            draws(n, rows_for(n), label=f"sk{N}"))
+            draws(n, rows_for(n), label=f"sk{N}"), sk._stack_size(N))
 
     @pytest.mark.parametrize("N", [2, 7, 12, 14, 15])
     def test_sk_ground_state(self, monkeypatch, N):
@@ -136,7 +141,7 @@ class TestBlockContract:
         scale = N**-1.5
         assert_rows_match_one_row(
             seen[0], lambda x: scale * sk.ground_state(layout, x)[0],
-            draws(n, rows_for(n), label=f"gs{N}"))
+            draws(n, rows_for(n), label=f"gs{N}"), sk._stack_size(N))
 
     def test_ground_state_block_maximizers(self):
         N = 9

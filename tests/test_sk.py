@@ -9,7 +9,7 @@ import pytest
 
 from lindeberg_lab import sk
 from lindeberg_lab.cli import build_config, run
-from lindeberg_lab.core import estimate_lambda, fd_partial
+from lindeberg_lab.core import block_rows, estimate_lambda, fd_partial
 from lindeberg_lab.core import test_function as named_g
 from lindeberg_lab.distributions import GAUSSIAN, RADEMACHER, \
     truncated_second_moment, truncated_third_moment
@@ -77,6 +77,16 @@ class TestLayout:
         assert np.all(np.diag(X) == 0.0)
         for c, (i, j) in enumerate(layout.pairs()):
             assert X[i, j] == X[j, i] == x[c]
+
+    def test_coupling_matrix_stack_matches_its_rows(self):
+        layout = CouplingLayout(6)
+        block = np.array(coupling_draws("stack-matrix", 6, 4))
+        X = layout.coupling_matrix(block)
+        assert X.shape == (4, 6, 6)
+        for x, one in zip(block, X):
+            assert np.array_equal(layout.coupling_matrix(x), one)
+            assert np.array_equal(one, one.T)
+            assert np.array_equal(one[np.triu_indices(6, 1)], x)
 
     def test_too_few_spins(self):
         with pytest.raises(ValueError):
@@ -456,6 +466,45 @@ class TestGroundState:
         env = sum(x[c] * (-sigma[i]) * (-sigma[j])
                   for c, (i, j) in enumerate(layout.pairs()))
         assert env == pytest.approx(value, rel=1e-12)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("N", range(2, sk.ENUMERATION_LIMIT + 1))
+    def test_stack_fits_its_budget(self, N):
+        # a stack holds the L and W operands and one energy block of each
+        # of its vectors; only a stack of one may exceed the budget
+        size = sk._stack_size(N)
+        assert size >= 1
+        layout = CouplingLayout(N)
+        stack = np.zeros((size, layout.coordinate_count))
+        hi, lo = (N + 1) // 2, N // 2
+        _, energies = next(sk._energy_blocks(layout, stack, 1.0, 0.0, 0,
+                                             1 << hi))
+        assert energies.shape[0] == size
+        operands = (hi + 2) * ((1 << hi) + (1 << lo))
+        if size > 1:
+            assert size * (operands + energies[0].size) <= sk._STACK_ELEMENTS
+
+    def test_engine_block_opens_few_stacks(self, monkeypatch):
+        # the engine hands the N = 14 kernel 360-row blocks; stacks of
+        # three would open 120
+        opened = []
+        blocks = sk._energy_blocks
+
+        def recorder(layout, x, *args):
+            opened.append(len(x))
+            return blocks(layout, x, *args)
+
+        monkeypatch.setattr(sk, "_energy_blocks", recorder)
+        layout = CouplingLayout(14)
+        rows = block_rows(layout.coordinate_count)
+        assert rows == 360
+        block = np.array(coupling_draws("stacks", 14, rows))
+        free_energy(layout, SKParams(beta=1.0, h=0.3), block)
+        assert sum(opened) == rows and len(opened) <= 45
+        opened.clear()
+        ground_state(layout, block)
+        assert sum(opened) == rows and len(opened) <= 45
 
 
 class TestGroundStateBound:
