@@ -11,8 +11,11 @@ flags override file values, file values override suite defaults.
 
 Output files (``--out``, ``--format csv|json``) contain only deterministic
 content: identical configs reproduce them byte for byte.  Floats are printed
-with 17 significant digits; every row carries the master seed and replicate
-count so it can be reproduced standalone.
+with 17 significant digits (JSON writes inf and nan as the strings "inf",
+"-inf" and "nan").  A Monte Carlo row is built in one place,
+``_report_table``: the suite's labels (its keys, ``g`` included), its gap
+report's columns and the report's diagnostics.  Every row carries its
+labels, master seed and replicate count, so it can be reproduced standalone.
 
 Each suite declares its keys and their defaults once, in ``_SUITE_DEFAULTS``:
 the parser has one ``--key`` flag per declared key, and flag and file values
@@ -40,7 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import clt_bound, clt_experiment, estimate_lambda, test_function
+from .core import GapReport, clt_bound, clt_experiment, estimate_lambda, \
+    test_function
 from .distributions import parse_spec, third_abs_moment, \
     truncated_third_moment
 from .rng import RandomStream
@@ -90,6 +94,11 @@ _SUITE_DEFAULTS = {
 }
 
 SUITES = tuple(_SUITE_DEFAULTS)
+
+# keys that control how a run is done or written, not what it measures: a
+# Monte Carlo row's labels are its suite's other keys (the GapReport columns
+# carry replicates and seed)
+_RUN_KEYS = {"out", "format", "replicates", "seed", "threads"}
 
 # keys for which inf or nan reaches the arithmetic (epsilon has its own
 # range check, and inf there is a well-defined limit; SKParams checks beta
@@ -260,7 +269,7 @@ def render_json(suite: str, columns, rows) -> str:
         "rows": [dict(zip(columns, [_json_cell(v) for v in row]))
                  for row in rows],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _json_cell(v):
@@ -268,8 +277,9 @@ def _json_cell(v):
         return bool(v)
     if isinstance(v, (np.integer,)):
         return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
+    if isinstance(v, (float, np.floating)):
+        # JSON has no inf or nan: write the CSV's text for them
+        return float(v) if math.isfinite(v) else _fmt_cell(v)
     return v
 
 
@@ -277,13 +287,35 @@ def _json_cell(v):
 # suites
 # ---------------------------------------------------------------------------
 
-def _report_table(report):
-    """One report as a runner result: (columns, rows, ok, reports)."""
-    return report.CSV_COLUMNS, [report.csv_row()], report.passed, [report]
+def _report_table(config, report):
+    """One suite report as a runner result: (columns, rows, ok, reports).
+
+    Each gap report gives one row: the suite's labels (its declared keys
+    less ``_RUN_KEYS``), then ``GapReport.CSV_COLUMNS``, then the report's
+    diagnostics (its other fields; a complex one as ``_re``, ``_im``).
+    """
+    labels = [key for key in _SUITE_DEFAULTS[config.suite]
+              if key not in _RUN_KEYS]
+    fields = ({"report": report} if isinstance(report, GapReport)
+              else vars(report))
+    gaps, names, cells = [], [], []
+    for name, value in fields.items():
+        if isinstance(value, GapReport):
+            gaps.append(value)
+        elif isinstance(value, complex):
+            names += [name + "_re", name + "_im"]
+            cells += [value.real, value.imag]
+        else:
+            names.append(name)
+            cells.append(value)
+    head = [config.values[key] for key in labels]
+    rows = [(*head, *gap.csv_row(), *cells) for gap in gaps]
+    return ((*labels, *GapReport.CSV_COLUMNS, *names), rows, report.passed,
+            [report])
 
 
 def _run_clt(config):
-    return _report_table(clt_experiment(
+    return _report_table(config, clt_experiment(
         parse_spec(config.dist_x), parse_spec(config.dist_y), config.size,
         test_function(config.g), config.replicates, config.seed,
         threads=config.threads,
@@ -291,7 +323,7 @@ def _run_clt(config):
 
 
 def _run_wigner(config):
-    return _report_table(semicircle_experiment(
+    return _report_table(config, semicircle_experiment(
         parse_spec(config.dist_x), parse_spec(config.dist_y), config.size,
         complex(config.z_re, config.z_im), test_function(config.g),
         config.replicates, config.seed, epsilon=config.epsilon,
@@ -300,7 +332,7 @@ def _run_wigner(config):
 
 
 def _run_sk(config, kind: str, params: SKParams):
-    return _report_table(sk_experiment(
+    return _report_table(config, sk_experiment(
         kind, parse_spec(config.dist_x), parse_spec(config.dist_y),
         params, config.size,
         config.replicates, test_function(config.g), config.seed,
@@ -309,7 +341,7 @@ def _run_sk(config, kind: str, params: SKParams):
 
 
 def _run_erdos_kac(config):
-    return _report_table(erdos_kac_experiment(
+    return _report_table(config, erdos_kac_experiment(
         parse_spec(config.dist_x), parse_spec(config.dist_y), config.size,
         test_function(config.g), config.replicates, config.seed,
         threads=config.threads,

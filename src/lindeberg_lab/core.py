@@ -50,6 +50,7 @@ __all__ = [
     "TestFunction",
     "LambdaEstimate",
     "GapReport",
+    "SuiteReport",
     "mean_function",
     "monomial",
     "test_function",
@@ -82,6 +83,17 @@ def triangle_indices(N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
+
+
+@functools.lru_cache(maxsize=None)
+def triangle_offsets(N: int, k: int, order: str) -> np.ndarray:
+    """Flat offsets of the ``triangle_indices(N, k)`` entries of an N x N
+    array laid out in ``order``: i N + j in "C" order, j N + i in "F" order.
+    One scatter through them fills the triangle.  Cached read-only."""
+    rows, cols = triangle_indices(N, k)
+    offsets = rows * N + cols if order == "C" else cols * N + rows
+    offsets.setflags(write=False)
+    return offsets
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +504,17 @@ class GapReport:
     def csv_row(self) -> tuple:
         return (self.experiment_id, self.n, self.replicates, self.mc_gap,
                 self.std_error, self.theoretical_bound, self.passed, self.seed)
+
+
+class SuiteReport:
+    """Base of a suite's report dataclass: its ``GapReport`` fields, declared
+    in the order their rows are written, and its diagnostics, every other
+    field.  It passes when every one of its gap reports passes."""
+
+    @property
+    def passed(self) -> bool:
+        return all(v.passed for v in vars(self).values()
+                   if isinstance(v, GapReport))
 
 
 def _as_spec_list(spec, n: int) -> list[DistributionSpec]:

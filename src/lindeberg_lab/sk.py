@@ -63,12 +63,14 @@ import numpy as np
 from .core import (
     GapReport,
     SmoothFunction,
+    SuiteReport,
     TestFunction,
     c_constants,
     paired_functional_values,
     summarize_gap,
     third_moment_bound,
     triangle_indices,
+    triangle_offsets,
 )
 from .distributions import DistributionSpec, third_abs_moment
 from .smoothmax import (
@@ -140,20 +142,9 @@ class CouplingLayout:
             raise ValueError("coupling vector has wrong length")
         N = self.size
         X = np.zeros(x.shape[:-1] + (N * N,))
-        X[..., _upper_offsets(N)] = x
+        X[..., triangle_offsets(N, 1, "C")] = x
         X = X.reshape(x.shape[:-1] + (N, N))
         return X + np.swapaxes(X, -1, -2)
-
-
-@functools.lru_cache(maxsize=None)
-def _upper_offsets(N: int) -> np.ndarray:
-    """Flat offsets i N + j of the pairs i < j of an N x N matrix, in
-    ``triangle_indices(N, 1)`` order: one scatter fills the upper triangle.
-    Cached read-only."""
-    rows, cols = triangle_indices(N, 1)
-    offsets = rows * N + cols
-    offsets.setflags(write=False)
-    return offsets
 
 
 @dataclass(frozen=True)
@@ -556,28 +547,10 @@ def ground_state_bound_terms(g: TestFunction, N: int, A: float,
 
 
 @dataclass(frozen=True)
-class SKReport:
-    """Spin-glass universality gap report for CSV/JSON emission."""
+class SKReport(SuiteReport):
+    """Spin-glass universality gap report."""
 
-    kind: SKKind
-    N: int
-    params: SKParams
-    dist_x: str
-    dist_y: str
     report: GapReport
-
-    @property
-    def passed(self) -> bool:
-        return self.report.passed
-
-    CSV_COLUMNS = ("kind", "N", "beta", "h", "distX", "distY", "replicates",
-                   "gap", "std_error", "bound", "passed", "seed")
-
-    def csv_row(self) -> tuple:
-        r = self.report
-        return (self.kind.value, self.N, self.params.beta, self.params.h,
-                self.dist_x, self.dist_y, r.replicates, r.mc_gap,
-                r.std_error, r.theoretical_bound, r.passed, r.seed)
 
 
 def sk_bound(kind: SKKind | str, spec_x: DistributionSpec,
@@ -634,5 +607,4 @@ def sk_experiment(kind: SKKind | str, spec_x: DistributionSpec,
     )
     report = summarize_gap(g, vx, vy, experiment_id=experiment, n=n,
                            theoretical_bound=bound, seed=master_seed)
-    return SKReport(kind=kind, N=N, params=params, dist_x=spec_x.label,
-                    dist_y=spec_y.label, report=report)
+    return SKReport(report=report)

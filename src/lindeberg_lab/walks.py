@@ -26,6 +26,7 @@ from scipy.special import erf
 from .core import (
     GapReport,
     InfiniteGammaError,
+    SuiteReport,
     TestFunction,
     paired_functional_values,
     summarize_gap,
@@ -110,26 +111,11 @@ def ks_to_half_normal(sample) -> float:
 
 
 @dataclass(frozen=True)
-class WalkReport:
+class WalkReport(SuiteReport):
     """Running-max universality gap plus the half-normal KS diagnostic."""
 
-    n: int
-    dist_x: str
-    dist_y: str
     report: GapReport
     ks_distance: float   # KS of the Y-side maxima to the half-normal
-
-    @property
-    def passed(self) -> bool:
-        return self.report.passed
-
-    CSV_COLUMNS = ("n", "distX", "distY", "replicates", "gap", "bound",
-                   "ks_distance", "seed")
-
-    def csv_row(self) -> tuple:
-        r = self.report
-        return (self.n, self.dist_x, self.dist_y, r.replicates, r.mc_gap,
-                r.theoretical_bound, self.ks_distance, r.seed)
 
 
 def erdos_kac_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
@@ -149,5 +135,4 @@ def erdos_kac_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
     )
     report = summarize_gap(g, vx, vy, experiment_id=experiment, n=n,
                            theoretical_bound=bound, seed=master_seed)
-    return WalkReport(n=n, dist_x=spec_x.label, dist_y=spec_y.label,
-                      report=report, ks_distance=ks_to_half_normal(vy))
+    return WalkReport(report=report, ks_distance=ks_to_half_normal(vy))

@@ -47,6 +47,7 @@ from .core import (
     GapReport,
     InfiniteGammaError,
     SmoothFunction,
+    SuiteReport,
     TestFunction,
     c_constants,
     paired_functional_values,
@@ -54,6 +55,7 @@ from .core import (
     summarize_gap,
     swap_bound,
     triangle_indices,
+    triangle_offsets,
 )
 from .distributions import DistributionSpec, truncated_second_moment, \
     truncated_third_moment
@@ -108,7 +110,7 @@ def _upper_triangle(layout: WignerLayout, x: np.ndarray) -> np.ndarray:
     if x.shape != (layout.coordinate_count,):
         raise ValueError("coordinate vector has wrong length")
     A = np.zeros((N, N), order="F")
-    A[triangle_indices(N, 0)] = x / math.sqrt(N)
+    A.ravel(order="K")[triangle_offsets(N, 0, "F")] = x / math.sqrt(N)
     return A
 
 
@@ -286,34 +288,13 @@ def pastur_term(specs, N: int, epsilon: float) -> float:
 
 
 @dataclass(frozen=True)
-class SemicircleReport:
+class SemicircleReport(SuiteReport):
     """Paired-ensemble transform gap at one spectral point, both parts."""
 
-    N: int
-    z: complex
-    dist_x: str
-    dist_y: str
-    epsilon: float
     report_re: GapReport
     report_im: GapReport
     mean_m: complex       # mean transform over the X-side replicates
     m_reference: complex  # semicircle transform at z
-    seed: int
-
-    @property
-    def passed(self) -> bool:
-        return self.report_re.passed and self.report_im.passed
-
-    CSV_COLUMNS = ("N", "z_re", "z_im", "distX", "distY", "replicates",
-                   "gap_re", "gap_im", "bound", "mean_m_re", "mean_m_im",
-                   "m_sc_re", "m_sc_im", "seed")
-
-    def csv_row(self) -> tuple:
-        return (self.N, self.z.real, self.z.imag, self.dist_x, self.dist_y,
-                self.report_re.replicates, self.report_re.mc_gap,
-                self.report_im.mc_gap, self.report_re.theoretical_bound,
-                self.mean_m.real, self.mean_m.imag,
-                self.m_reference.real, self.m_reference.imag, self.seed)
 
 
 def semicircle_bound(spec_x: DistributionSpec, spec_y: DistributionSpec,
@@ -376,8 +357,6 @@ def semicircle_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
         for part, tag in ((np.real, "re"), (np.imag, "im")))
     mean_m = complex(math.fsum(v.real for v in vx) / len(vx),
                      math.fsum(v.imag for v in vx) / len(vx))
-    return SemicircleReport(
-        N=N, z=z, dist_x=spec_x.label, dist_y=spec_y.label, epsilon=epsilon,
-        report_re=report_re, report_im=report_im, mean_m=mean_m,
-        m_reference=semicircle_stieltjes(z), seed=master_seed,
-    )
+    return SemicircleReport(report_re=report_re, report_im=report_im,
+                            mean_m=mean_m,
+                            m_reference=semicircle_stieltjes(z))

@@ -17,6 +17,7 @@ from lindeberg_lab.distributions import parse_spec, third_abs_moment
 from lindeberg_lab.sk import SKParams, family_lambda, free_energy_lambda
 from lindeberg_lab.smoothmax import k_constant
 from lindeberg_lab.walks import erdos_kac_bound
+from lindeberg_lab.wigner import SemicircleReport
 
 
 def digest(path):
@@ -204,8 +205,9 @@ class TestOutputs:
     def test_csv_header_and_17_digit_floats(self, tmp_path):
         manifest, out = small_clt(tmp_path, "r.csv")
         lines = out.read_text().splitlines()
-        assert lines[0] == ",".join(GapReport.CSV_COLUMNS)
-        gap_field = lines[1].split(",")[3]
+        assert lines[0] == ",".join(("dist_x", "dist_y", "g", "size",
+                                     *GapReport.CSV_COLUMNS))
+        gap_field = lines[1].split(",")[manifest.columns.index("mc_gap")]
         assert float(gap_field) == manifest.reports[0].mc_gap
         # 17 significant digits survive a round trip
         assert f"{float(gap_field):.17g}" == gap_field
@@ -219,29 +221,42 @@ class TestOutputs:
         assert row["seed"] == 11
 
     def test_suite_csv_schemas(self, tmp_path):
-        cases = {
-            "wigner": ({"size": 8, "replicates": 100, "seed": 3},
-                       "N,z_re,z_im,distX,distY,replicates,gap_re,gap_im,"
-                       "bound,mean_m_re,mean_m_im,m_sc_re,m_sc_im,seed"),
-            "sk_free_energy": ({"size": 5, "replicates": 100, "seed": 3},
-                               "kind,N,beta,h,distX,distY,replicates,gap,"
-                               "std_error,bound,passed,seed"),
-            "sk_ground_state": ({"size": 5, "replicates": 100, "seed": 3},
-                                "kind,N,beta,h,distX,distY,replicates,gap,"
-                                "std_error,bound,passed,seed"),
-            "erdos_kac": ({"size": 32, "replicates": 100, "seed": 3},
-                          "n,distX,distY,replicates,gap,bound,ks_distance,"
-                          "seed"),
-            "lambda_audit": ({"size": 5, "seed": 3},
-                             "family,size,r,analytic,empirical,ok,seed"),
-            "bound_table": ({"sizes": "8"},
-                            "setup,size,bound,lambda2,lambda3"),
+        # a Monte Carlo row: the suite's keys less the run keys, then the
+        # gap columns, then the report's diagnostics
+        run_keys = {"out", "format", "replicates", "seed", "threads"}
+        diagnostics = {
+            "clt": (),
+            "wigner": ("mean_m_re", "mean_m_im", "m_reference_re",
+                       "m_reference_im"),
+            "sk_free_energy": (),
+            "sk_ground_state": (),
+            "erdos_kac": ("ks_distance",),
         }
-        for suite, (over, header) in cases.items():
+        cases = {
+            "clt": {"size": 8, "replicates": 100, "seed": 3},
+            "wigner": {"size": 8, "replicates": 100, "seed": 3},
+            "sk_free_energy": {"size": 5, "replicates": 100, "seed": 3},
+            "sk_ground_state": {"size": 5, "replicates": 100, "seed": 3},
+            "erdos_kac": {"size": 32, "replicates": 100, "seed": 3},
+        }
+        headers = {
+            suite: ",".join((*(key for key in cli._SUITE_DEFAULTS[suite]
+                               if key not in run_keys),
+                             *GapReport.CSV_COLUMNS, *diagnostics[suite]))
+            for suite in cases}
+        cases.update({"lambda_audit": {"size": 5, "seed": 3},
+                      "bound_table": {"sizes": "8"}})
+        headers.update({
+            "lambda_audit": "family,size,r,analytic,empirical,ok,seed",
+            "bound_table": "setup,size,bound,lambda2,lambda3"})
+        assert headers["sk_free_energy"] == (
+            "dist_x,dist_y,g,size,beta,h,experiment_id,n,replicates,mc_gap,"
+            "std_error,bound,passed,seed")
+        for suite, over in cases.items():
             out = tmp_path / f"{suite}.csv"
             over["out"] = str(out)
             manifest = run(build_config(suite, None, over))
-            assert out.read_text().splitlines()[0] == header, suite
+            assert out.read_text().splitlines()[0] == headers[suite], suite
             assert manifest.ok, suite
 
     def test_lambda_audit_clamps_every_family(self):
@@ -420,7 +435,6 @@ class TestRunnerContract:
                                     {**over, "replicates": 100, "seed": 6}))
         [report] = manifest.reports
         assert manifest.ok is report.passed
-        assert manifest.rows == [report.csv_row()]
         gaps = self._gap_reports(manifest.reports)
         if suite == "wigner":
             assert gaps == [report.report_re, report.report_im]
@@ -428,6 +442,45 @@ class TestRunnerContract:
         else:
             assert gaps == [getattr(report, "report", report)]
         assert all(isinstance(r, GapReport) for r in gaps)
+        # one row per gap report, each with its own gap columns
+        first = manifest.columns.index("experiment_id")
+        width = len(GapReport.CSV_COLUMNS)
+        assert [row[first:first + width] for row in manifest.rows] == [
+            r.csv_row() for r in gaps]
+        assert manifest.columns[first:first + width] == GapReport.CSV_COLUMNS
+        labels = {row[:first] for row in manifest.rows}
+        assert len(labels) == 1
+
+    @pytest.mark.parametrize("suite, over", [
+        ("clt", {"size": 16, "dist_x": "uniform", "g": "tanh"}),
+        ("wigner", {"size": 6, "z_re": 0.3, "z_im": 1.5, "epsilon": 0.4,
+                    "dist_y": "pareto:4"}),
+        ("sk_free_energy", {"size": 5, "beta": 0.7, "h": 0.3}),
+        ("sk_ground_state", {"size": 5, "dist_x": "cexp"}),
+        ("erdos_kac", {"size": 16, "g": "clipped_square"}),
+    ])
+    def test_a_row_reruns_standalone(self, tmp_path, suite, over):
+        # a row's label cells plus its seed and replicates are the whole
+        # config: the rerun writes the same bytes
+        first = tmp_path / "first.csv"
+        run(build_config(suite, None, {**over, "replicates": 100, "seed": 8,
+                                       "threads": 2, "out": str(first)}))
+        header, row = first.read_text().splitlines()[:2]
+        cells = dict(zip(header.split(","), row.split(",")))
+        again = tmp_path / "again.csv"
+        keys = set(cli._SUITE_DEFAULTS[suite]) - {"threads"}
+        run(build_config(suite, None, {**{key: cells[key] for key in keys},
+                                       "out": str(again)}))
+        assert again.read_bytes() == first.read_bytes()
+
+    def test_a_report_passes_when_every_gap_report_passes(self):
+        ok, failing = (GapReport(experiment_id="stub", n=1, replicates=100,
+                                 mc_gap=gap, std_error=0.0,
+                                 theoretical_bound=0.1, seed=0)
+                       for gap in (0.0, 1.0))
+        assert SemicircleReport(ok, ok, 0j, 0j).passed is True
+        assert SemicircleReport(ok, failing, 0j, 0j).passed is False
+        assert SemicircleReport(failing, ok, 0j, 0j).passed is False
 
     @pytest.mark.parametrize("suite, over", [
         ("lambda_audit", {"size": 5}),
@@ -561,6 +614,21 @@ class TestMainExitCodes:
         header, row = out.read_text().splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
         assert (cells["bound"], cells["passed"]) == ("inf", "false")
+
+    def test_json_is_standard_when_a_bound_is_not_finite(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "r.json"
+        code = main(["sk_free_energy", "--beta", "5e102", "--size", "4",
+                     "--replicates", "100", "--format", "json",
+                     "--out", str(out)])
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        [row] = json.loads(out.read_text(), parse_constant=reject)["rows"]
+        assert (row["bound"], row["passed"]) == ("inf", False)
+        assert row["beta"] == 5e102
 
     def test_config_file_flag(self, tmp_path, capsys):
         conf = tmp_path / "exp.conf"

@@ -33,6 +33,7 @@ from lindeberg_lab.core import test_function as named_g
 from lindeberg_lab.distributions import (
     GAUSSIAN,
     RADEMACHER,
+    UNIFORM,
     pareto,
     sample,
     sample_vector,
@@ -40,7 +41,7 @@ from lindeberg_lab.distributions import (
     truncated_third_moment,
 )
 from lindeberg_lab.rng import RandomStream
-from lindeberg_lab import sk, smoothmax, wigner
+from lindeberg_lab import core, sk, smoothmax, wigner
 from lindeberg_lab.walks import walk_family
 
 SIN = named_g("sin")
@@ -374,6 +375,16 @@ class TestTelescoping:
                                       np.zeros(4))
 
 
+class TestTriangleOffsets:
+    # the fills that use them are pinned by tests/test_wigner.py (order "F")
+    # and the coupling-matrix tests of tests/test_sk.py (order "C")
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_cached_read_only(self, order):
+        offsets = core.triangle_offsets(5, 1, order)
+        assert core.triangle_offsets(5, 1, order) is offsets
+        assert not offsets.flags.writeable
+
+
 class TestMcGap:
     def test_identical_laws_within_noise(self):
         report = mc_gap(mean_function(32), SIN, GAUSSIAN, GAUSSIAN,
@@ -496,6 +507,25 @@ class TestCltExperiment:
         expect = (5.0 / 6.0) * (1.0 + 2.0 * math.sqrt(2.0 / math.pi)) / 20.0
         assert report.theoretical_bound == pytest.approx(expect, rel=1e-13)
         assert report.passed
+
+    # g = cos is even, so the exact gap is not 0 by symmetry:
+    # E cos(S_4 / 2) is cos(1/2)^4 for rademacher steps and
+    # (sin(t) / t)^4, t = sqrt(3) / 2, for uniform ones; E cos Z = e^(-1/2)
+    @pytest.mark.parametrize("law, exact", [
+        (RADEMACHER, math.cos(0.5) ** 4 - math.exp(-0.5)),
+        (UNIFORM, (math.sin(math.sqrt(0.75)) / math.sqrt(0.75)) ** 4
+         - math.exp(-0.5)),
+    ], ids=["rademacher", "uniform"])
+    def test_gap_matches_an_exact_oracle(self, law, exact):
+        # two-sided: a wrong stream, transform or reduction moves the
+        # estimate off the exact gap, which no dominance check can see
+        cos = core.TestFunction(name="cos", value=math.cos,
+                                d1=lambda t: -math.sin(t),
+                                d2=lambda t: -math.cos(t), d3=math.sin,
+                                norm1=1.0, norm2=1.0, norm3=1.0)
+        report = clt_experiment(law, GAUSSIAN, 4, cos, replicates=200_000,
+                                master_seed=41)
+        assert abs(report.mc_gap - abs(exact)) <= 3.0 * report.std_error
 
     def test_k_sweep_interior_minimum_for_gaussian(self):
         # tail channel decays, body channel grows: the swap bound over a K

@@ -21,13 +21,13 @@ from lindeberg_lab.cli import main
 
 GOLDEN = [
     (["clt", "--size", "64", "--replicates", "500", "--seed", "5"],
-     "6d063eab759be21f30c986e17f754742470e3af175ba47ea6aca1b1d1d421cc6"),
+     "43e076b775f72ec8a62404c2c05eeb872ac9d977fe6222d82d34e90ae0bff8c2"),
     (["clt", "--g", "clipped_square", "--dist-x", "cexp", "--size", "32",
       "--replicates", "200", "--format", "json"],
-     "d352f31a6947821be230d1aad2dc4e64508d7a29c839e6be908039264344ccdd"),
+     "baf64effcda4c006156eda50adadadf059eb9f5d5ba621ccde8a639ef9b08d23"),
     (["erdos_kac", "--size", "300", "--dist-x", "pareto:4",
       "--replicates", "400", "--threads", "2"],
-     "cb8fc67724b2d0645417e08c943788aafa4e73b816951fcdfe6b2621b149fc6c"),
+     "5d905c92ab4df38bc6864d57be094988973027d2226a9199be4be56e651c4e46"),
     (["bound_table", "--sizes", "8,12,16"],
      "2c8ce1da3c5a5c881b5546c551b97335a9b854d8232e3b34b732ca236f119f51"),
     (["bound_table", "--sizes", "8,24", "--format", "json"],

@@ -589,9 +589,7 @@ class TestSkExperiment:
         report = sk_experiment("ground_state", GAUSSIAN, RADEMACHER,
                                SKParams(beta=1.0, h=0.0), 8, 150, TANH, 74)
         assert report.passed
-        row = report.csv_row()
-        assert len(row) == len(report.CSV_COLUMNS)
-        assert row[0] == "ground_state"
+        assert report.report.experiment_id.startswith("sk-ground_state/")
 
     def test_csv_byte_identical_across_threads(self, tmp_path):
         for suite in ("sk_free_energy", "sk_ground_state"):

@@ -181,13 +181,6 @@ class TestExperiment:
             erdos_kac_bound(SIN, third_abs_moment(GAUSSIAN), 64), rel=1e-13)
         assert 0.0 < report.ks_distance < 0.25
 
-    def test_csv_row_shape(self):
-        report = erdos_kac_experiment(RADEMACHER, GAUSSIAN, 32, SIN,
-                                      replicates=150, master_seed=2)
-        row = report.csv_row()
-        assert len(row) == len(report.CSV_COLUMNS)
-        assert row[0] == 32
-
     def test_deterministic(self):
         a = erdos_kac_experiment(RADEMACHER, GAUSSIAN, 32, SIN,
                                  replicates=150, master_seed=2)
