@@ -24,7 +24,6 @@ from .core import (
     fd_partial,
     mc_gap,
     mean_function,
-    monomial,
     swap_bound,
     telescoping_decomposition,
     test_function,
@@ -64,7 +63,6 @@ from .smoothmax import (
     max_swap_bound,
     optimized_max_bound,
     smoothed_lambda_bounds,
-    softmax_partials,
     softmax_state,
     softmax_value,
     uniform_gap_bound,
@@ -85,5 +83,4 @@ from .wigner import (
     semicircle_experiment,
     semicircle_stieltjes,
     stieltjes,
-    stieltjes_partials,
 )

@@ -64,6 +64,7 @@ from .walks import erdos_kac_bound, erdos_kac_experiment, walk_family
 from .wigner import (
     WignerLayout,
     derivative_bounds,
+    lapack,
     semicircle_bound,
     semicircle_experiment,
     stieltjes_function,
@@ -218,6 +219,9 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
         if "z_im" in values:
             # the bounds fall as N grows, so order 1 covers every size
             derivative_bounds(1, values["z_im"])
+            # a suite at a spectral point calls LAPACK: load it here, at
+            # set-up, and no other suite loads it at all
+            lapack()
         if config.suite in ("sk_free_energy", "sk_ground_state") and \
                 not 2 <= values["size"] <= ENUMERATION_LIMIT:
             raise ValueError(f"exact enumeration needs size in "

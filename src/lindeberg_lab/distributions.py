@@ -36,7 +36,6 @@ __all__ = [
     "DistributionSpec",
     "parse_spec",
     "sample",
-    "sample_vector",
     "truncated_second_moment",
     "truncated_third_moment",
     "third_abs_moment",
@@ -203,13 +202,6 @@ def make_vector_sampler(specs):
         return u
 
     return draw
-
-
-def sample_vector(specs, gen: np.random.Generator) -> np.ndarray:
-    """Draw one value per coordinate spec; coordinate i uses the i-th uniform."""
-    if isinstance(specs, DistributionSpec):
-        raise TypeError("sample_vector expects a sequence of specs")
-    return make_vector_sampler(specs)(gen)
 
 
 def _check_k(K: float) -> float:

@@ -86,11 +86,9 @@ __all__ = [
     "SKParams",
     "GroundStateBoundParams",
     "SKKind",
-    "family_member",
     "sk_family",
     "family_lambda",
     "free_energy",
-    "free_energy_gray",
     "free_energy_function",
     "free_energy_lambda",
     "ground_state",
@@ -309,22 +307,6 @@ def _energy_blocks(layout: CouplingLayout, x: np.ndarray, scale: float,
         yield row, (L[:, row:row + rows] @ W)[:, :row_stop - row]
 
 
-def family_member(layout: CouplingLayout, params: SKParams, sigma,
-                  x) -> float:
-    """f_sigma(x) for one spin configuration."""
-    N = layout.size
-    sigma = np.asarray(sigma)
-    if sigma.shape != (N,) or not np.all(np.abs(sigma) == 1):
-        raise ValueError("sigma must be a vector of +-1 of length N")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (layout.coordinate_count,):
-        raise ValueError("coupling vector has wrong length")
-    li, lj = triangle_indices(N, 1)
-    pair_sum = float(np.dot(x, sigma[li] * sigma[lj]))
-    return (params.beta * N**-1.5 * pair_sum
-            + params.beta * params.h / N * float(np.sum(sigma)))
-
-
 def sk_family(layout: CouplingLayout, params: SKParams) -> FunctionFamily:
     """The 2^N linear members as an array-backed family, in code order.
 
@@ -436,32 +418,6 @@ def _free_energy_stack(layout: CouplingLayout, params: SKParams,
         acc *= 2.0
     return np.array([(top + math.log(total)) / N
                      for top, total in zip(shift.tolist(), acc.tolist())])
-
-
-def free_energy_gray(layout: CouplingLayout, params: SKParams, x) -> float:
-    """Same value by Gray-code single-flip updates; independent check path."""
-    N = layout.size
-    _check_enumerable(N)
-    X = layout.coupling_matrix(np.asarray(x, dtype=float))
-    sigma = -np.ones(N)
-    pair = 0.5 * float(sigma @ X @ sigma)
-    mag = float(sigma.sum())
-    beta, h = params.beta, params.h
-    shift = -math.inf
-    acc = 0.0
-    for k in range(1 << N):
-        if k:
-            flip = (k & -k).bit_length() - 1
-            # remove the old row contribution, add the new one: O(N)
-            pair -= 2.0 * sigma[flip] * float(X[flip] @ sigma)
-            mag -= 2.0 * sigma[flip]
-            sigma[flip] = -sigma[flip]
-        e = beta / math.sqrt(N) * pair + beta * h * mag
-        if e > shift:
-            acc = acc * math.exp(shift - e) if acc else 0.0
-            shift = e
-        acc += math.exp(e - shift)
-    return (shift + math.log(acc)) / N
 
 
 def free_energy_function(layout: CouplingLayout,

@@ -55,7 +55,6 @@ __all__ = [
     "softmax_value",
     "softmax_state",
     "coordinate_chain",
-    "softmax_partials",
     "softmax_function",
     "smoothed_lambda_bounds",
     "uniform_gap_bound",
@@ -188,13 +187,6 @@ def coordinate_chain(family: FunctionFamily, state: SoftMaxState,
 def softmax_value(family: FunctionFamily, alpha: float, x: np.ndarray) -> float:
     """alpha^(-1) log sum exp(alpha f(x)), max-shifted."""
     return softmax_state(family, alpha, x).value
-
-
-def softmax_partials(family: FunctionFamily, alpha: float, x: np.ndarray,
-                     i: int) -> tuple[float, float, float]:
-    """(d_i F, d_i^2 F, d_i^3 F) from the derivative chain at coordinate i."""
-    state = softmax_state(family, alpha, x)
-    return coordinate_chain(family, state, i).partials(state.alpha)
 
 
 def softmax_function(family: FunctionFamily, alpha: float) -> SmoothFunction:

@@ -36,12 +36,11 @@ condition for semicircle convergence.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dsytrd
 
 from .core import (
     GapReport,
@@ -65,7 +64,6 @@ __all__ = [
     "build_matrix",
     "resolvent",
     "stieltjes",
-    "stieltjes_partials",
     "stieltjes_partials_all",
     "stieltjes_function",
     "DerivativeBounds",
@@ -120,6 +118,26 @@ def build_matrix(layout: WignerLayout, x: np.ndarray) -> np.ndarray:
     return A + np.triu(A, 1).T
 
 
+@functools.cache
+def lapack():
+    """``scipy.linalg``, imported on first use: only the spectral suites
+    call LAPACK, so a process that evaluates no Stieltjes transform never
+    pays the import's time and resident memory."""
+    import scipy.linalg
+
+    return scipy.linalg
+
+
+# ``resolvent`` calls LAPACK through these two module globals:
+# perfbench/tracing.py rebinds them as its ``wigner.linalg`` span
+def lu_factor(a: np.ndarray):
+    return lapack().lu_factor(a)
+
+
+def lu_solve(factors, b: np.ndarray) -> np.ndarray:
+    return lapack().lu_solve(factors, b)
+
+
 def _check_z(z: complex) -> complex:
     z = complex(z)
     if z.imag == 0.0:
@@ -149,8 +167,8 @@ def stieltjes(layout: WignerLayout, x: np.ndarray, z: complex) -> complex:
     vanishes.  ``resolvent`` is the dense reference for this value.
     """
     z = _check_z(z)
-    _, d, e, _, info = dsytrd(_upper_triangle(layout, x), lower=0,
-                              overwrite_a=1)
+    _, d, e, _, info = lapack().lapack.dsytrd(_upper_triangle(layout, x),
+                                              lower=0, overwrite_a=1)
     if info != 0:
         raise ValueError(f"tridiagonal reduction failed (info = {info})")
     d = d.tolist()
@@ -188,15 +206,6 @@ def stieltjes_partials_all(layout: WignerLayout, x: np.ndarray,
     half = np.where(i == j, 0.5, 1.0)
     return np.stack([-t1 * half / N, 2.0 * t2 * half**2 / N,
                      -6.0 * t3 * half**3 / N], axis=1)
-
-
-def stieltjes_partials(layout: WignerLayout, x: np.ndarray, z: complex,
-                       coordinate: int) -> tuple[complex, complex, complex]:
-    """First three partials of the transform in one flat coordinate: its row
-    of ``stieltjes_partials_all``."""
-    if not 0 <= coordinate < layout.coordinate_count:
-        raise ValueError("coordinate out of range")
-    return tuple(stieltjes_partials_all(layout, x, z)[coordinate].tolist())
 
 
 def stieltjes_function(layout: WignerLayout, z: complex,

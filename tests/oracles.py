@@ -1,0 +1,99 @@
+"""Reference implementations that only the tests call.
+
+Each one computes, by a direct and slower route, a value the package computes
+another way, so a test can compare the two.
+"""
+
+import math
+
+import numpy as np
+
+from lindeberg_lab.core import FULL_LINE, SmoothFunction, triangle_indices
+from lindeberg_lab.distributions import DistributionSpec, make_vector_sampler
+from lindeberg_lab.sk import CouplingLayout, SKParams
+from lindeberg_lab.smoothmax import FunctionFamily, coordinate_chain, \
+    softmax_state
+from lindeberg_lab.wigner import WignerLayout, stieltjes_partials_all
+
+
+def monomial(n: int, power: int, coordinate: int = 0,
+             domain: tuple[float, float] = FULL_LINE) -> SmoothFunction:
+    """f(x) = x_c ** power, handy for hand-checkable influence values."""
+
+    def value(x):
+        return float(x[coordinate]) ** power
+
+    def partial(i, p, x):
+        if i != coordinate or p > power:
+            return 0.0
+        coef = 1.0
+        for k in range(p):
+            coef *= power - k
+        return coef * float(x[coordinate]) ** (power - p)
+
+    return SmoothFunction(n=n, value=value, partial=partial, domain=domain,
+                          name=f"x{coordinate}^{power}")
+
+
+def sample_vector(specs, gen: np.random.Generator) -> np.ndarray:
+    """Draw one value per coordinate spec; coordinate i uses the i-th uniform."""
+    if isinstance(specs, DistributionSpec):
+        raise TypeError("sample_vector expects a sequence of specs")
+    return make_vector_sampler(specs)(gen)
+
+
+def family_member(layout: CouplingLayout, params: SKParams, sigma,
+                  x) -> float:
+    """f_sigma(x) for one spin configuration."""
+    N = layout.size
+    sigma = np.asarray(sigma)
+    if sigma.shape != (N,) or not np.all(np.abs(sigma) == 1):
+        raise ValueError("sigma must be a vector of +-1 of length N")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (layout.coordinate_count,):
+        raise ValueError("coupling vector has wrong length")
+    li, lj = triangle_indices(N, 1)
+    pair_sum = float(np.dot(x, sigma[li] * sigma[lj]))
+    return (params.beta * N**-1.5 * pair_sum
+            + params.beta * params.h / N * float(np.sum(sigma)))
+
+
+def free_energy_gray(layout: CouplingLayout, params: SKParams, x) -> float:
+    """The SK free energy by Gray-code single-flip updates, O(N) per flip."""
+    N = layout.size
+    X = layout.coupling_matrix(np.asarray(x, dtype=float))
+    sigma = -np.ones(N)
+    pair = 0.5 * float(sigma @ X @ sigma)
+    mag = float(sigma.sum())
+    beta, h = params.beta, params.h
+    shift = -math.inf
+    acc = 0.0
+    for k in range(1 << N):
+        if k:
+            flip = (k & -k).bit_length() - 1
+            # remove the old row contribution, add the new one: O(N)
+            pair -= 2.0 * sigma[flip] * float(X[flip] @ sigma)
+            mag -= 2.0 * sigma[flip]
+            sigma[flip] = -sigma[flip]
+        e = beta / math.sqrt(N) * pair + beta * h * mag
+        if e > shift:
+            acc = acc * math.exp(shift - e) if acc else 0.0
+            shift = e
+        acc += math.exp(e - shift)
+    return (shift + math.log(acc)) / N
+
+
+def stieltjes_partials(layout: WignerLayout, x: np.ndarray, z: complex,
+                       coordinate: int) -> tuple[complex, complex, complex]:
+    """First three partials of the transform in one flat coordinate: its row
+    of ``stieltjes_partials_all``."""
+    if not 0 <= coordinate < layout.coordinate_count:
+        raise ValueError("coordinate out of range")
+    return tuple(stieltjes_partials_all(layout, x, z)[coordinate].tolist())
+
+
+def softmax_partials(family: FunctionFamily, alpha: float, x: np.ndarray,
+                     i: int) -> tuple[float, float, float]:
+    """(d_i F, d_i^2 F, d_i^3 F) from the derivative chain at coordinate i."""
+    state = softmax_state(family, alpha, x)
+    return coordinate_chain(family, state, i).partials(state.alpha)

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -18,6 +21,9 @@ from lindeberg_lab.sk import SKParams, family_lambda, free_energy_lambda
 from lindeberg_lab.smoothmax import k_constant
 from lindeberg_lab.walks import erdos_kac_bound
 from lindeberg_lab.wigner import SemicircleReport
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def digest(path):
@@ -475,7 +481,7 @@ class TestRunnerContract:
 
     def test_a_report_passes_when_every_gap_report_passes(self):
         ok, failing = (GapReport(experiment_id="stub", n=1, replicates=100,
-                                 mc_gap=gap, std_error=0.0,
+                                 mean_gap=gap, std_error=0.0,
                                  theoretical_bound=0.1, seed=0)
                        for gap in (0.0, 1.0))
         assert SemicircleReport(ok, ok, 0j, 0j).passed is True
@@ -593,7 +599,7 @@ class TestMainExitCodes:
         # no matched-moment configuration can legitimately fail its bound,
         # so fail the wiring with a stubbed report
         failing = GapReport(experiment_id="stub", n=1, replicates=100,
-                            mc_gap=1.0, std_error=0.0,
+                            mean_gap=1.0, std_error=0.0,
                             theoretical_bound=0.1, seed=0)
         monkeypatch.setitem(
             cli._RUNNERS, "clt",
@@ -635,3 +641,58 @@ class TestMainExitCodes:
         conf.write_text("[clt]\nsize = 24\nreplicates = 150\n")
         assert main(["clt", "--config", str(conf)]) == 0
         assert " 24 " in capsys.readouterr().out
+
+
+class TestLapackLoading:
+    """Only a suite at a spectral point loads scipy.linalg, at set-up.
+
+    Each case runs the CLI in a fresh interpreter with ``cli.run`` wrapped,
+    as the benchmark wraps it, to see which modules are loaded when the
+    suite starts and when it returns.
+    """
+
+    PROBE = (
+        "import json, sys\n"
+        "import lindeberg_lab\n"
+        "from lindeberg_lab import cli\n"
+        "seen = {'imported': 'scipy.linalg' in sys.modules}\n"
+        "run = cli.run\n"
+        "def probed(config):\n"
+        "    seen['entered'] = 'scipy.linalg' in sys.modules\n"
+        "    manifest = run(config)\n"
+        "    seen['returned'] = 'scipy.linalg' in sys.modules\n"
+        "    return manifest\n"
+        "cli.run = probed\n"
+        "seen['status'] = cli.main(sys.argv[1:])\n"
+        "print(json.dumps(seen))\n"
+    )
+
+    def probe(self, args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", self.PROBE, *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        return json.loads(done.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("args", [
+        ["clt", "--size", "8"],
+        ["erdos_kac", "--size", "8"],
+        ["sk_free_energy", "--size", "4"],
+        ["sk_ground_state", "--size", "4"],
+    ], ids=lambda args: args[0])
+    def test_suites_off_the_spectrum_never_load_lapack(self, args):
+        seen = self.probe([*args, "--replicates", "100"])
+        assert seen == {"imported": False, "entered": False,
+                        "returned": False, "status": 0}
+
+    @pytest.mark.parametrize("args", [
+        ["wigner", "--size", "4", "--replicates", "100"],
+        ["lambda_audit", "--size", "2"],
+    ], ids=lambda args: args[0])
+    def test_a_spectral_suite_loads_lapack_before_it_runs(self, args):
+        seen = self.probe(args)
+        assert seen == {"imported": False, "entered": True,
+                        "returned": True, "status": 0}

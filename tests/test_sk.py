@@ -19,9 +19,7 @@ from lindeberg_lab.sk import (
     SKKind,
     SKParams,
     family_lambda,
-    family_member,
     free_energy,
-    free_energy_gray,
     free_energy_lambda,
     ground_state,
     ground_state_bound,
@@ -35,6 +33,7 @@ from lindeberg_lab.smoothmax import (
     optimized_max_bound,
     softmax_value,
 )
+from oracles import family_member, free_energy_gray
 
 TANH = named_g("tanh")
 

@@ -18,11 +18,11 @@ from lindeberg_lab.smoothmax import (
     optimized_max_bound,
     smoothed_lambda_bounds,
     softmax_function,
-    softmax_partials,
     softmax_state,
     softmax_value,
     uniform_gap_bound,
 )
+from oracles import softmax_partials
 
 SIN = named_g("sin")
 

@@ -26,9 +26,9 @@ from lindeberg_lab.wigner import (
     semicircle_stieltjes,
     stieltjes,
     stieltjes_function,
-    stieltjes_partials,
     stieltjes_partials_all,
 )
+from oracles import stieltjes_partials
 
 IDENTITY = named_g("identity")
 
