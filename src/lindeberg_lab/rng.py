@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily: load it at import
 
 __all__ = ["experiment_code", "RandomStream"]
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .core import (
     GapReport,
@@ -95,7 +94,10 @@ def erdos_kac_bound(g: TestFunction, gamma: float, n: int) -> float:
 def half_normal_reference(t):
     """CDF of |Z| for standard normal Z: erf(t / sqrt 2) for t >= 0, else 0."""
     t = np.asarray(t, dtype=float)
-    out = np.where(t >= 0.0, erf(np.maximum(t, 0.0) / math.sqrt(2.0)), 0.0)
+    z = np.maximum(t, 0.0) / math.sqrt(2.0)
+    cdf = np.fromiter(map(math.erf, z.ravel().tolist()), dtype=float,
+                      count=z.size).reshape(z.shape)
+    out = np.where(t >= 0.0, cdf, 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from lindeberg_lab import distributions as dist
 from lindeberg_lab.core import FULL_LINE, SmoothFunction, triangle_indices
 from lindeberg_lab.distributions import DistributionSpec, make_vector_sampler
 from lindeberg_lab.sk import CouplingLayout, SKParams
@@ -40,6 +41,32 @@ def sample_vector(specs, gen: np.random.Generator) -> np.ndarray:
     if isinstance(specs, DistributionSpec):
         raise TypeError("sample_vector expects a sequence of specs")
     return make_vector_sampler(specs)(gen)
+
+
+def _horner(coefs, r):
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * r + c
+    return acc
+
+
+def normal_quantile(p) -> np.ndarray:
+    """Wichura's AS 241 written with ``np.where`` over its branches, never in
+    place: the central rational function where |p - 1/2| <= 0.425, else the
+    tail in s = sqrt(-log min(p, 1 - p)), with one polynomial pair up to
+    s = 5 and another beyond."""
+    p = np.asarray(p, dtype=float)
+    q = p - 0.5
+    r = 0.180625 - q * q
+    central = q * _horner(dist._CENTRAL_NUM, r) / _horner(dist._CENTRAL_DEN, r)
+    s = np.sqrt(-np.log(np.where(q <= 0.0, p, 1.0 - p)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        near = (_horner(dist._TAIL_NUM, s - 1.6)
+                / _horner(dist._TAIL_DEN, s - 1.6))
+        far = _horner(dist._FAR_NUM, s - 5.0) / _horner(dist._FAR_DEN, s - 5.0)
+    tail = np.where(s <= 5.0, near, far)
+    tail = np.where(q < 0.0, -tail, tail)
+    return np.where(np.abs(q) <= 0.425, central, tail)
 
 
 def family_member(layout: CouplingLayout, params: SKParams, sigma,

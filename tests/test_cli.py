@@ -1,5 +1,6 @@
 """Config resolution, output schemas, determinism, and exit-code contract."""
 
+import functools
 import hashlib
 import json
 import os
@@ -643,56 +644,83 @@ class TestMainExitCodes:
         assert " 24 " in capsys.readouterr().out
 
 
+# Runs the CLI in a fresh interpreter with ``cli.run`` wrapped, as the
+# benchmark wraps it, and lists the scipy modules and numpy.random loaded at
+# import, when the suite starts and when it returns.
+CLI_PROBE = (
+    "import json, sys\n"
+    "def loaded():\n"
+    "    return sorted(m for m in sys.modules if m == 'numpy.random'\n"
+    "                  or m.partition('.')[0] == 'scipy')\n"
+    "import lindeberg_lab\n"
+    "from lindeberg_lab import cli\n"
+    "seen = {'imported': loaded()}\n"
+    "run = cli.run\n"
+    "def probed(config):\n"
+    "    seen['entered'] = loaded()\n"
+    "    manifest = run(config)\n"
+    "    seen['returned'] = loaded()\n"
+    "    return manifest\n"
+    "cli.run = probed\n"
+    "seen['status'] = cli.main(sys.argv[1:])\n"
+    "print(json.dumps(seen))\n"
+)
+STAGES = ("imported", "entered", "returned")
+OFF_SPECTRUM = [
+    ["clt", "--size", "8", "--replicates", "100"],
+    ["erdos_kac", "--size", "8", "--replicates", "100"],
+    ["sk_free_energy", "--size", "4", "--replicates", "100"],
+    ["sk_ground_state", "--size", "4", "--replicates", "100"],
+]
+SPECTRAL = [
+    ["wigner", "--size", "4", "--replicates", "100"],
+    ["lambda_audit", "--size", "2"],
+    ["bound_table", "--sizes", "8"],
+]
+
+
+@functools.cache
+def probe_cli(args: tuple[str, ...]) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", CLI_PROBE, *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["status"] == 0
+    return seen
+
+
 class TestLapackLoading:
-    """Only a suite at a spectral point loads scipy.linalg, at set-up.
+    """Only a suite at a spectral point loads scipy.linalg, at set-up."""
 
-    Each case runs the CLI in a fresh interpreter with ``cli.run`` wrapped,
-    as the benchmark wraps it, to see which modules are loaded when the
-    suite starts and when it returns.
-    """
-
-    PROBE = (
-        "import json, sys\n"
-        "import lindeberg_lab\n"
-        "from lindeberg_lab import cli\n"
-        "seen = {'imported': 'scipy.linalg' in sys.modules}\n"
-        "run = cli.run\n"
-        "def probed(config):\n"
-        "    seen['entered'] = 'scipy.linalg' in sys.modules\n"
-        "    manifest = run(config)\n"
-        "    seen['returned'] = 'scipy.linalg' in sys.modules\n"
-        "    return manifest\n"
-        "cli.run = probed\n"
-        "seen['status'] = cli.main(sys.argv[1:])\n"
-        "print(json.dumps(seen))\n"
-    )
-
-    def probe(self, args):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", self.PROBE, *args],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert done.returncode == 0, done.stderr[-2000:]
-        return json.loads(done.stdout.splitlines()[-1])
-
-    @pytest.mark.parametrize("args", [
-        ["clt", "--size", "8"],
-        ["erdos_kac", "--size", "8"],
-        ["sk_free_energy", "--size", "4"],
-        ["sk_ground_state", "--size", "4"],
-    ], ids=lambda args: args[0])
+    @pytest.mark.parametrize("args", OFF_SPECTRUM, ids=lambda args: args[0])
     def test_suites_off_the_spectrum_never_load_lapack(self, args):
-        seen = self.probe([*args, "--replicates", "100"])
-        assert seen == {"imported": False, "entered": False,
-                        "returned": False, "status": 0}
+        seen = probe_cli(tuple(args))
+        assert ["scipy.linalg" in seen[stage] for stage in STAGES] == \
+            [False, False, False]
 
-    @pytest.mark.parametrize("args", [
-        ["wigner", "--size", "4", "--replicates", "100"],
-        ["lambda_audit", "--size", "2"],
-    ], ids=lambda args: args[0])
+    @pytest.mark.parametrize("args", SPECTRAL, ids=lambda args: args[0])
     def test_a_spectral_suite_loads_lapack_before_it_runs(self, args):
-        seen = self.probe(args)
-        assert seen == {"imported": False, "entered": True,
-                        "returned": True, "status": 0}
+        seen = probe_cli(tuple(args))
+        assert ["scipy.linalg" in seen[stage] for stage in STAGES] == \
+            [False, True, True]
+
+
+class TestScipyLoading:
+    """No suite off the spectrum loads any scipy module, and every suite
+    finds numpy.random loaded when it starts: numpy 2 loads it on first
+    use, which would otherwise fall inside the suite's run."""
+
+    @pytest.mark.parametrize("args", OFF_SPECTRUM, ids=lambda args: args[0])
+    def test_suites_off_the_spectrum_never_load_scipy(self, args):
+        seen = probe_cli(tuple(args))
+        assert [m for stage in STAGES for m in seen[stage]
+                if m != "numpy.random"] == []
+
+    @pytest.mark.parametrize("args", OFF_SPECTRUM + SPECTRAL,
+                             ids=lambda args: args[0])
+    def test_numpy_random_is_loaded_before_a_suite_runs(self, args):
+        assert "numpy.random" in probe_cli(tuple(args))["entered"]

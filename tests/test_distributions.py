@@ -4,10 +4,15 @@ Every analytic truncated moment is checked against an independent adaptive
 quadrature of the density written out here, and sampling is checked against
 the analytic moments by plain Monte Carlo error bars.  The in-place inverse
 CDF transforms are checked bit for bit against the two-branch ``np.where``
-formulas they replaced, kept here as the oracle.
+formulas they replaced, kept here (the gaussian one in ``oracles``) as the
+oracle, and the gaussian quantile against two independent references,
+``statistics.NormalDist.inv_cdf`` and ``scipy.special.ndtri``.
 """
 
 import math
+import statistics
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,6 +38,7 @@ from lindeberg_lab.distributions import (
     truncated_third_moment,
 )
 from lindeberg_lab.rng import RandomStream
+from oracles import normal_quantile
 
 SQRT3 = math.sqrt(3.0)
 
@@ -285,7 +291,7 @@ def where_oracle(spec, u):
     """The two-branch inverse CDFs, written with np.where; never in place."""
     fam = spec.family
     if fam is Family.GAUSSIAN:
-        return ndtri(np.minimum(u + 0.5 * 2.0**-53, 1.0 - 2.0**-53))
+        return normal_quantile(np.minimum(u + 0.5 * 2.0**-53, 1.0 - 2.0**-53))
     if fam is Family.RADEMACHER:
         return np.where(u < 0.5, -1.0, 1.0)
     if fam is Family.UNIFORM_SCALED:
@@ -301,9 +307,16 @@ def where_oracle(spec, u):
 
 ORACLE_SPECS = [GAUSSIAN, RADEMACHER, UNIFORM, CEXP,
                 pareto(2.5), pareto(3.0), pareto(4.0)]
-# the grid ends, both sides of the Pareto/Rademacher branch point, quartiles
+# the grid ends, both sides of the Pareto/Rademacher branch point, quartiles;
+# for the gaussian, both sides of |p - 1/2| = 0.425 and of the AS 241 far
+# tail, sqrt(-log min(p, 1 - p)) = 5, at each end of the grid
 EDGE_UNIFORMS = [0.0, 2.0**-53, 0.25, 0.5 - 2.0**-53, 0.5, 0.75,
-                 1.0 - 2.0**-53]
+                 1.0 - 2.0**-53,
+                 675539944105573 * 2.0**-53, 675539944105574 * 2.0**-53,
+                 8331659310635416 * 2.0**-53, 8331659310635417 * 2.0**-53,
+                 1000 * 2.0**-53, 125090 * 2.0**-53, 125091 * 2.0**-53,
+                 1.0 - 125092 * 2.0**-53, 1.0 - 125091 * 2.0**-53,
+                 1.0 - 1000 * 2.0**-53]
 
 
 def same_bits(a, b) -> bool:
@@ -330,6 +343,28 @@ class TestInPlaceTransforms:
         # gen.random() returns k 2^-53 for k in 0..2^53 - 1
         u = np.array([k * 2.0**-53])
         assert same_bits(_transform(spec, u.copy()), where_oracle(spec, u))
+
+    def test_threads_keep_their_own_gaussian_workspace(self):
+        # more threads than cores and a short switch interval: a workspace
+        # shared between threads would mix their blocks
+        gen = RandomStream(41, "workspace-threads").replicate(0)
+        blocks = [gen.random((8, 4096)) for _ in range(6)]
+
+        def transform_repeatedly(u):
+            return [_transform(GAUSSIAN, u.copy()) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+                futures = [pool.submit(transform_repeatedly, u)
+                           for u in blocks]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for u, got in zip(blocks, results):
+            want = where_oracle(GAUSSIAN, u)
+            assert all(same_bits(x, want) for x in got)
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label)
     def test_reused_buffer_draw_equals_fresh_sample(self, spec):
@@ -362,6 +397,39 @@ class TestInPlaceTransforms:
         assert np.ndim(x) == 0 and isinstance(x, float)
         u = stream.replicate(0).random()
         assert same_bits(x, where_oracle(spec, np.array(u)))
+
+
+def ulp_error(got, ref) -> np.ndarray:
+    """|got - ref| in units of the last place of ref."""
+    return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+
+class TestNormalQuantileAccuracy:
+    """The gaussian transform against two independent quantiles, on 10^6
+    uniform draws, both grid ends at log-spaced depths (the far tail lies
+    below 125091 * 2^-53 from either end) and the edges."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        gen = RandomStream(37, "quantile-accuracy").replicate(0)
+        depth = np.unique(np.floor(np.logspace(0, 52, 4000, base=2.0)))
+        u = np.concatenate([gen.random(1_000_000), depth * 2.0**-53,
+                            1.0 - depth * 2.0**-53, EDGE_UNIFORMS])
+        p = np.minimum(u + 0.5 * 2.0**-53, 1.0 - 2.0**-53)
+        return p, _transform(GAUSSIAN, u)
+
+    def test_matches_python_normal_dist(self, grid):
+        # the same algorithm; only np.log and libm log may differ in the
+        # last place
+        p, got = grid
+        inv_cdf = statistics.NormalDist().inv_cdf
+        err = ulp_error(got, np.array([inv_cdf(v) for v in p.tolist()]))
+        assert np.count_nonzero(err) <= 1e-4 * p.size
+        assert err.max() <= 3.0
+
+    def test_within_8_ulp_of_scipy_ndtri(self, grid):
+        p, got = grid
+        assert ulp_error(got, ndtri(p)).max() <= 8.0
 
 
 class TestParsing:
