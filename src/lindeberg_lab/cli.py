@@ -219,8 +219,9 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
         if "z_im" in values:
             # the bounds fall as N grows, so order 1 covers every size
             derivative_bounds(1, values["z_im"])
-            # a suite at a spectral point calls LAPACK: load it here, at
-            # set-up, and no other suite loads it at all
+        if config.suite in ("wigner", "lambda_audit"):
+            # the suites that evaluate the transform call LAPACK: load it
+            # here, at set-up, and no other suite loads it at all
             lapack()
         if config.suite in ("sk_free_energy", "sk_ground_state") and \
                 not 2 <= values["size"] <= ENUMERATION_LIMIT:

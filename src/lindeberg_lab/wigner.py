@@ -31,13 +31,21 @@ the partials uniformly:
 with v = Im z, which yields the influence values used by the swap bound, and
 summing tail second moments at K = eps sqrt(N) yields the classical vanishing
 condition for semicircle convergence.
+
+Both decompositions call LAPACK (``dsytrd``, and ``zgetrf``/``zgetrs`` for
+the LU) through ``lapack()``, which loads the one compiled extension module
+that holds them on first use and nothing else of the package it ships in.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -118,24 +126,65 @@ def build_matrix(layout: WignerLayout, x: np.ndarray) -> np.ndarray:
     return A + np.triu(A, 1).T
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
 @functools.cache
 def lapack():
-    """``scipy.linalg``, imported on first use: only the spectral suites
-    call LAPACK, so a process that evaluates no Stieltjes transform never
-    pays the import's time and resident memory."""
-    import scipy.linalg
+    """scipy's compiled f2py LAPACK module ``scipy.linalg._flapack``, loaded
+    on first use without running ``scipy/linalg/__init__.py``.
 
-    return scipy.linalg
+    Only the suites that evaluate a Stieltjes transform call LAPACK, and
+    they need only ``dsytrd``, ``zgetrf`` and ``zgetrs``; the package
+    import would add about 0.2 s and 20 MB of modules they never use.
+    ``find_spec("scipy")`` locates the installed package without importing
+    it.  The module is registered in ``sys.modules`` under its own name, so
+    a later ``import scipy.linalg`` binds this same extension, and one that
+    is already loaded is returned as it is.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    scipy_spec = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy_spec is not None:
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy_spec.submodule_search_locations[0], "linalg"),
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_FLAPACK)
+    if spec is None:
+        raise ImportError(f"the Wigner suites need scipy's compiled LAPACK "
+                          f"module {_FLAPACK}, which was not found; "
+                          f"install scipy", name=_FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_FLAPACK] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_FLAPACK]
+        raise
+    return module
 
 
 # ``resolvent`` calls LAPACK through these two module globals:
 # perfbench/tracing.py rebinds them as its ``wigner.linalg`` span
-def lu_factor(a: np.ndarray):
-    return lapack().lu_factor(a)
+def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivoted LU of a finite complex matrix by LAPACK ``zgetrf``; the
+    pivots are 0-based, as ``zgetrs`` takes them."""
+    lu, piv, info = lapack().zgetrf(np.asarray_chkfinite(a))
+    if info != 0:
+        raise ValueError(f"LU factorisation failed (zgetrf info = {info})")
+    return lu, piv
 
 
 def lu_solve(factors, b: np.ndarray) -> np.ndarray:
-    return lapack().lu_solve(factors, b)
+    """Solve a x = b from ``lu_factor(a)`` by LAPACK ``zgetrs``."""
+    lu, piv = factors
+    x, info = lapack().zgetrs(lu, piv, np.asarray_chkfinite(b))
+    if info != 0:
+        raise ValueError(f"LU solve failed (zgetrs info = {info})")
+    return x
 
 
 def _check_z(z: complex) -> complex:
@@ -167,10 +216,11 @@ def stieltjes(layout: WignerLayout, x: np.ndarray, z: complex) -> complex:
     vanishes.  ``resolvent`` is the dense reference for this value.
     """
     z = _check_z(z)
-    _, d, e, _, info = lapack().lapack.dsytrd(_upper_triangle(layout, x),
-                                              lower=0, overwrite_a=1)
+    _, d, e, _, info = lapack().dsytrd(_upper_triangle(layout, x),
+                                       lower=0, overwrite_a=1)
     if info != 0:
-        raise ValueError(f"tridiagonal reduction failed (info = {info})")
+        raise ValueError(f"tridiagonal reduction failed "
+                         f"(dsytrd info = {info})")
     d = d.tolist()
     f = d[0] - z
     df = -1.0

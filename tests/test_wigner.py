@@ -1,14 +1,23 @@
 """Resolvent calculus, transform derivatives, semicircle reference, tail sums."""
 
 import cmath
+import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from lindeberg_lab import wigner
 from lindeberg_lab.core import InfiniteGammaError, estimate_lambda, \
     fd_partial, mc_gap
 from lindeberg_lab.core import test_function as named_g
@@ -19,6 +28,9 @@ from lindeberg_lab.wigner import (
     _upper_triangle,
     build_matrix,
     derivative_bounds,
+    lapack,
+    lu_factor,
+    lu_solve,
     pastur_term,
     resolvent,
     semicircle_bound,
@@ -171,6 +183,142 @@ class TestStieltjes:
                 m = stieltjes(layout, x, z)
                 assert m.imag * z.imag > 0.0
                 assert abs(m) <= 1.0 / abs(z.imag) + 1e-12
+
+
+ROOT = Path(__file__).resolve().parents[1]
+FLAPACK = "scipy.linalg._flapack"
+# Loads scipy's LAPACK extension through wigner.lapack() and through the
+# scipy.linalg package, in the order given, and reports whether both name one
+# extension object, with the transform value it gives.
+LOAD_ORDER_PROBE = (
+    "import json, sys\n"
+    "import numpy as np\n"
+    "from lindeberg_lab import wigner\n"
+    "if sys.argv[1] == 'wigner-first':\n"
+    "    flapack = wigner.lapack()\n"
+    "    import scipy.linalg\n"
+    "else:\n"
+    "    import scipy.linalg\n"
+    "    flapack = wigner.lapack()\n"
+    "layout = wigner.WignerLayout(9)\n"
+    "x = np.random.default_rng(5).standard_normal(layout.coordinate_count)\n"
+    "m = wigner.stieltjes(layout, x, 0.4 + 1.3j)\n"
+    "print(json.dumps({\n"
+    "    'registered': sys.modules['scipy.linalg._flapack'] is flapack,\n"
+    "    'same_dsytrd': scipy.linalg.lapack.dsytrd is flapack.dsytrd,\n"
+    "    'm': [m.real.hex(), m.imag.hex()]}))\n"
+)
+
+
+class TestLapack:
+    """wigner calls LAPACK through scipy's compiled ``_flapack`` extension,
+    with the bits and the failures of scipy's public wrappers."""
+
+    SIZES = [1, 2, 7, 30, 100]
+    POINTS = [2j, -0.3 + 0.8j, 1.5 - 1j, 0.05 + 0.4j]
+
+    def test_same_extension_as_scipy_linalg(self):
+        assert lapack().dsytrd is scipy.linalg.lapack.dsytrd
+        assert lapack().zgetrf is scipy.linalg.lapack.zgetrf
+        assert lapack().zgetrs is scipy.linalg.lapack.zgetrs
+
+    @pytest.mark.parametrize("N", SIZES)
+    def test_stieltjes_reduction_matches_public_dsytrd(self, N, monkeypatch):
+        # oracle: scipy's public dsytrd on the upper triangle of A
+        layout = WignerLayout(N)
+        calls = []
+
+        def recording_dsytrd(a, **kwargs):
+            out = scipy.linalg.lapack.dsytrd(a, **kwargs)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(wigner, "lapack",
+                            lambda: SimpleNamespace(dsytrd=recording_dsytrd))
+        for x in random_draws(f"dsytrd{N}", layout, 3):
+            stieltjes(layout, x, 1j)
+            _, d, e, _, info = calls.pop()
+            want = scipy.linalg.lapack.dsytrd(np.triu(build_matrix(layout, x)),
+                                              lower=0)
+            assert info == want[4] == 0
+            assert d.tobytes() == want[1].tobytes()
+            assert e.tobytes() == want[2].tobytes()
+
+    @pytest.mark.parametrize("N", SIZES)
+    def test_resolvent_matches_public_lu_pair(self, N):
+        # oracle: scipy.linalg.lu_factor and lu_solve on the shifted matrix
+        layout = WignerLayout(N)
+        for z in self.POINTS:
+            for x in random_draws(f"lu{N}", layout, 2):
+                shifted = build_matrix(layout, x).astype(complex)
+                shifted[np.diag_indices(N)] -= z
+                want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(shifted),
+                                             np.eye(N, dtype=complex))
+                got = resolvent(layout, x, z)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_either_load_order_binds_one_extension(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        seen = []
+        for order in ("wigner-first", "scipy-first"):
+            done = subprocess.run(
+                [sys.executable, "-c", LOAD_ORDER_PROBE, order], env=env,
+                capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr[-2000:]
+            seen.append(json.loads(done.stdout.splitlines()[-1]))
+        assert [(s["registered"], s["same_dsytrd"]) for s in seen] == \
+            [(True, True), (True, True)]
+        assert seen[0]["m"] == seen[1]["m"]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_input_rejected(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lu_factor(a)
+        factors = lu_factor(np.eye(3, dtype=complex))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lu_solve(factors, a)
+        layout = WignerLayout(3)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            resolvent(layout, np.full(layout.coordinate_count, bad), 1j)
+
+    def test_singular_matrix_raises(self):
+        with pytest.raises(ValueError, match="zgetrf info = 2"):
+            lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
+
+    @pytest.mark.parametrize("routine, call", [
+        ("zgetrs", lambda: lu_solve(scipy.linalg.lu_factor(np.eye(3)),
+                                    np.eye(3, dtype=complex))),
+        ("dsytrd", lambda: stieltjes(WignerLayout(2), np.ones(3), 1j)),
+    ], ids=["zgetrs", "dsytrd"])
+    def test_nonzero_info_raises(self, routine, call, monkeypatch):
+        def failing(*args, **kwargs):
+            out = getattr(scipy.linalg.lapack, routine)(*args, **kwargs)
+            return (*out[:-1], -1)
+
+        monkeypatch.setattr(wigner, "lapack",
+                            lambda: SimpleNamespace(**{routine: failing}))
+        with pytest.raises(ValueError, match=f"{routine} info = -1"):
+            call()
+
+    @pytest.mark.parametrize("installed", [False, True],
+                             ids=["no-scipy", "no-extension"])
+    def test_missing_extension_names_it(self, installed, tmp_path,
+                                        monkeypatch):
+        # an installed scipy whose linalg folder holds no _flapack, or none
+        (tmp_path / "linalg").mkdir()
+        spec = (SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+                if installed else None)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        monkeypatch.delitem(sys.modules, FLAPACK)
+        lapack.cache_clear()
+        with pytest.raises(ImportError, match=r"scipy.*_flapack"):
+            lapack()
+        assert FLAPACK not in sys.modules
 
 
 class TestPartials:
