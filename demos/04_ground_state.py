@@ -1,13 +1,12 @@
 """Ground-state energy: hard max universality through soft-max smoothing.
 
 The maximum of the 2^N configuration energies is not smooth, but it sits
-within (AN)^(-1) N log 2 of the smoothed max at level AN, and the smoothed
-max obeys the swap bound.  The resulting gap bound decomposes into an A^-1
-smoothing floor, an A tail channel, and an A^2 eps truncation channel; for
-bounded couplings and eps sqrt(N) > 1 the tail channel is exactly zero.
+within alpha^(-1) N log 2 of the smoothed max at level alpha, and the
+smoothed max obeys the swap bound.  Balancing the smoothing floor against
+the third-moment channel over alpha gives the optimized bound
+K(g) [ (gamma n l3)^(1/3) (log 2^N)^(2/3) + gamma n l3 ] that the
+sk_ground_state suite tests.
 """
-
-import math
 
 import numpy as np
 
@@ -17,10 +16,10 @@ from lindeberg_lab import (
     CouplingLayout,
     SKParams,
     ground_state,
+    sk_bound,
     sk_experiment,
     test_function,
 )
-from lindeberg_lab.sk import ground_state_bound, ground_state_bound_terms
 
 N = 12
 layout = CouplingLayout(N)
@@ -32,26 +31,12 @@ print(f"N={N}: ground-state energy {value:.6f} at configuration "
 print(f"      normalized N^(-3/2) S = {N**-1.5 * value:.6f}")
 
 g = test_function("tanh")
-print("\nstructural bound channels at eps = 0.5 (tail channel empty for")
-print("Rademacher couplings since eps sqrt(N) > 1):")
-print(f"{'A':>5} {'floor A^-1':>12} {'tail A':>10} {'smooth A^2eps':>14}"
-      f" {'total':>10}")
-for A in (1.0, 2.0, 4.0):
-    floor, tail, smooth = ground_state_bound_terms(g, N, A, 0.5,
-                                                   tail_sum=0.0)
-    print(f"{A:5.1f} {floor:12.4f} {tail:10.4f} {smooth:14.4f} "
-          f"{floor + tail + smooth:10.4f}")
-
-k = 0.5 * math.sqrt(N)
-from lindeberg_lab import truncated_second_moment, truncated_third_moment
-
-n = layout.coordinate_count
-t1 = n * (truncated_second_moment(GAUSSIAN, k)
-          + truncated_second_moment(RADEMACHER, k))
-t2 = n * (truncated_third_moment(GAUSSIAN, k)
-          + truncated_third_moment(RADEMACHER, k))
-print(f"\nexact-moment bound at A=1.0: "
-      f"{ground_state_bound(g, N, 1.0, 0.5, (t1, t2)):.4f}")
+print("\nalpha-optimized bound (sk_bound) at beta = 1, h = 0, Gaussian vs")
+print("Rademacher couplings:")
+for size in (8, 12, 16, 24):
+    bound = sk_bound("ground_state", GAUSSIAN, RADEMACHER, SKParams(), size,
+                     g)
+    print(f"  N={size:>2}: {bound:.4f}")
 
 print("\npaired experiment, Gaussian vs Rademacher couplings:")
 rep = sk_experiment("ground_state", GAUSSIAN, RADEMACHER,

@@ -19,7 +19,6 @@ from lindeberg_lab import (
     sk_family,
     smoothed_lambda_bounds,
     softmax_state,
-    uniform_gap_bound,
 )
 
 N, alpha = 7, 7.0
@@ -60,7 +59,7 @@ for label, ceiling in ceilings.items():
     print(f"  {label:<30} observed {observed[label]:.5f}  "
           f"ceiling {ceiling:.5f}")
 
-gap = uniform_gap_bound(family, alpha)
+gap = family.log_size / alpha
 print(f"\nsandwich: max(F_alpha - hard max) = {sandwich_max:.5f} "
       f"<= {gap:.5f} = alpha^-1 log |family|")
 

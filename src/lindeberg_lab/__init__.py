@@ -51,7 +51,6 @@ from .sk import (
     free_energy,
     free_energy_lambda,
     ground_state,
-    ground_state_bound,
     sk_bound,
     sk_experiment,
     sk_family,
@@ -65,7 +64,6 @@ from .smoothmax import (
     smoothed_lambda_bounds,
     softmax_state,
     softmax_value,
-    uniform_gap_bound,
 )
 from .walks import (
     erdos_kac_bound,

@@ -26,6 +26,11 @@ chunks of whole replicate blocks, one worker per chunk; the output does not
 depend on it.  Replicate counts, the coordinate count n of a drawn vector and
 ``bound_table`` sizes stop at COUNT_LIMIT = 2**53.
 
+A configuration is checked by calling its suite's row of ``_BOUNDS``, the
+bound function its run calls: every rule of a suite's mathematics lives in
+that function, and the CLI itself checks only the command line and the
+capacity of a run.
+
 Exit status: 0 on success, 1 if any gap report failed its bound, 2 on invalid
 configuration, 3 on a runtime fault.
 """
@@ -39,14 +44,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .core import GapReport, clt_bound, clt_experiment, estimate_lambda, \
-    test_function
-from .distributions import parse_spec, third_abs_moment, \
-    truncated_third_moment
+from .core import GapReport, LindebergError, clt_bound, clt_experiment, \
+    estimate_lambda, test_function
+from .distributions import parse_spec, third_abs_moment
 from .rng import RandomStream
 from .sk import (
     ENUMERATION_LIMIT,
@@ -101,9 +106,9 @@ SUITES = tuple(_SUITE_DEFAULTS)
 # carry replicates and seed)
 _RUN_KEYS = {"out", "format", "replicates", "seed", "threads"}
 
-# keys for which inf or nan reaches the arithmetic (epsilon has its own
-# range check, and inf there is a well-defined limit; SKParams checks beta
-# and h)
+# keys for which inf or nan reaches the arithmetic (the truncated moments
+# check epsilon, where inf is a well-defined limit; SKParams checks beta and
+# h)
 _FINITE_KEYS = {"z_re", "z_im"}
 _SEED_LIMIT = 1 << 64   # the Philox key holds 64 bits of the master seed
 # --threads ceiling: every worker is an OS thread, and no desk machine runs
@@ -165,6 +170,8 @@ def build_config(suite: str, file_path: str | None,
         raise ConfigError("format must be csv or json")
     if not 100 <= values.get("replicates", 100) <= COUNT_LIMIT:
         raise ConfigError("replicates must lie in 100..2**53")
+    if values.get("size", 1) < 1:
+        raise ConfigError("size must be positive")
     if not 0 <= values.get("seed", 0) < _SEED_LIMIT:
         raise ConfigError("seed must lie in 0..2**64 - 1")
     for key in sorted(_FINITE_KEYS & values.keys()):
@@ -178,21 +185,18 @@ def build_config(suite: str, file_path: str | None,
 
 
 def _validate_suite_inputs(config: ExperimentConfig) -> None:
+    """Parse the size grid, apply the run-capacity guards, then call the
+    suite's rows of ``_BOUNDS``: every rule of a suite's mathematics is
+    its bound function's, raised as ValueError or LindebergError."""
     values = config.values
     try:
-        if "g" in values:
-            test_function(values["g"])
         if "sizes" in values:
             sizes = [int(tok) for tok in str(values["sizes"]).split(",") if tok]
             if not sizes:
                 raise ValueError("empty size grid")
-            if not 2 <= min(sizes) <= max(sizes) <= COUNT_LIMIT:
-                raise ValueError("every size in the grid must lie in 2..2**53")
+            if max(sizes) > COUNT_LIMIT:
+                raise ValueError("bound_table sizes stop at 2**53")
             values["sizes"] = sizes
-        if values.get("size", 1) < 1:
-            raise ValueError("size must be positive")
-        if config.suite == "erdos_kac" and values["size"] < 2:
-            raise ValueError("the running maximum needs at least two steps")
         if "replicates" in values:
             n = (WignerLayout(values["size"]).coordinate_count
                  if config.suite == "wigner" else values["size"])
@@ -200,39 +204,23 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
                 raise ValueError(f"a {config.suite} vector of size "
                                  f"{values['size']} has {n} coordinates; "
                                  f"at most 2**53 are supported")
-        if "epsilon" in values and not values["epsilon"] > 0.0:
-            raise ValueError("epsilon must be positive")
-        if "dist_x" in values:
-            # the bound's body channel at the suite's truncation level: wigner
-            # truncates at eps sqrt(N), every other suite at K = inf
-            K = (values["epsilon"] * math.sqrt(values["size"])
-                 if config.suite == "wigner" else math.inf)
-            for key in ("dist_x", "dist_y"):
-                if math.isinf(truncated_third_moment(parse_spec(values[key]),
-                                                     K)):
-                    raise ValueError(
-                        f"{values[key]} has an infinite body third moment "
-                        f"E(|X|^3; |X| <= K) at K = {K:g}; the "
-                        f"{config.suite} bound needs it finite")
-        if "beta" in values:
-            params = SKParams(beta=values["beta"], h=values.get("h", 0.0))
-        if "z_im" in values:
-            # the bounds fall as N grows, so order 1 covers every size
-            derivative_bounds(1, values["z_im"])
+        if config.suite in ("sk_free_energy", "sk_ground_state") and \
+                values["size"] > ENUMERATION_LIMIT:
+            raise ValueError(f"exact enumeration needs size at most "
+                             f"{ENUMERATION_LIMIT}")
         if config.suite in ("wigner", "lambda_audit"):
             # the suites that evaluate the transform call LAPACK: load it
             # here, at set-up, and no other suite loads it at all
             lapack()
-        if config.suite in ("sk_free_energy", "sk_ground_state") and \
-                not 2 <= values["size"] <= ENUMERATION_LIMIT:
-            raise ValueError(f"exact enumeration needs size in "
-                             f"2..{ENUMERATION_LIMIT}")
-        # the field energy beta h sum_i s_i reaches beta |h| N
-        if config.suite == "sk_free_energy" and \
-                not math.isfinite(params.beta * abs(params.h) * values["size"]):
-            raise ValueError("beta |h| size must be finite: the field energy "
-                             "overflows")
-    except ValueError as exc:
+        if config.suite == "lambda_audit":
+            # no bound function: probe the derivative bounds, which fall as
+            # N grows, so order 1 covers every size
+            derivative_bounds(1, values["z_im"])
+        elif config.suite == "bound_table":
+            _bound_rows(values, _BOUNDS, values["sizes"])
+        else:
+            _bound_rows(values, (config.suite,), (values["size"],))
+    except (ValueError, LindebergError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -403,34 +391,61 @@ def _run_lambda_audit(config):
     return columns, rows, all(row[5] for row in rows), []
 
 
+def _bound_inputs(values) -> SimpleNamespace:
+    """The laws, g and bound parameters a config hands the rows of
+    ``_BOUNDS``, parsed once; bound_table declares no field, so its
+    sk_free_energy row sits at h = 0."""
+    declared = {key: values[key] for key in ("z_re", "z_im", "epsilon",
+                                             "beta", "h") if key in values}
+    return SimpleNamespace(spec_x=parse_spec(values["dist_x"]),
+                           spec_y=parse_spec(values["dist_y"]),
+                           g=test_function(values["g"]),
+                           **{"h": 0.0, **declared})
+
+
+def _sk_free_energy_row(a, n):
+    params = SKParams(beta=a.beta, h=a.h)
+    return (sk_bound("free_energy", a.spec_x, a.spec_y, params, n, a.g),
+            *free_energy_lambda(params, n))
+
+
+def _wigner_row(a, n):
+    bound = semicircle_bound(a.spec_x, a.spec_y, n, complex(a.z_re, a.z_im),
+                             a.g, a.epsilon)
+    influence = derivative_bounds(n, a.z_im)
+    return bound, influence.lambda2, influence.lambda3
+
+
+# suite -> (bound, lambda2, lambda3) at size n, the bound from the function
+# the suite's run calls: a config is checked by calling its suite's row, and
+# bound_table writes every row, in this order
+_BOUNDS = {
+    "clt": lambda a, n: (clt_bound(a.spec_x, a.spec_y, n, a.g),
+                         1.0 / n, n**-1.5),
+    "erdos_kac": lambda a, n: (
+        erdos_kac_bound(a.g, max(third_abs_moment(a.spec_x),
+                                 third_abs_moment(a.spec_y)), n),
+        1.0 / n, n**-1.5),
+    "sk_free_energy": _sk_free_energy_row,
+    "sk_ground_state": lambda a, n: (
+        sk_bound("ground_state", a.spec_x, a.spec_y, SKParams(), n, a.g),
+        *family_lambda(SKParams(), n)[:2]),
+    "wigner": _wigner_row,
+}
+
+
+def _bound_rows(values, suites, sizes) -> list:
+    """(suite, size, bound, lambda2, lambda3) for each size, and within it
+    for each of ``suites``."""
+    inputs = _bound_inputs(values)
+    return [(suite, n, *_BOUNDS[suite](inputs, n))
+            for n in sizes for suite in suites]
+
+
 def _run_bound_table(config):
-    """Every suite's bound over a size grid, from the function its run
-    calls; pure arithmetic."""
-    columns = ("setup", "size", "bound", "lambda2", "lambda3")
-    spec_x, spec_y = parse_spec(config.dist_x), parse_spec(config.dist_y)
-    g = test_function(config.g)
-    gamma = max(third_abs_moment(spec_x), third_abs_moment(spec_y))
-    params = SKParams(beta=config.beta)
-    z = complex(config.z_re, config.z_im)
-    rows = []
-    for n in config.sizes:
-        rows.append(("clt", n, clt_bound(spec_x, spec_y, n, g),
-                     1.0 / n, n**-1.5))
-        rows.append(("erdos_kac", n, erdos_kac_bound(g, gamma, n),
-                     1.0 / n, n**-1.5))
-        rows.append(("sk_free_energy", n,
-                     sk_bound("free_energy", spec_x, spec_y, params, n, g),
-                     *free_energy_lambda(params, n)))
-        rows.append(("sk_ground_state", n,
-                     sk_bound("ground_state", spec_x, spec_y, SKParams(), n,
-                              g),
-                     *family_lambda(SKParams(), n)[:2]))
-        wb = derivative_bounds(n, z.imag)
-        rows.append(("wigner", n,
-                     semicircle_bound(spec_x, spec_y, n, z, g,
-                                      config.epsilon),
-                     wb.lambda2, wb.lambda3))
-    return columns, rows, True, []
+    """Every suite's bound over a size grid; pure arithmetic."""
+    return (("setup", "size", "bound", "lambda2", "lambda3"),
+            _bound_rows(config.values, _BOUNDS, config.sizes), True, [])
 
 
 _RUNNERS = {

@@ -329,6 +329,8 @@ def truncated_second_moment(spec: DistributionSpec, K: float) -> float:
             return 0.0
         return 1.0 - K**3 / (3.0 * _SQRT3)
     if fam is Family.CENTERED_EXPONENTIAL_SCALED:
+        if K > 800.0:   # exp(-(K + 1)) underflows to 0 here
+            return 0.0
         hi = math.exp(-(K + 1.0)) * (K * K + 2.0 * K + 2.0)
         if K >= 1.0:
             return hi
@@ -348,7 +350,7 @@ def truncated_third_moment(spec: DistributionSpec, K: float) -> float:
     K = _check_k(K)
     fam = spec.family
     if fam is Family.GAUSSIAN:
-        if math.isinf(K):
+        if K > 40.0:    # exp(-K^2 / 2) underflows to 0 here
             return 2.0 * math.sqrt(2.0 / math.pi)
         return math.sqrt(2.0 / math.pi) * (
             2.0 - (K * K + 2.0) * math.exp(-K * K / 2.0)
@@ -379,7 +381,7 @@ def _phi(x: float) -> float:
 
 def _cexp_body3(K: float) -> float:
     # X = E - 1 with E ~ Exp(1); integrate |t-1|^3 e^{-t} over the kept band.
-    if math.isinf(K):
+    if K > 800.0:       # exp(-K) underflows to 0 here
         return 12.0 / math.e - 2.0
     lo = max(0.0, 1.0 - K)
     p_at = lambda u: u**3 - 3.0 * u * u + 6.0 * u - 6.0

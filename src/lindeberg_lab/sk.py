@@ -75,7 +75,6 @@ from .core import (
 from .distributions import DistributionSpec, third_abs_moment
 from .smoothmax import (
     FunctionFamily,
-    max_swap_bound,
     optimized_max_bound,
     smoothed_lambda_bounds,
     softmax_function,
@@ -84,7 +83,6 @@ from .smoothmax import (
 __all__ = [
     "CouplingLayout",
     "SKParams",
-    "GroundStateBoundParams",
     "SKKind",
     "sk_family",
     "family_lambda",
@@ -92,8 +90,6 @@ __all__ = [
     "free_energy_function",
     "free_energy_lambda",
     "ground_state",
-    "ground_state_bound",
-    "ground_state_bound_terms",
     "SKReport",
     "sk_bound",
     "sk_experiment",
@@ -164,18 +160,6 @@ class SKParams:
                              "with a finite cube")
         if not math.isfinite(self.h):
             raise ValueError("external field h must be finite")
-
-
-@dataclass(frozen=True)
-class GroundStateBoundParams:
-    A: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not self.A >= 1.0:
-            raise ValueError("A must be at least 1")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
 
 
 class SKKind(enum.Enum):
@@ -470,38 +454,6 @@ def ground_state(layout: CouplingLayout, x):
     return best, _code_to_sigma(best_code, N)
 
 
-def ground_state_bound(g: TestFunction, N: int, A: float, epsilon: float,
-                       truncated_sums: tuple[float, float]) -> float:
-    """Max-functional swap bound at smoothing level AN, truncation eps sqrt(N).
-
-    ``truncated_sums`` is (tail_sum, body_sum) over all couplings of both
-    ensembles at K = eps sqrt(N).
-    """
-    GroundStateBoundParams(A=A, epsilon=epsilon)
-    layout = CouplingLayout(N)
-    family = sk_family(layout, SKParams(beta=1.0, h=0.0))
-    tail_sum, body_sum = truncated_sums
-    return max_swap_bound(g, A * N, family, tail_sum, body_sum)
-
-
-def ground_state_bound_terms(g: TestFunction, N: int, A: float,
-                             epsilon: float,
-                             tail_sum: float) -> tuple[float, float, float]:
-    """Structural decomposition (A^-1 channel, A tail channel, A^2 eps channel).
-
-    The third channel replaces the body moments by their K E X^2 majorant, so
-    the three terms sum to a valid standalone bound with the advertised
-    A^-1 + A (...) + A^2 eps shape.
-    """
-    GroundStateBoundParams(A=A, epsilon=epsilon)
-    c1, c2 = c_constants(g)
-    floor = 2.0 * g.norm1 * math.log(2.0) / A
-    tail = 3.0 * c1 * A * N**-2.0 * tail_sum
-    body_majorant = N * (N - 1) * epsilon * math.sqrt(N)
-    smoothing = 13.0 * c2 * (A * N) ** 2 * N**-4.5 * body_majorant
-    return floor, tail, smoothing
-
-
 @dataclass(frozen=True)
 class SKReport(SuiteReport):
     """Spin-glass universality gap report."""
@@ -515,15 +467,19 @@ def sk_bound(kind: SKKind | str, spec_x: DistributionSpec,
     """Bound of the coupling-universality gap of ``sk_experiment``.
 
     Free energy: the third-moment bound with the smoothed influence of
-    ``free_energy_lambda``, 13 beta^3 N^(-5/2).  Ground state: the
-    alpha-optimized max bound of ``sk_family``, defined at beta = 1, h = 0.
-    Pure arithmetic in N: nothing is enumerated.
+    ``free_energy_lambda``, 13 beta^3 N^(-5/2); the field energy
+    beta h sum_i s_i reaches beta |h| N, which must be finite.  Ground
+    state: the alpha-optimized max bound of ``sk_family``, defined at
+    beta = 1, h = 0.  Pure arithmetic in N: nothing is enumerated.
     """
     kind = SKKind(kind)
     layout = CouplingLayout(N)
     n = layout.coordinate_count
     gamma = max(third_abs_moment(spec_x), third_abs_moment(spec_y))
     if kind is SKKind.FREE_ENERGY:
+        if not math.isfinite(params.beta * abs(params.h) * N):
+            raise ValueError("beta |h| N must be finite: the field energy "
+                             "overflows")
         _, c2 = c_constants(g)
         return third_moment_bound(c2, gamma, n,
                                   free_energy_lambda(params, N)[1])

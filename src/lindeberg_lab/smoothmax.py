@@ -57,7 +57,6 @@ __all__ = [
     "coordinate_chain",
     "softmax_function",
     "smoothed_lambda_bounds",
-    "uniform_gap_bound",
     "max_swap_bound",
     "k_constant",
     "optimized_max_alpha",
@@ -216,12 +215,6 @@ def smoothed_lambda_bounds(family: FunctionFamily,
     """Influence bounds of the smoothed max: (3 a lambda_2(F), 13 a^2 lambda_3(F))."""
     alpha = _check_alpha(alpha)
     return 3.0 * alpha * family.lambda2, 13.0 * alpha**2 * family.lambda3
-
-
-def uniform_gap_bound(family: FunctionFamily, alpha: float) -> float:
-    """alpha^(-1) log |F|: max_f f <= F_alpha <= max_f f + this, everywhere."""
-    alpha = _check_alpha(alpha)
-    return family.log_size / alpha
 
 
 def max_swap_bound(g: TestFunction, alpha: float, family: FunctionFamily,

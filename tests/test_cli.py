@@ -2,7 +2,9 @@
 
 import functools
 import hashlib
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,7 +16,8 @@ import pytest
 
 from lindeberg_lab import cli, sk
 from lindeberg_lab.cli import ConfigError, build_config, main, run
-from lindeberg_lab.core import GapReport, swap_bound, third_moment_bound
+from lindeberg_lab.core import GapReport, LindebergError, swap_bound, \
+    third_moment_bound
 from lindeberg_lab.core import c_constants
 from lindeberg_lab.core import test_function as named_g
 from lindeberg_lab.distributions import parse_spec, third_abs_moment
@@ -383,6 +386,46 @@ class TestOneBoundPerSuite:
         assert bound.hex() == row[2].hex()
 
 
+class TestBoundRowsAsValidator:
+    """A config is checked by calling its suite's row of ``cli._BOUNDS``,
+    so every row must answer a bound or a domain error over the whole
+    input space, and never nan or a stray exception."""
+
+    LAWS = ["rademacher", "gaussian", "uniform", "cexp", "pareto:4",
+            "pareto:2.5", "pareto:3.5"]
+    TEST_FUNCTIONS = ["sin", "cos", "tanh", "identity", "clipped_square"]
+    SIZES = [1, 2, 100, 1 << 53]
+    # the keys each row reads beyond the laws and g
+    GRIDS = {
+        "wigner": [{"z_re": 0.0, "z_im": v, "epsilon": eps}
+                   for eps in (1e-300, 0.2, 1e300, math.inf)
+                   for v in (1e-3, 2.0, 1e300)],
+        "sk_free_energy": [{"beta": beta, "h": h}
+                           for beta in (1e-300, 1.0, 1e100)
+                           for h in (0.0, 1e-300, 1e300)],
+    }
+
+    def test_every_row_is_a_bound_or_a_domain_error(self):
+        answered = refused = 0
+        for suite, row in cli._BOUNDS.items():
+            for x, y, g, params in itertools.product(
+                    self.LAWS, self.LAWS, self.TEST_FUNCTIONS,
+                    self.GRIDS.get(suite, [{}])):
+                inputs = cli._bound_inputs(
+                    {"dist_x": x, "dist_y": y, "g": g, **params})
+                for n in self.SIZES:
+                    try:
+                        values = row(inputs, n)
+                    except (ValueError, LindebergError):
+                        refused += 1
+                        continue
+                    answered += 1
+                    for v in values:
+                        assert isinstance(v, float) and v >= 0.0, \
+                            (suite, x, y, g, params, n, values)
+        assert answered and refused
+
+
 class RecordingValues(dict):
     """Config values that record every key a run reads."""
 
@@ -580,6 +623,20 @@ class TestMainExitCodes:
         out = tmp_path / "r.csv"
         assert main([*argv, "--replicates", "100", "--out", str(out)]) == 0
         assert "nan" not in out.read_text()
+
+    @pytest.mark.parametrize("law", ["rademacher", "gaussian", "uniform",
+                                     "pareto:4", "cexp"])
+    def test_huge_truncation_level_runs(self, law, tmp_path, capsys):
+        # K = eps sqrt(N) = 2e300: K * K and K ** 3 overflow, while every
+        # exponential factor of the truncated moments is long 0
+        out = tmp_path / "r.csv"
+        assert main(["wigner", "--size", "4", "--replicates", "100",
+                     "--epsilon", "1e300", "--dist-x", law,
+                     "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        column = header.split(",").index("bound")
+        assert all(math.isfinite(float(row.split(",")[column]))
+                   for row in rows)
 
     def test_fault_without_message_names_its_type(self, capsys,
                                                   monkeypatch):

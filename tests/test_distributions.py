@@ -205,6 +205,19 @@ class TestMomentStructure:
         assert all(a >= b - 1e-12 for a, b in zip(tails, tails[1:]))
         assert all(a <= b + 1e-12 for a, b in zip(bodies, bodies[1:]))
 
+    @pytest.mark.parametrize("spec", [GAUSSIAN, RADEMACHER, UNIFORM, CEXP,
+                                      pareto(4.0)], ids=lambda s: s.label)
+    def test_finite_up_to_the_largest_truncation_level(self, spec):
+        # K * K and K ** 3 overflow long after every exponential factor has
+        # underflowed to 0, so the moments must reach their K = inf values
+        levels = (1.0, 8.0, 40.0, 1e10, 1e154, 1e300, math.inf)
+        tails = [truncated_second_moment(spec, K) for K in levels]
+        bodies = [truncated_third_moment(spec, K) for K in levels]
+        assert all(map(math.isfinite, tails + bodies))
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+        assert all(a <= b for a, b in zip(bodies, bodies[1:]))
+        assert (tails[-2], bodies[-2]) == (tails[-1], bodies[-1])
+
     @pytest.mark.parametrize("spec", all_specs, ids=lambda s: s.label)
     def test_body_third_at_most_K(self, spec):
         for K in K_GRID:

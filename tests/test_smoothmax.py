@@ -20,7 +20,6 @@ from lindeberg_lab.smoothmax import (
     softmax_function,
     softmax_state,
     softmax_value,
-    uniform_gap_bound,
 )
 from oracles import softmax_partials
 
@@ -113,7 +112,7 @@ class TestSoftMaxValue:
         fam = sine_family(5)
         gen = np.random.default_rng(3)
         for alpha in (1.0, 4.0, 16.0):
-            gap = uniform_gap_bound(fam, alpha)
+            gap = fam.log_size / alpha
             for _ in range(1000):
                 x = gen.uniform(-3, 3, size=2)
                 hard = float(fam.values(x).max())
@@ -241,18 +240,6 @@ class TestBounds:
             l2, l3 = smoothed_lambda_bounds(fam, alpha)
             assert est.lambda2 <= l2
             assert est.lambda3 <= l3
-
-    def test_uniform_gap_bound_values(self):
-        single = member_family((constant_member(1.0),),
-                               c1=0.0, c2=0.0, c3=0.0)
-        assert uniform_gap_bound(single, 5.0) == 0.0
-        # 2^N members at level N: the gap is log 2 regardless of N
-        for N in (4, 10, 30):
-            fam = member_family((constant_member(0.0),),
-                                c1=0.0, c2=0.0, c3=0.0,
-                                log_size=N * math.log(2.0))
-            assert uniform_gap_bound(fam, float(N)) == pytest.approx(
-                math.log(2.0), rel=1e-15)
 
     def test_max_swap_bound_zero_case(self):
         single = member_family((constant_member(0.0),),
