@@ -26,11 +26,6 @@ chunks of whole replicate blocks, one worker per chunk; the output does not
 depend on it.  Replicate counts, the coordinate count n of a drawn vector and
 ``bound_table`` sizes stop at COUNT_LIMIT = 2**53.
 
-A configuration is checked by calling its suite's row of ``_BOUNDS``, the
-bound function its run calls: every rule of a suite's mathematics lives in
-that function, and the CLI itself checks only the command line and the
-capacity of a run.
-
 Exit status: 0 on success, 1 if any gap report failed its bound, 2 on invalid
 configuration, 3 on a runtime fault.
 """
@@ -50,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .core import GapReport, LindebergError, clt_bound, clt_experiment, \
-    estimate_lambda, test_function
+    clt_swap_terms, estimate_lambda, test_function
 from .distributions import parse_spec, third_abs_moment
 from .rng import RandomStream
 from .sk import (
@@ -61,17 +56,20 @@ from .sk import (
     free_energy_function,
     free_energy_lambda,
     sk_bound,
+    sk_bound_inputs,
     sk_experiment,
     sk_family,
 )
 from .smoothmax import estimate_family_lambda
-from .walks import erdos_kac_bound, erdos_kac_experiment, walk_family
+from .walks import erdos_kac_bound, erdos_kac_domain, erdos_kac_experiment, \
+    walk_family
 from .wigner import (
     WignerLayout,
     derivative_bounds,
     lapack,
     semicircle_bound,
     semicircle_experiment,
+    semicircle_swap_terms,
     stieltjes_function,
 )
 
@@ -185,9 +183,6 @@ def build_config(suite: str, file_path: str | None,
 
 
 def _validate_suite_inputs(config: ExperimentConfig) -> None:
-    """Parse the size grid, apply the run-capacity guards, then call the
-    suite's rows of ``_BOUNDS``: every rule of a suite's mathematics is
-    its bound function's, raised as ValueError or LindebergError."""
     values = config.values
     try:
         if "sizes" in values:
@@ -216,10 +211,12 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
             # no bound function: probe the derivative bounds, which fall as
             # N grows, so order 1 covers every size
             derivative_bounds(1, values["z_im"])
-        elif config.suite == "bound_table":
-            _bound_rows(values, _BOUNDS, values["sizes"])
         else:
-            _bound_rows(values, (config.suite,), (values["size"],))
+            inputs = _bound_inputs(values)
+            table = config.suite == "bound_table"
+            for n in values["sizes"] if table else (values["size"],):
+                for suite in _BOUNDS if table else (config.suite,):
+                    _BOUNDS[suite][0](inputs, n)
     except (ValueError, LindebergError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -392,60 +389,63 @@ def _run_lambda_audit(config):
 
 
 def _bound_inputs(values) -> SimpleNamespace:
-    """The laws, g and bound parameters a config hands the rows of
-    ``_BOUNDS``, parsed once; bound_table declares no field, so its
-    sk_free_energy row sits at h = 0."""
-    declared = {key: values[key] for key in ("z_re", "z_im", "epsilon",
-                                             "beta", "h") if key in values}
-    return SimpleNamespace(spec_x=parse_spec(values["dist_x"]),
-                           spec_y=parse_spec(values["dist_y"]),
-                           g=test_function(values["g"]),
-                           **{"h": 0.0, **declared})
-
-
-def _sk_free_energy_row(a, n):
-    params = SKParams(beta=a.beta, h=a.h)
-    return (sk_bound("free_energy", a.spec_x, a.spec_y, params, n, a.g),
-            *free_energy_lambda(params, n))
+    """What a config hands ``_BOUNDS``, parsed once; bound_table declares no
+    field, so its sk_free_energy row sits at h = 0."""
+    a = SimpleNamespace(spec_x=parse_spec(values["dist_x"]),
+                        spec_y=parse_spec(values["dist_y"]),
+                        g=test_function(values["g"]),
+                        z=complex(values.get("z_re", 0.0),
+                                  values.get("z_im", 0.0)),
+                        epsilon=values.get("epsilon"))
+    a.gamma = max(third_abs_moment(a.spec_x), third_abs_moment(a.spec_y))
+    if "beta" in values:
+        a.params = SKParams(beta=values["beta"],
+                            h=values["h"] if "h" in values else 0.0)
+    return a
 
 
 def _wigner_row(a, n):
-    bound = semicircle_bound(a.spec_x, a.spec_y, n, complex(a.z_re, a.z_im),
-                             a.g, a.epsilon)
-    influence = derivative_bounds(n, a.z_im)
-    return bound, influence.lambda2, influence.lambda3
+    influence = derivative_bounds(n, a.z.imag)
+    return (semicircle_bound(a.spec_x, a.spec_y, n, a.z, a.g, a.epsilon),
+            influence.lambda2, influence.lambda3)
 
 
-# suite -> (bound, lambda2, lambda3) at size n, the bound from the function
-# the suite's run calls: a config is checked by calling its suite's row, and
-# bound_table writes every row, in this order
+# suite -> (check, row) at size n: ``check`` is the domain of the bound
+# function the suite's run calls, which calls it first, and does no bound
+# arithmetic, so checking a config leaves all of a process's bound arithmetic
+# inside ``run``; ``row`` is (bound, lambda2, lambda3).  bound_table writes
+# every row, in this order.
 _BOUNDS = {
-    "clt": lambda a, n: (clt_bound(a.spec_x, a.spec_y, n, a.g),
-                         1.0 / n, n**-1.5),
-    "erdos_kac": lambda a, n: (
-        erdos_kac_bound(a.g, max(third_abs_moment(a.spec_x),
-                                 third_abs_moment(a.spec_y)), n),
-        1.0 / n, n**-1.5),
-    "sk_free_energy": _sk_free_energy_row,
-    "sk_ground_state": lambda a, n: (
-        sk_bound("ground_state", a.spec_x, a.spec_y, SKParams(), n, a.g),
-        *family_lambda(SKParams(), n)[:2]),
-    "wigner": _wigner_row,
+    "clt": (lambda a, n: clt_swap_terms(a.spec_x, a.spec_y, n),
+            lambda a, n: (clt_bound(a.spec_x, a.spec_y, n, a.g),
+                          1.0 / n, n**-1.5)),
+    "erdos_kac": (lambda a, n: erdos_kac_domain(a.gamma, n),
+                  lambda a, n: (erdos_kac_bound(a.g, a.gamma, n),
+                                1.0 / n, n**-1.5)),
+    "sk_free_energy": (
+        lambda a, n: sk_bound_inputs("free_energy", a.spec_x, a.spec_y,
+                                     a.params, n),
+        lambda a, n: (sk_bound("free_energy", a.spec_x, a.spec_y, a.params,
+                               n, a.g),
+                      *free_energy_lambda(a.params, n))),
+    "sk_ground_state": (
+        lambda a, n: sk_bound_inputs("ground_state", a.spec_x, a.spec_y,
+                                     SKParams(), n),
+        lambda a, n: (sk_bound("ground_state", a.spec_x, a.spec_y,
+                               SKParams(), n, a.g),
+                      *family_lambda(SKParams(), n)[:2])),
+    "wigner": (lambda a, n: semicircle_swap_terms(a.spec_x, a.spec_y, n, a.z,
+                                                  a.epsilon),
+               _wigner_row),
 }
-
-
-def _bound_rows(values, suites, sizes) -> list:
-    """(suite, size, bound, lambda2, lambda3) for each size, and within it
-    for each of ``suites``."""
-    inputs = _bound_inputs(values)
-    return [(suite, n, *_BOUNDS[suite](inputs, n))
-            for n in sizes for suite in suites]
 
 
 def _run_bound_table(config):
     """Every suite's bound over a size grid; pure arithmetic."""
-    return (("setup", "size", "bound", "lambda2", "lambda3"),
-            _bound_rows(config.values, _BOUNDS, config.sizes), True, [])
+    inputs = _bound_inputs(config.values)
+    rows = [(suite, n, *_BOUNDS[suite][1](inputs, n))
+            for n in config.sizes for suite in _BOUNDS]
+    return (("setup", "size", "bound", "lambda2", "lambda3"), rows, True, [])
 
 
 _RUNNERS = {

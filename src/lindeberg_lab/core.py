@@ -56,6 +56,7 @@ __all__ = [
     "c_constants",
     "swap_bound",
     "third_moment_bound",
+    "clt_swap_terms",
     "clt_bound",
     "fd_partial",
     "estimate_lambda",
@@ -341,22 +342,28 @@ def third_moment_bound(c2: float, gamma: float, n: int, lambda3: float) -> float
     return 2.0 * c2 * gamma * n * lambda3
 
 
-def clt_bound(spec_x: DistributionSpec, spec_y: DistributionSpec, n: int,
-              g: TestFunction) -> float:
-    """Bound of the normalized-sum gap: the swap bound at K = oo.
-
-    The mean function has lambda_2 = 1/n and lambda_3 = n^(-3/2); at K = oo
-    the tail channel vanishes and the body channel carries the full third
-    moments of both laws, which gives C2 (g_x + g_y) / sqrt(n).
-    """
+def clt_swap_terms(spec_x: DistributionSpec, spec_y: DistributionSpec,
+                   n: int) -> tuple[float, float, float, float]:
+    """(lambda_2, lambda_3, tail sum, body sum) of the CLT bound at K = oo:
+    the mean function's 1/n and n^(-3/2), no tail, and the full third
+    moments of both laws in the body; raises outside its domain and does no
+    bound arithmetic."""
     if n < 1:
         raise ValueError("the normalized sum needs at least one term")
     gx = third_abs_moment(spec_x)
     gy = third_abs_moment(spec_y)
     if math.isinf(gx) or math.isinf(gy):
         raise InfiniteGammaError("CLT bound needs finite third moments")
+    return 1.0 / n, n**-1.5, 0.0, n * (gx + gy)
+
+
+def clt_bound(spec_x: DistributionSpec, spec_y: DistributionSpec, n: int,
+              g: TestFunction) -> float:
+    """Bound of the normalized-sum gap: the swap bound at K = oo, which
+    gives C2 (g_x + g_y) / sqrt(n)."""
+    terms = clt_swap_terms(spec_x, spec_y, n)
     c1, c2 = c_constants(g)
-    return swap_bound(c1, c2, 1.0 / n, n**-1.5, 0.0, n * (gx + gy))
+    return swap_bound(c1, c2, *terms)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ import numpy as np
 
 from .core import (
     GapReport,
+    InfiniteGammaError,
     SmoothFunction,
     SuiteReport,
     TestFunction,
@@ -91,6 +92,7 @@ __all__ = [
     "free_energy_lambda",
     "ground_state",
     "SKReport",
+    "sk_bound_inputs",
     "sk_bound",
     "sk_experiment",
 ]
@@ -461,33 +463,45 @@ class SKReport(SuiteReport):
     report: GapReport
 
 
+def sk_bound_inputs(kind: SKKind | str, spec_x: DistributionSpec,
+                    spec_y: DistributionSpec, params: SKParams,
+                    N: int) -> tuple[SKKind, int, float]:
+    """(kind, coupling count n, gamma) of ``sk_bound``; raises outside its
+    domain and does no bound arithmetic."""
+    kind = SKKind(kind)
+    n = CouplingLayout(N).coordinate_count
+    gamma = max(third_abs_moment(spec_x), third_abs_moment(spec_y))
+    if math.isinf(gamma):
+        raise InfiniteGammaError("the SK bounds need finite third moments")
+    if kind is SKKind.FREE_ENERGY:
+        # the field energy beta h sum_i s_i reaches beta |h| N
+        if not math.isfinite(params.beta * abs(params.h) * N):
+            raise ValueError("beta |h| N must be finite: the field energy "
+                             "overflows")
+    elif params.beta != 1.0 or params.h != 0.0:
+        raise ValueError(
+            "the ground-state experiment is defined at beta = 1, h = 0"
+        )
+    return kind, n, gamma
+
+
 def sk_bound(kind: SKKind | str, spec_x: DistributionSpec,
              spec_y: DistributionSpec, params: SKParams, N: int,
              g: TestFunction) -> float:
     """Bound of the coupling-universality gap of ``sk_experiment``.
 
     Free energy: the third-moment bound with the smoothed influence of
-    ``free_energy_lambda``, 13 beta^3 N^(-5/2); the field energy
-    beta h sum_i s_i reaches beta |h| N, which must be finite.  Ground
-    state: the alpha-optimized max bound of ``sk_family``, defined at
-    beta = 1, h = 0.  Pure arithmetic in N: nothing is enumerated.
+    ``free_energy_lambda``, 13 beta^3 N^(-5/2).  Ground state: the
+    alpha-optimized max bound of ``sk_family``.  Pure arithmetic in N:
+    nothing is enumerated.
     """
-    kind = SKKind(kind)
-    layout = CouplingLayout(N)
-    n = layout.coordinate_count
-    gamma = max(third_abs_moment(spec_x), third_abs_moment(spec_y))
+    kind, n, gamma = sk_bound_inputs(kind, spec_x, spec_y, params, N)
     if kind is SKKind.FREE_ENERGY:
-        if not math.isfinite(params.beta * abs(params.h) * N):
-            raise ValueError("beta |h| N must be finite: the field energy "
-                             "overflows")
         _, c2 = c_constants(g)
         return third_moment_bound(c2, gamma, n,
                                   free_energy_lambda(params, N)[1])
-    if params.beta != 1.0 or params.h != 0.0:
-        raise ValueError(
-            "the ground-state experiment is defined at beta = 1, h = 0"
-        )
-    return optimized_max_bound(g, gamma, n, sk_family(layout, params))
+    return optimized_max_bound(g, gamma, n,
+                               sk_family(CouplingLayout(N), params))
 
 
 def sk_experiment(kind: SKKind | str, spec_x: DistributionSpec,

@@ -36,6 +36,7 @@ from .smoothmax import FunctionFamily, optimized_max_bound
 __all__ = [
     "walk_family",
     "max_partial_sums",
+    "erdos_kac_domain",
     "erdos_kac_bound",
     "half_normal_reference",
     "ks_to_half_normal",
@@ -82,12 +83,17 @@ def max_partial_sums(x):
     return float(top) if x.ndim == 1 else top
 
 
-def erdos_kac_bound(g: TestFunction, gamma: float, n: int) -> float:
-    """K(g) [ gamma^(1/3) n^(-1/6) (log n)^(2/3) + gamma n^(-1/2) ]."""
+def erdos_kac_domain(gamma: float, n: int) -> None:
+    """Raise outside the domain of ``erdos_kac_bound``; no bound arithmetic."""
     if math.isinf(gamma):
         raise InfiniteGammaError("the bound needs a finite third moment")
     if n < 2:
         raise ValueError("need at least two steps")
+
+
+def erdos_kac_bound(g: TestFunction, gamma: float, n: int) -> float:
+    """K(g) [ gamma^(1/3) n^(-1/6) (log n)^(2/3) + gamma n^(-1/2) ]."""
+    erdos_kac_domain(gamma, n)
     return optimized_max_bound(g, gamma, n, walk_family(n))
 
 

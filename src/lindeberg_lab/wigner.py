@@ -356,14 +356,13 @@ class SemicircleReport(SuiteReport):
     m_reference: complex  # semicircle transform at z
 
 
-def semicircle_bound(spec_x: DistributionSpec, spec_y: DistributionSpec,
-                     N: int, z: complex, g: TestFunction,
-                     epsilon: float) -> float:
-    """Swap bound for Re/Im of the transform at truncation K = eps sqrt(N).
-
-    Raises InfiniteGammaError when a body third moment is infinite at K,
-    which happens at K = inf for Pareto tails with exponent <= 3.
-    """
+def semicircle_swap_terms(spec_x: DistributionSpec, spec_y: DistributionSpec,
+                          N: int, z: complex,
+                          epsilon: float) -> tuple[float, float, float, float]:
+    """(lambda_2, lambda_3, tail sum, body sum) of the transform's swap bound
+    at truncation K = eps sqrt(N); raises outside its domain (a body third
+    moment infinite at K, as at K = inf for Pareto tails with exponent <= 3)
+    and does no bound arithmetic."""
     K = epsilon * math.sqrt(N)
     n = WignerLayout(N).coordinate_count
     tail_sum = n * (truncated_second_moment(spec_x, K)
@@ -376,9 +375,16 @@ def semicircle_bound(spec_x: DistributionSpec, spec_y: DistributionSpec,
             f"use a finite truncation level"
         )
     bounds = derivative_bounds(N, z.imag)
+    return bounds.lambda2, bounds.lambda3, tail_sum, body_sum
+
+
+def semicircle_bound(spec_x: DistributionSpec, spec_y: DistributionSpec,
+                     N: int, z: complex, g: TestFunction,
+                     epsilon: float) -> float:
+    """Swap bound for Re/Im of the transform at truncation K = eps sqrt(N)."""
+    terms = semicircle_swap_terms(spec_x, spec_y, N, z, epsilon)
     c1, c2 = c_constants(g)
-    return swap_bound(c1, c2, bounds.lambda2, bounds.lambda3,
-                      tail_sum, body_sum)
+    return swap_bound(c1, c2, *terms)
 
 
 def semicircle_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,

@@ -387,9 +387,11 @@ class TestOneBoundPerSuite:
 
 
 class TestBoundRowsAsValidator:
-    """A config is checked by calling its suite's row of ``cli._BOUNDS``,
-    so every row must answer a bound or a domain error over the whole
-    input space, and never nan or a stray exception."""
+    """A config is checked by calling its suite's check in
+    ``cli._BOUNDS``, the domain of the bound its run calls: over the whole
+    input space the check must refuse exactly what the row refuses, and
+    every row must answer a bound or a domain error, never nan or a stray
+    exception."""
 
     LAWS = ["rademacher", "gaussian", "uniform", "cexp", "pareto:4",
             "pareto:2.5", "pareto:3.5"]
@@ -405,25 +407,56 @@ class TestBoundRowsAsValidator:
                            for h in (0.0, 1e-300, 1e300)],
     }
 
-    def test_every_row_is_a_bound_or_a_domain_error(self):
+    @staticmethod
+    def _outcome(call, inputs, n):
+        try:
+            return call(inputs, n), None
+        except (ValueError, LindebergError) as exc:
+            return None, type(exc)
+
+    def test_check_refuses_what_the_row_refuses(self):
         answered = refused = 0
-        for suite, row in cli._BOUNDS.items():
+        for suite, (check, row) in cli._BOUNDS.items():
             for x, y, g, params in itertools.product(
                     self.LAWS, self.LAWS, self.TEST_FUNCTIONS,
                     self.GRIDS.get(suite, [{}])):
                 inputs = cli._bound_inputs(
                     {"dist_x": x, "dist_y": y, "g": g, **params})
                 for n in self.SIZES:
-                    try:
-                        values = row(inputs, n)
-                    except (ValueError, LindebergError):
+                    point = (suite, x, y, g, params, n)
+                    _, check_error = self._outcome(check, inputs, n)
+                    values, row_error = self._outcome(row, inputs, n)
+                    assert check_error is row_error, point
+                    if row_error:
                         refused += 1
                         continue
                     answered += 1
                     for v in values:
                         assert isinstance(v, float) and v >= 0.0, \
-                            (suite, x, y, g, params, n, values)
+                            (point, values)
         assert answered and refused
+
+    def test_config_check_does_no_bound_arithmetic(self, monkeypatch):
+        # every layer-boundary call of a process happens inside run: a
+        # config check that reached the bound arithmetic would hand the
+        # benchmark's tracer spans that no run span holds
+        from lindeberg_lab import core, smoothmax, walks
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bound arithmetic at config time")
+
+        arithmetic = {id(f) for f in (
+            core.c_constants, core.swap_bound, core.third_moment_bound,
+            smoothmax.optimized_max_bound, walks.walk_family)}
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lindeberg_lab"):
+                for attr, value in list(vars(module).items()):
+                    if id(value) in arithmetic:
+                        monkeypatch.setattr(module, attr, refuse)
+        for suite in cli.SUITES:
+            build_config(suite, None, {})
+        with pytest.raises(AssertionError):
+            run(build_config("bound_table", None, {}))
 
 
 class RecordingValues(dict):
