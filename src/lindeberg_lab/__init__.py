@@ -25,7 +25,6 @@ from .core import (
     mc_gap,
     mean_function,
     swap_bound,
-    telescoping_decomposition,
     test_function,
     third_moment_bound,
 )

@@ -40,6 +40,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,9 +50,9 @@ from .core import GapReport, LindebergError, clt_bound, clt_experiment, \
 from .distributions import parse_spec, third_abs_moment
 from .rng import RandomStream
 from .sk import (
-    ENUMERATION_LIMIT,
     CouplingLayout,
     SKParams,
+    check_enumerable,
     family_lambda,
     free_energy_function,
     free_energy_lambda,
@@ -121,17 +122,18 @@ COUNT_LIMIT = 1 << 53
 
 @dataclass
 class ExperimentConfig:
+    """A suite's values and the inputs its check built (``_bound_inputs``;
+    None for lambda_audit), which its run uses."""
+
     suite: str
     values: dict = field(default_factory=dict)
+    inputs: SimpleNamespace | None = None
 
     def __getattr__(self, key):
         try:
             return self.values[key]
         except KeyError:
             raise AttributeError(key) from None
-
-    def echo(self) -> dict:
-        return {"suite": self.suite, **self.values}
 
 
 def build_config(suite: str, file_path: str | None,
@@ -178,11 +180,11 @@ def build_config(suite: str, file_path: str | None,
     if not 1 <= values.get("threads", 1) <= THREAD_LIMIT:
         raise ConfigError(f"threads must lie in 1..{THREAD_LIMIT}")
     config = ExperimentConfig(suite=suite, values=values)
-    _validate_suite_inputs(config)
+    config.inputs = _validate_suite_inputs(config)
     return config
 
 
-def _validate_suite_inputs(config: ExperimentConfig) -> None:
+def _validate_suite_inputs(config: ExperimentConfig):
     values = config.values
     try:
         if "sizes" in values:
@@ -199,10 +201,8 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
                 raise ValueError(f"a {config.suite} vector of size "
                                  f"{values['size']} has {n} coordinates; "
                                  f"at most 2**53 are supported")
-        if config.suite in ("sk_free_energy", "sk_ground_state") and \
-                values["size"] > ENUMERATION_LIMIT:
-            raise ValueError(f"exact enumeration needs size at most "
-                             f"{ENUMERATION_LIMIT}")
+        if config.suite in ("sk_free_energy", "sk_ground_state"):
+            check_enumerable(values["size"])
         if config.suite in ("wigner", "lambda_audit"):
             # the suites that evaluate the transform call LAPACK: load it
             # here, at set-up, and no other suite loads it at all
@@ -211,28 +211,25 @@ def _validate_suite_inputs(config: ExperimentConfig) -> None:
             # no bound function: probe the derivative bounds, which fall as
             # N grows, so order 1 covers every size
             derivative_bounds(1, values["z_im"])
-        else:
-            inputs = _bound_inputs(values)
-            table = config.suite == "bound_table"
-            for n in values["sizes"] if table else (values["size"],):
-                for suite in _BOUNDS if table else (config.suite,):
-                    _BOUNDS[suite][0](inputs, n)
+            return None
+        inputs = _bound_inputs(values)
+        table = config.suite == "bound_table"
+        for n in values["sizes"] if table else (values["size"],):
+            for suite in _BOUNDS if table else (config.suite,):
+                _BOUNDS[suite][0](inputs, n)
+        return inputs
     except (ValueError, LindebergError) as exc:
         raise ConfigError(str(exc)) from None
 
 
-@dataclass
-class RunManifest:
-    """Execution record: config echo, artifact version, results, timing."""
+class RunResult(NamedTuple):
+    """What a suite's run returns: its output table, whether every check
+    passed, and its reports (empty for the table suites)."""
 
-    suite: str
-    config: dict
-    version: str
-    wall_clock_s: float
     columns: tuple
     rows: list
-    reports: list
     ok: bool
+    reports: list
 
 
 def _fmt_cell(v) -> str:
@@ -304,36 +301,31 @@ def _report_table(config, report):
             [report])
 
 
-def _run_clt(config):
+# a runner takes the config and the inputs its check built
+def _run_clt(config, a):
     return _report_table(config, clt_experiment(
-        parse_spec(config.dist_x), parse_spec(config.dist_y), config.size,
-        test_function(config.g), config.replicates, config.seed,
+        a.spec_x, a.spec_y, config.size, a.g, config.replicates, config.seed,
         threads=config.threads,
     ))
 
 
-def _run_wigner(config):
+def _run_wigner(config, a):
     return _report_table(config, semicircle_experiment(
-        parse_spec(config.dist_x), parse_spec(config.dist_y), config.size,
-        complex(config.z_re, config.z_im), test_function(config.g),
-        config.replicates, config.seed, epsilon=config.epsilon,
-        threads=config.threads,
+        a.spec_x, a.spec_y, config.size, a.z, a.g, config.replicates,
+        config.seed, epsilon=a.epsilon, threads=config.threads,
     ))
 
 
-def _run_sk(config, kind: str, params: SKParams):
+def _run_sk(config, a, kind: str, params: SKParams):
     return _report_table(config, sk_experiment(
-        kind, parse_spec(config.dist_x), parse_spec(config.dist_y),
-        params, config.size,
-        config.replicates, test_function(config.g), config.seed,
-        threads=config.threads,
+        kind, a.spec_x, a.spec_y, params, config.size, config.replicates,
+        a.g, config.seed, threads=config.threads,
     ))
 
 
-def _run_erdos_kac(config):
+def _run_erdos_kac(config, a):
     return _report_table(config, erdos_kac_experiment(
-        parse_spec(config.dist_x), parse_spec(config.dist_y), config.size,
-        test_function(config.g), config.replicates, config.seed,
+        a.spec_x, a.spec_y, config.size, a.g, config.replicates, config.seed,
         threads=config.threads,
     ))
 
@@ -343,7 +335,7 @@ def _audit_points(seed: int, label: str, n: int, count: int = 5):
     return [gen.standard_normal(n) for _ in range(count)]
 
 
-def _run_lambda_audit(config):
+def _run_lambda_audit(config, _):
     """Analytic vs empirical influence for every registered family.
 
     Every family is audited at N = size clamped to 2..8: the empirical sups
@@ -389,18 +381,18 @@ def _run_lambda_audit(config):
 
 
 def _bound_inputs(values) -> SimpleNamespace:
-    """What a config hands ``_BOUNDS``, parsed once; bound_table declares no
-    field, so its sk_free_energy row sits at h = 0."""
+    """What a config hands ``_BOUNDS`` and its run, parsed once; a suite
+    that declares no beta or h sits at beta = 1, h = 0 (so bound_table's
+    sk_free_energy row sits at h = 0)."""
     a = SimpleNamespace(spec_x=parse_spec(values["dist_x"]),
                         spec_y=parse_spec(values["dist_y"]),
                         g=test_function(values["g"]),
                         z=complex(values.get("z_re", 0.0),
                                   values.get("z_im", 0.0)),
-                        epsilon=values.get("epsilon"))
+                        epsilon=values.get("epsilon"),
+                        params=SKParams(beta=values.get("beta", 1.0),
+                                        h=values.get("h", 0.0)))
     a.gamma = max(third_abs_moment(a.spec_x), third_abs_moment(a.spec_y))
-    if "beta" in values:
-        a.params = SKParams(beta=values["beta"],
-                            h=values["h"] if "h" in values else 0.0)
     return a
 
 
@@ -409,6 +401,10 @@ def _wigner_row(a, n):
     return (semicircle_bound(a.spec_x, a.spec_y, n, a.z, a.g, a.epsilon),
             influence.lambda2, influence.lambda3)
 
+
+# the ground-state experiment is defined at beta = 1, h = 0, whatever beta
+# bound_table sets for the free energy
+_GROUND_STATE = SKParams()
 
 # suite -> (check, row) at size n: ``check`` is the domain of the bound
 # function the suite's run calls, which calls it first, and does no bound
@@ -430,20 +426,19 @@ _BOUNDS = {
                       *free_energy_lambda(a.params, n))),
     "sk_ground_state": (
         lambda a, n: sk_bound_inputs("ground_state", a.spec_x, a.spec_y,
-                                     SKParams(), n),
+                                     _GROUND_STATE, n),
         lambda a, n: (sk_bound("ground_state", a.spec_x, a.spec_y,
-                               SKParams(), n, a.g),
-                      *family_lambda(SKParams(), n)[:2])),
+                               _GROUND_STATE, n, a.g),
+                      *family_lambda(_GROUND_STATE, n)[:2])),
     "wigner": (lambda a, n: semicircle_swap_terms(a.spec_x, a.spec_y, n, a.z,
                                                   a.epsilon),
                _wigner_row),
 }
 
 
-def _run_bound_table(config):
+def _run_bound_table(config, a):
     """Every suite's bound over a size grid; pure arithmetic."""
-    inputs = _bound_inputs(config.values)
-    rows = [(suite, n, *_BOUNDS[suite][1](inputs, n))
+    rows = [(suite, n, *_BOUNDS[suite][1](a, n))
             for n in config.sizes for suite in _BOUNDS]
     return (("setup", "size", "bound", "lambda2", "lambda3"), rows, True, [])
 
@@ -451,35 +446,24 @@ def _run_bound_table(config):
 _RUNNERS = {
     "clt": _run_clt,
     "wigner": _run_wigner,
-    "sk_free_energy": lambda cfg: _run_sk(
-        cfg, "free_energy", SKParams(beta=cfg.beta, h=cfg.h)),
-    # the ground-state experiment is defined at beta = 1, h = 0
-    "sk_ground_state": lambda cfg: _run_sk(cfg, "ground_state", SKParams()),
+    "sk_free_energy": lambda c, a: _run_sk(c, a, "free_energy", a.params),
+    "sk_ground_state": lambda c, a: _run_sk(c, a, "ground_state",
+                                            _GROUND_STATE),
     "erdos_kac": _run_erdos_kac,
     "lambda_audit": _run_lambda_audit,
     "bound_table": _run_bound_table,
 }
 
 
-def run(config: ExperimentConfig) -> RunManifest:
-    """Execute a suite, write its output file, return the manifest."""
-    start = time.perf_counter()
-    columns, rows, ok, reports = _RUNNERS[config.suite](config)
-    out = config.values.get("out")
-    if out:
-        text = (render_csv(columns, rows) if config.values["format"] == "csv"
+def run(config: ExperimentConfig) -> RunResult:
+    """Execute a suite, write its output file, return its result."""
+    result = RunResult(*_RUNNERS[config.suite](config, config.inputs))
+    columns, rows = result.columns, result.rows
+    if config.out:
+        text = (render_csv(columns, rows) if config.format == "csv"
                 else render_json(config.suite, columns, rows))
-        Path(out).write_text(text, encoding="utf-8")
-    return RunManifest(
-        suite=config.suite,
-        config=config.echo(),
-        version=__version__,
-        wall_clock_s=time.perf_counter() - start,
-        columns=columns,
-        rows=rows,
-        reports=reports,
-        ok=ok,
-    )
+        Path(config.out).write_text(text, encoding="utf-8")
+    return result
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -510,19 +494,21 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    start = time.perf_counter()
     try:
-        manifest = run(config)
+        result = run(config)
     except Exception as exc:  # runtime fault contract
         # the type names faults whose message is empty, e.g. MemoryError
         detail = ": ".join(filter(None, (type(exc).__name__, str(exc))))
         print(f"runtime fault: {detail}", file=sys.stderr)
         return 3
-    print(f"lindeberg-lab {manifest.version} suite={manifest.suite} "
-          f"rows={len(manifest.rows)} ok={str(manifest.ok).lower()} "
-          f"wall={manifest.wall_clock_s:.3f}s")
-    for row in manifest.rows:
+    wall = time.perf_counter() - start
+    print(f"lindeberg-lab {__version__} suite={config.suite} "
+          f"rows={len(result.rows)} ok={str(result.ok).lower()} "
+          f"wall={wall:.3f}s")
+    for row in result.rows:
         print("  " + " ".join(_fmt_cell(v) for v in row))
-    return 0 if manifest.ok else 1
+    return 0 if result.ok else 1
 
 
 if __name__ == "__main__":

@@ -60,7 +60,6 @@ __all__ = [
     "clt_bound",
     "fd_partial",
     "estimate_lambda",
-    "telescoping_decomposition",
     "paired_functional_values",
     "summarize_gap",
     "mc_gap",
@@ -445,33 +444,6 @@ def _lambda_from_sups(sups) -> LambdaEstimate:
     lam = [max(sups[p - 1] ** (r / p) for p in range(1, r + 1))
            for r in (1, 2, 3)]
     return LambdaEstimate(*lam, per_order_sup=sups)
-
-
-# ---------------------------------------------------------------------------
-# telescoping decomposition
-# ---------------------------------------------------------------------------
-
-def telescoping_decomposition(f: SmoothFunction, g: TestFunction,
-                              x_draw: np.ndarray,
-                              y_draw: np.ndarray) -> np.ndarray:
-    """Per-coordinate increments h(Z_i) - h(Z_(i-1)) with h = g o f.
-
-    Z_i = (x_1..x_i, y_(i+1)..y_n); consecutive evaluations share a cached
-    value, so the increments sum to h(x) - h(y) up to one rounding per term.
-    """
-    x = np.asarray(x_draw, dtype=float)
-    y = np.asarray(y_draw, dtype=float)
-    if x.shape != (f.n,) or y.shape != (f.n,):
-        raise ValueError("draw dimension mismatch")
-    z = y.copy()
-    h_prev = g.value(f.value(z))
-    increments = np.empty(f.n)
-    for i in range(f.n):
-        z[i] = x[i]
-        h_cur = g.value(f.value(z))
-        increments[i] = h_cur - h_prev
-        h_prev = h_cur
-    return increments
 
 
 # ---------------------------------------------------------------------------

@@ -337,7 +337,11 @@ def truncated_second_moment(spec: DistributionSpec, K: float) -> float:
         lo = 1.0 - math.exp(-(1.0 - K)) * ((1.0 - K) ** 2 + 1.0)
         return hi + lo
     a = spec.params[0]
-    t = K * _pareto_scale(a)
+    s = _pareto_scale(a)
+    t = K * s
+    if math.isinf(t) and math.isfinite(K):
+        # t overflows, its power need not: split it over the factors
+        return K ** (2.0 - a) * s ** (2.0 - a)
     return 1.0 if t <= 1.0 else t ** (2.0 - a)
 
 
@@ -366,10 +370,16 @@ def truncated_third_moment(spec: DistributionSpec, K: float) -> float:
     t = K * s
     if t <= 1.0:
         return 0.0
-    if math.isinf(t):
+    if math.isinf(K):
         if a <= 3.0:
             return math.inf
         return (a / (a - 3.0)) / s**3
+    if math.isinf(t):
+        # K * s overflows, its logarithm and powers need not: split them
+        # over the factors, with t^(3 - a) / s^3 as K^(3 - a) s^(-a)
+        if a == 3.0:
+            return a * (math.log(K) + math.log(s)) / s**3
+        return a * (K ** (3.0 - a) * s ** -a - s ** -3.0) / (3.0 - a)
     if a == 3.0:
         return a * math.log(t) / s**3
     return a * (t ** (3.0 - a) - 1.0) / (3.0 - a) / s**3

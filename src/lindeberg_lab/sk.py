@@ -91,6 +91,7 @@ __all__ = [
     "free_energy_function",
     "free_energy_lambda",
     "ground_state",
+    "check_enumerable",
     "SKReport",
     "sk_bound_inputs",
     "sk_bound",
@@ -169,7 +170,8 @@ class SKKind(enum.Enum):
     GROUND_STATE = "ground_state"
 
 
-def _check_enumerable(N: int) -> None:
+def check_enumerable(N: int) -> None:
+    """Refuse N above ENUMERATION_LIMIT, where exact enumeration stops."""
     if N > ENUMERATION_LIMIT:
         raise ValueError(
             f"exact enumeration is guarded at N <= {ENUMERATION_LIMIT}"
@@ -369,7 +371,7 @@ def free_energy(layout: CouplingLayout, params: SKParams, x):
     each row with the arithmetic of its own vector.
     """
     N = layout.size
-    _check_enumerable(N)
+    check_enumerable(N)
     stack, single = _as_stack(layout, x)
     size = _stack_size(N)
     values = np.concatenate([
@@ -435,7 +437,7 @@ def ground_state(layout: CouplingLayout, x):
     ``_stack_size(N)`` vectors.
     """
     N = layout.size
-    _check_enumerable(N)
+    check_enumerable(N)
     hi, lo = _split(N)
     stack, single = _as_stack(layout, x)
     size = _stack_size(N)
@@ -511,7 +513,7 @@ def sk_experiment(kind: SKKind | str, spec_x: DistributionSpec,
     """Paired coupling-universality gap against ``sk_bound``."""
     kind = SKKind(kind)
     layout = CouplingLayout(N)
-    _check_enumerable(N)
+    check_enumerable(N)
     n = layout.coordinate_count
     bound = sk_bound(kind, spec_x, spec_y, params, N, g)
 

@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from lindeberg_lab import distributions as dist
-from lindeberg_lab.core import FULL_LINE, SmoothFunction, triangle_indices
+from lindeberg_lab.core import FULL_LINE, SmoothFunction, TestFunction, \
+    triangle_indices
 from lindeberg_lab.distributions import DistributionSpec, make_vector_sampler
 from lindeberg_lab.sk import CouplingLayout, SKParams
 from lindeberg_lab.smoothmax import FunctionFamily, coordinate_chain, \
@@ -34,6 +35,30 @@ def monomial(n: int, power: int, coordinate: int = 0,
 
     return SmoothFunction(n=n, value=value, partial=partial, domain=domain,
                           name=f"x{coordinate}^{power}")
+
+
+def telescoping_decomposition(f: SmoothFunction, g: TestFunction,
+                              x_draw: np.ndarray,
+                              y_draw: np.ndarray) -> np.ndarray:
+    """Per-coordinate increments h(Z_i) - h(Z_(i-1)) with h = g o f: the
+    paper's swap path, one coordinate at a time.
+
+    Z_i = (x_1..x_i, y_(i+1)..y_n); consecutive evaluations share a cached
+    value, so the increments sum to h(x) - h(y) up to one rounding per term.
+    """
+    x = np.asarray(x_draw, dtype=float)
+    y = np.asarray(y_draw, dtype=float)
+    if x.shape != (f.n,) or y.shape != (f.n,):
+        raise ValueError("draw dimension mismatch")
+    z = y.copy()
+    h_prev = g.value(f.value(z))
+    increments = np.empty(f.n)
+    for i in range(f.n):
+        z[i] = x[i]
+        h_cur = g.value(f.value(z))
+        increments[i] = h_cur - h_prev
+        h_prev = h_cur
+    return increments
 
 
 def sample_vector(specs, gen: np.random.Generator) -> np.ndarray:

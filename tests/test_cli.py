@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import lindeberg_lab
 from lindeberg_lab import cli, sk
 from lindeberg_lab.cli import ConfigError, build_config, main, run
 from lindeberg_lab.core import GapReport, LindebergError, swap_bound, \
@@ -163,8 +164,8 @@ def small_clt(tmp_path, name, **over):
     overrides = {"size": 32, "replicates": 200, "seed": 11,
                  "out": str(out)}
     overrides.update(over)
-    manifest = run(build_config("clt", None, overrides))
-    return manifest, out
+    result = run(build_config("clt", None, overrides))
+    return result, out
 
 
 class TestDeterminism:
@@ -213,17 +214,17 @@ class TestDeterminism:
 
 class TestOutputs:
     def test_csv_header_and_17_digit_floats(self, tmp_path):
-        manifest, out = small_clt(tmp_path, "r.csv")
+        result, out = small_clt(tmp_path, "r.csv")
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(("dist_x", "dist_y", "g", "size",
                                      *GapReport.CSV_COLUMNS))
-        gap_field = lines[1].split(",")[manifest.columns.index("mc_gap")]
-        assert float(gap_field) == manifest.reports[0].mc_gap
+        gap_field = lines[1].split(",")[result.columns.index("mc_gap")]
+        assert float(gap_field) == result.reports[0].mc_gap
         # 17 significant digits survive a round trip
         assert f"{float(gap_field):.17g}" == gap_field
 
     def test_json_payload(self, tmp_path):
-        manifest, out = small_clt(tmp_path, "r.json", format="json")
+        result, out = small_clt(tmp_path, "r.json", format="json")
         payload = json.loads(out.read_text())
         assert payload["suite"] == "clt"
         row = payload["rows"][0]
@@ -265,16 +266,16 @@ class TestOutputs:
         for suite, over in cases.items():
             out = tmp_path / f"{suite}.csv"
             over["out"] = str(out)
-            manifest = run(build_config(suite, None, over))
+            result = run(build_config(suite, None, over))
             assert out.read_text().splitlines()[0] == headers[suite], suite
-            assert manifest.ok, suite
+            assert result.ok, suite
 
     def test_lambda_audit_clamps_every_family(self):
         start = time.perf_counter()
-        manifest = run(build_config("lambda_audit", None, {"size": 20000}))
+        result = run(build_config("lambda_audit", None, {"size": 20000}))
         assert time.perf_counter() - start < 2.0
-        assert {row[1] for row in manifest.rows} == {8}
-        assert manifest.ok
+        assert {row[1] for row in result.rows} == {8}
+        assert result.ok
 
     def test_lambda_audit_free_energy_row_is_analytic(self, monkeypatch):
         # one energy grid per free-energy audit point, for its Gibbs state;
@@ -287,14 +288,14 @@ class TestOutputs:
             return blocks(*args)
 
         monkeypatch.setattr(sk, "_energy_blocks", counting)
-        manifest = run(build_config("lambda_audit", None, {"size": 8}))
-        assert manifest.ok
+        result = run(build_config("lambda_audit", None, {"size": 8}))
+        assert result.ok
         assert len(calls) == 3
 
     def test_lambda_audit_all_rows_ok(self, tmp_path):
-        manifest = run(build_config("lambda_audit", None, {"size": 6}))
-        assert all(row[5] for row in manifest.rows)
-        families = {row[0] for row in manifest.rows}
+        result = run(build_config("lambda_audit", None, {"size": 6}))
+        assert all(row[5] for row in result.rows)
+        families = {row[0] for row in result.rows}
         assert families == {"walk", "sk_family", "sk_free_energy",
                             "wigner_stieltjes"}
 
@@ -302,8 +303,8 @@ class TestOutputs:
 class TestBoundTable:
     def test_single_point_matches_direct_calls(self):
         cfg = build_config("bound_table", None, {"sizes": "12"})
-        manifest = run(cfg)
-        table = {row[0]: row for row in manifest.rows}
+        result = run(cfg)
+        table = {row[0]: row for row in result.rows}
         g = named_g(cfg.g)
         gx = third_abs_moment(parse_spec(cfg.dist_x))
         gy = third_abs_moment(parse_spec(cfg.dist_y))
@@ -316,8 +317,8 @@ class TestBoundTable:
             erdos_kac_bound(g, max(gx, gy), n), rel=1e-14)
 
     def test_sk_rows_reproduce_influence_bounds(self):
-        manifest = run(build_config("bound_table", None, {"sizes": "12"}))
-        row = next(r for r in manifest.rows if r[0] == "sk_free_energy")
+        result = run(build_config("bound_table", None, {"sizes": "12"}))
+        row = next(r for r in result.rows if r[0] == "sk_free_energy")
         l2, l3 = free_energy_lambda(SKParams(beta=1.0), 12)
         assert row[3] == pytest.approx(l2, rel=1e-14)
         assert row[4] == pytest.approx(l3, rel=1e-14)
@@ -327,9 +328,9 @@ class TestBoundTable:
         # seconds and a gigabyte
         start = time.perf_counter()
         cfg = build_config("bound_table", None, {"sizes": "4000"})
-        manifest = run(cfg)
+        result = run(cfg)
         assert time.perf_counter() - start < 1.0
-        table = {row[0]: row for row in manifest.rows}
+        table = {row[0]: row for row in result.rows}
         g = named_g(cfg.g)
         gamma = max(third_abs_moment(parse_spec(cfg.dist_x)),
                     third_abs_moment(parse_spec(cfg.dist_y)))
@@ -350,15 +351,15 @@ class TestBoundTable:
     def test_largest_size_is_arithmetic_only(self):
         # 2^53 is the largest size whose n and n - 1 are distinct floats
         start = time.perf_counter()
-        manifest = run(build_config("bound_table", None,
+        result = run(build_config("bound_table", None,
                                     {"sizes": str(1 << 53)}))
         assert time.perf_counter() - start < 1.0
-        assert [row[1] for row in manifest.rows] == [1 << 53] * 5
+        assert [row[1] for row in result.rows] == [1 << 53] * 5
 
     def test_erdos_kac_rows_decrease(self):
-        manifest = run(build_config("bound_table", None,
+        result = run(build_config("bound_table", None,
                                     {"sizes": "8,16,32,64"}))
-        vals = [r[2] for r in manifest.rows if r[0] == "erdos_kac"]
+        vals = [r[2] for r in result.rows if r[0] == "erdos_kac"]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -379,10 +380,10 @@ class TestOneBoundPerSuite:
         table = run(build_config("bound_table", None,
                                  {**self.LAWS, **over, "sizes": "12"}))
         [row] = [row for row in table.rows if row[0] == suite]
-        manifest = run(build_config(suite, None,
+        result = run(build_config(suite, None,
                                     {**self.LAWS, **over, "size": 12,
                                      "replicates": 100}))
-        bound = manifest.rows[0][manifest.columns.index("bound")]
+        bound = result.rows[0][result.columns.index("bound")]
         assert bound.hex() == row[2].hex()
 
 
@@ -460,7 +461,7 @@ class TestBoundRowsAsValidator:
 
 
 class RecordingValues(dict):
-    """Config values that record every key a run reads."""
+    """Config values that record every declared key a check or run reads."""
 
     def __init__(self, values):
         super().__init__(values)
@@ -471,7 +472,8 @@ class RecordingValues(dict):
         return super().__getitem__(key)
 
     def get(self, key, default=None):
-        self.read.add(key)
+        if key in self:
+            self.read.add(key)
         return super().get(key, default)
 
 
@@ -485,13 +487,39 @@ class TestRunnerContract:
         ("lambda_audit", {"size": 3}),
         ("bound_table", {"sizes": "8"}),
     ])
-    def test_suite_reads_every_key_it_declares(self, tmp_path, suite, over):
-        # a declared key that no run reads is a flag that does nothing
+    def test_suite_reads_every_key_it_declares(self, tmp_path, suite, over,
+                                               monkeypatch):
+        # a declared key that neither the check nor the run reads is a flag
+        # that does nothing; the run reads the inputs the check built
+        validate = cli._validate_suite_inputs
+
+        def recording(config):
+            config.values = RecordingValues(config.values)
+            return validate(config)
+
+        monkeypatch.setattr(cli, "_validate_suite_inputs", recording)
         config = build_config(suite, None,
                               {**over, "out": str(tmp_path / "r.csv")})
-        config.values = RecordingValues(config.values)
         run(config)
         assert config.values.read == set(config.values)
+
+    @pytest.mark.parametrize("suite", ["clt", "wigner", "sk_free_energy",
+                                       "sk_ground_state", "erdos_kac",
+                                       "bound_table"])
+    def test_run_uses_the_inputs_its_check_built(self, suite, monkeypatch):
+        # a run parses no config string again: it runs the laws, g, z and
+        # SK parameters that the config check validated
+        over = ({"sizes": "8"} if suite == "bound_table"
+                else {"size": 5, "replicates": 100})
+        config = build_config(suite, None, over)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("config parsed again at run time")
+
+        for name in ("parse_spec", "test_function", "SKParams",
+                     "_bound_inputs"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert run(config).rows
 
     @staticmethod
     def _gap_reports(reports):
@@ -514,11 +542,11 @@ class TestRunnerContract:
         ("erdos_kac", {"size": 16}),
     ])
     def test_monte_carlo_suites(self, suite, over):
-        manifest = run(build_config(suite, None,
+        result = run(build_config(suite, None,
                                     {**over, "replicates": 100, "seed": 6}))
-        [report] = manifest.reports
-        assert manifest.ok is report.passed
-        gaps = self._gap_reports(manifest.reports)
+        [report] = result.reports
+        assert result.ok is report.passed
+        gaps = self._gap_reports(result.reports)
         if suite == "wigner":
             assert gaps == [report.report_re, report.report_im]
             assert [r.experiment_id[-3:] for r in gaps] == ["/re", "/im"]
@@ -526,12 +554,12 @@ class TestRunnerContract:
             assert gaps == [getattr(report, "report", report)]
         assert all(isinstance(r, GapReport) for r in gaps)
         # one row per gap report, each with its own gap columns
-        first = manifest.columns.index("experiment_id")
+        first = result.columns.index("experiment_id")
         width = len(GapReport.CSV_COLUMNS)
-        assert [row[first:first + width] for row in manifest.rows] == [
+        assert [row[first:first + width] for row in result.rows] == [
             r.csv_row() for r in gaps]
-        assert manifest.columns[first:first + width] == GapReport.CSV_COLUMNS
-        labels = {row[:first] for row in manifest.rows}
+        assert result.columns[first:first + width] == GapReport.CSV_COLUMNS
+        labels = {row[:first] for row in result.rows}
         assert len(labels) == 1
 
     @pytest.mark.parametrize("suite, over", [
@@ -570,9 +598,9 @@ class TestRunnerContract:
         ("bound_table", {"sizes": "8"}),
     ])
     def test_table_suites_have_no_reports(self, suite, over):
-        manifest = run(build_config(suite, None, over))
-        assert manifest.reports == []
-        assert manifest.ok is True
+        result = run(build_config(suite, None, over))
+        assert result.reports == []
+        assert result.ok is True
 
 
 class TestMainExitCodes:
@@ -582,12 +610,47 @@ class TestMainExitCodes:
         assert code == 0
         assert "ok=true" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["clt", "--size", "16", "--replicates", "120", "--seed", "4"],
+        ["bound_table", "--sizes", "8,12"],
+    ], ids=lambda argv: argv[0])
+    def test_stdout_summary(self, argv, tmp_path, capsys):
+        # one summary line, then each output row, space-separated
+        out = tmp_path / "r.csv"
+        start = time.perf_counter()
+        code = main([*argv, "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        head, *lines = capsys.readouterr().out.splitlines()
+        match = re.fullmatch(r"lindeberg-lab (\S+) suite=(\w+) rows=(\d+) "
+                             r"ok=(true|false) wall=(\d+\.\d{3})s", head)
+        assert match, head
+        version, suite, rows, ok, wall = match.groups()
+        assert (version, suite, ok, code) == (lindeberg_lab.__version__,
+                                              argv[0], "true", 0)
+        table = out.read_text().splitlines()[1:]
+        assert int(rows) == len(table) == len(lines) > 0
+        assert lines == ["  " + row.replace(",", " ") for row in table]
+        assert 0.0 <= float(wall) <= elapsed + 0.0005
+
+    def test_finite_truncation_level_past_the_pareto_overflow(self, tmp_path):
+        # K = epsilon sqrt(N) = 1e308, where K times the pareto:2.5 scale
+        # overflows: the body third moment at K, so the bound, is finite
+        out = tmp_path / "r.csv"
+        assert main(["wigner", "--size", "4", "--replicates", "100",
+                     "--dist-x", "pareto:2.5", "--epsilon", "5e307",
+                     "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        column = header.split(",").index("bound")
+        bounds = [float(row.split(",")[column]) for row in rows]
+        assert len(bounds) == 2 and all(map(math.isfinite, bounds))
+
     def test_invalid_config_exits_2(self, capsys):
         assert main(["clt", "--replicates", "5"]) == 2
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["sk_free_energy", "--size", "30"],
+        ["sk_free_energy", "--size", "25"],
         ["sk_free_energy", "--size", "1"],
         ["sk_ground_state", "--size", "25"],
         ["sk_ground_state", "--beta", "2"],
@@ -673,7 +736,7 @@ class TestMainExitCodes:
 
     def test_fault_without_message_names_its_type(self, capsys,
                                                   monkeypatch):
-        def exhausted(cfg):
+        def exhausted(cfg, inputs):
             raise MemoryError()
 
         monkeypatch.setitem(cli._RUNNERS, "clt", exhausted)
@@ -694,8 +757,9 @@ class TestMainExitCodes:
                             theoretical_bound=0.1, seed=0)
         monkeypatch.setitem(
             cli._RUNNERS, "clt",
-            lambda cfg: (GapReport.CSV_COLUMNS, [failing.csv_row()],
-                         failing.passed, [failing]))
+            lambda cfg, inputs: (GapReport.CSV_COLUMNS,
+                                 [failing.csv_row()], failing.passed,
+                                 [failing]))
         code = main(["clt", "--size", "16", "--replicates", "120"])
         assert code == 1
         assert "ok=false" in capsys.readouterr().out
@@ -748,9 +812,9 @@ CLI_PROBE = (
     "run = cli.run\n"
     "def probed(config):\n"
     "    seen['entered'] = loaded()\n"
-    "    manifest = run(config)\n"
+    "    result = run(config)\n"
     "    seen['returned'] = loaded()\n"
-    "    return manifest\n"
+    "    return result\n"
     "cli.run = probed\n"
     "seen['status'] = cli.main(sys.argv[1:])\n"
     "print(json.dumps(seen))\n"

@@ -25,7 +25,6 @@ from lindeberg_lab.core import (
     paired_functional_values,
     summarize_gap,
     swap_bound,
-    telescoping_decomposition,
     third_moment_bound,
 )
 from lindeberg_lab.core import test_function as named_g
@@ -41,7 +40,8 @@ from lindeberg_lab.distributions import (
 from lindeberg_lab.rng import RandomStream
 from lindeberg_lab import core, sk, smoothmax, wigner
 from lindeberg_lab.walks import walk_family
-from oracles import monomial, sample_vector, softmax_partials
+from oracles import monomial, sample_vector, softmax_partials, \
+    telescoping_decomposition
 
 SIN = named_g("sin")
 TANH = named_g("tanh")

@@ -218,6 +218,32 @@ class TestMomentStructure:
         assert all(a <= b for a, b in zip(bodies, bodies[1:]))
         assert (tails[-2], bodies[-2]) == (tails[-1], bodies[-1])
 
+    @pytest.mark.parametrize("a", [2.1, 2.5, 3.0, 3.5, 4.0])
+    def test_pareto_finite_where_K_times_its_scale_overflows(self, a):
+        # t = K s overflows above K = max / s, s = sqrt(a / (a - 2)); the
+        # moments at every finite K stay finite and match their closed
+        # forms written in log t = log K + log s
+        spec = pareto(a)
+        levels = (1e300, 1e307, 5e307, 1e308, 1.7e308, sys.float_info.max)
+        tails = [truncated_second_moment(spec, K) for K in levels]
+        bodies = [truncated_third_moment(spec, K) for K in levels]
+        assert all(map(math.isfinite, tails + bodies))
+        assert all(x >= y for x, y in zip(tails, tails[1:]))
+        assert all(x <= y for x, y in zip(bodies, bodies[1:]))
+        log_s = 0.5 * math.log(a / (a - 2.0))
+        for K, tail, body in zip(levels, tails, bodies):
+            log_t = math.log(K) + log_s
+            # the tail t^(2 - a) is positive wherever it is a normal float
+            if (2.0 - a) * log_t > math.log(sys.float_info.min):
+                assert tail == pytest.approx(math.exp((2.0 - a) * log_t),
+                                             rel=1e-11)
+            else:
+                assert tail >= 0.0
+            reference = (a * log_t if a == 3.0 else
+                         a * math.expm1((3.0 - a) * log_t) / (3.0 - a))
+            assert body == pytest.approx(reference * math.exp(-3.0 * log_s),
+                                         rel=1e-11)
+
     @pytest.mark.parametrize("spec", all_specs, ids=lambda s: s.label)
     def test_body_third_at_most_K(self, spec):
         for K in K_GRID:
