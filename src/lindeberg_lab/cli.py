@@ -6,7 +6,8 @@ Usage::
 
 Suites: clt, wigner, sk_free_energy, sk_ground_state, erdos_kac,
 lambda_audit, bound_table.  Every flag can also be set in a config file
-(``--config``): flat key = value text with one section per suite; command-line
+(``--config``): flat key = value text with one section per suite, read as
+UTF-8 and without interpolation (``%`` is a plain character); command-line
 flags override file values, file values override suite defaults.
 
 Output files (``--out``, ``--format csv|json``) contain only deterministic
@@ -27,13 +28,13 @@ depend on it.  Replicate counts, the coordinate count n of a drawn vector and
 ``bound_table`` sizes stop at COUNT_LIMIT = 2**53.
 
 Exit status: 0 on success, 1 if any gap report failed its bound, 2 on invalid
-configuration, 3 on a runtime fault.
+configuration (a malformed config file and an ``--out`` the check can see
+cannot be written included), 3 on a runtime fault.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import sys
 import time
@@ -143,8 +144,14 @@ def build_config(suite: str, file_path: str | None,
     defaults = {**_COMMON_DEFAULTS, **_SUITE_DEFAULTS[suite]}
     values = dict(defaults)
     if file_path:
-        parser = configparser.ConfigParser()
-        read = parser.read(file_path)
+        import configparser
+
+        # no interpolation: a value is its text, '%' included
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(file_path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {file_path!r}: {exc}") from None
         if not read:
             raise ConfigError(f"config file {file_path!r} not readable")
         if parser.has_section(suite):
@@ -168,6 +175,18 @@ def build_config(suite: str, file_path: str | None,
                               f"{values[key]!r}") from None
     if values["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
+    # refuse an --out that cannot be written before the suite runs
+    out = Path(values["out"])
+    if "\0" in values["out"]:
+        raise ConfigError(f"out {values['out']!r} holds a NUL character")
+    try:
+        if values["out"] and out.is_dir():
+            raise ConfigError(f"out {str(out)!r} is a directory")
+        if values["out"] and not out.parent.is_dir():
+            raise ConfigError(f"out {str(out)!r}: no directory "
+                              f"{str(out.parent)!r}")
+    except OSError as exc:  # e.g. a name too long to look up
+        raise ConfigError(f"out {str(out)!r}: {exc.strerror}") from None
     if not 100 <= values.get("replicates", 100) <= COUNT_LIMIT:
         raise ConfigError("replicates must lie in 100..2**53")
     if values.get("size", 1) < 1:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -555,9 +554,8 @@ def paired_functional_values(eval_x: Callable[[np.ndarray], np.ndarray],
         for start in range(lo, hi, rows):
             stop = min(start + rows, hi)
             block = buffer[:stop - start]
-            span = range(start, stop)
-            vx[start:stop] = eval_x(draw_x(map(sx.replicate, span), block))
-            vy[start:stop] = eval_y(draw_y(map(sy.replicate, span), block))
+            vx[start:stop] = eval_x(draw_x(sx, start, block))
+            vy[start:stop] = eval_y(draw_y(sy, start, block))
 
     blocks = -(-replicates // rows)
     chunk = -(-blocks // threads) * rows
@@ -566,6 +564,9 @@ def paired_functional_values(eval_x: Callable[[np.ndarray], np.ndarray],
     if len(ranges) == 1:
         run_range(0, replicates)
     else:
+        # loaded here: a single-thread run never needs it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             list(pool.map(lambda ab: run_range(*ab), ranges))
     return vx, vy

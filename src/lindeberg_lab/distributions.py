@@ -257,37 +257,28 @@ def _normal_quantile(p: np.ndarray) -> np.ndarray:
 
 
 def make_vector_sampler(specs):
-    """Compile a per-coordinate spec list into a fast ``draw(gen, out=None)``.
+    """Compile a per-coordinate spec list into ``draw(stream, start, out)``.
 
-    Coordinate i always consumes the i-th uniform of its generator, whether
+    ``draw`` has the ``RandomStream`` ``stream`` fill the rows of the (B, n)
+    float array ``out`` with the uniforms of replicates ``start`` ..
+    ``start + B - 1``, transforms the block in place and returns it.
+    Coordinate i always consumes the i-th uniform of its replicate, whether
     the list is homogeneous (one vectorized transform) or mixed (grouped
-    transforms through index arrays).  ``gen`` is a generator, which fills
-    one vector of length n, or an iterable of generators, one per row of a
-    2-D ``out`` of shape (B, n): each row is filled before the next
-    generator is taken, so the iterable may reposition one shared generator
-    per row.  The transform then runs once over the whole block, elementwise,
-    so a row's values do not depend on the block around it.  ``draw`` fills
-    ``out`` when given (a vector may also be drawn into a fresh array) and
-    returns it; a caller that passes the same ``out`` on every call must not
-    keep a reference to an earlier result.
+    transforms through index arrays).  The transforms are elementwise, so a
+    row's values do not depend on the block around it.  A caller that passes
+    the same ``out`` on every call must not keep a reference to an earlier
+    result.
     """
     specs = list(specs)
     n = len(specs)
     if n == 0:
         raise ValueError("need at least one coordinate spec")
 
-    def fill(gen, out):
-        if isinstance(gen, np.random.Generator):
-            return gen.random(n, out=out)
-        for row, g in zip(out, gen):
-            g.random(out=row)
-        return out
-
     if specs.count(specs[0]) == n:
         spec0 = specs[0]
 
-        def draw(gen, out=None) -> np.ndarray:
-            return _transform(spec0, fill(gen, out))
+        def draw(stream, start: int, out: np.ndarray) -> np.ndarray:
+            return _transform(spec0, stream.fill(start, out))
 
         return draw
 
@@ -296,10 +287,10 @@ def make_vector_sampler(specs):
         groups.setdefault(s, []).append(i)
     compiled = [(spec, np.array(idx)) for spec, idx in groups.items()]
 
-    def draw(gen, out=None) -> np.ndarray:
-        u = fill(gen, out)
+    def draw(stream, start: int, out: np.ndarray) -> np.ndarray:
+        u = stream.fill(start, out)
         for spec, idx in compiled:
-            u[..., idx] = _transform(spec, u[..., idx])
+            u[:, idx] = _transform(spec, u[:, idx])
         return u
 
     return draw

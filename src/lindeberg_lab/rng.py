@@ -35,9 +35,9 @@ def experiment_code(experiment: str | int) -> int:
 class RandomStream:
     """Philox-backed stream family keyed by (master_seed, experiment).
 
-    ``replicate(r)`` positions the counter at block ``r << 128`` and returns a
-    generator for that replicate.  The returned generator is shared and is
-    invalidated by the next ``replicate`` call.
+    Replicate ``r`` starts at counter block ``r << 128``.  ``fill`` draws
+    blocks of replicates; ``replicate(r)`` returns a generator positioned at
+    replicate ``r``, shared and invalidated by the next ``replicate`` call.
     """
 
     def __init__(self, master_seed: int, experiment: str | int = 0):
@@ -50,12 +50,13 @@ class RandomStream:
         )
         self._bg = np.random.Philox(key=self._key)
         self._gen = np.random.Generator(self._bg)
-        template = self._bg.state
-        template["state"]["counter"][:] = 0
-        template["buffer_pos"] = 4  # force a refill on first draw
-        template["has_uint32"] = 0
-        template["uinteger"] = 0
-        self._template = template
+        # plain lists, which the state setter reads faster than uint64
+        # arrays; buffer_pos 4 forces a refill on the first draw
+        self._template = {
+            "bit_generator": "Philox", "buffer": [0, 0, 0, 0],
+            "state": {"counter": [0, 0, 0, 0], "key": self._key.tolist()},
+            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
 
     def replicate(self, index: int) -> np.random.Generator:
         """Fast shared generator positioned at replicate ``index``."""
@@ -64,3 +65,10 @@ class RandomStream:
         self._template["state"]["counter"][2] = index
         self._bg.state = self._template
         return self._gen
+
+    def fill(self, start: int, out: np.ndarray) -> np.ndarray:
+        """Row k of the 2-D float array ``out`` gets the uniforms of replicate
+        ``start + k``; return ``out``."""
+        for index, row in enumerate(out, start):
+            self.replicate(index).random(out=row)
+        return out

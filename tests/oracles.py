@@ -11,7 +11,7 @@ import numpy as np
 from lindeberg_lab import distributions as dist
 from lindeberg_lab.core import FULL_LINE, SmoothFunction, TestFunction, \
     triangle_indices
-from lindeberg_lab.distributions import DistributionSpec, make_vector_sampler
+from lindeberg_lab.distributions import DistributionSpec
 from lindeberg_lab.sk import CouplingLayout, SKParams
 from lindeberg_lab.smoothmax import FunctionFamily, coordinate_chain, \
     softmax_state
@@ -62,10 +62,13 @@ def telescoping_decomposition(f: SmoothFunction, g: TestFunction,
 
 
 def sample_vector(specs, gen: np.random.Generator) -> np.ndarray:
-    """Draw one value per coordinate spec; coordinate i uses the i-th uniform."""
+    """Draw one value per coordinate spec: coordinate i transforms the i-th
+    uniform of ``gen`` on its own, without the compiled vector sampler."""
     if isinstance(specs, DistributionSpec):
         raise TypeError("sample_vector expects a sequence of specs")
-    return make_vector_sampler(specs)(gen)
+    u = gen.random(len(specs))
+    return np.array([dist._transform(spec, u[i:i + 1])[0]
+                     for i, spec in enumerate(specs)])
 
 
 def _horner(coefs, r):

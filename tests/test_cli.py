@@ -743,11 +743,48 @@ class TestMainExitCodes:
         assert main(["clt", "--size", "16", "--replicates", "120"]) == 3
         assert "runtime fault: MemoryError" in capsys.readouterr().err
 
-    def test_runtime_fault_exits_3(self, capsys):
-        code = main(["clt", "--size", "16", "--replicates", "120",
-                     "--out", "/nonexistent-dir/x.csv"])
+    def test_runtime_fault_exits_3(self, capsys, monkeypatch):
+        # a write that fails once the suite runs; an --out the check can
+        # see is bad exits 2 (test_bad_out_exits_2_before_the_suite_runs)
+        def full_disk(cfg, inputs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setitem(cli._RUNNERS, "clt", full_disk)
+        code = main(["clt", "--size", "16", "--replicates", "120"])
         assert code == 3
-        assert "runtime fault" in capsys.readouterr().err
+        assert "runtime fault: OSError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["missing-dir/x.csv", ".", "a" * 300,
+                                     "a\0b.csv"],
+                             ids=["no-dir", "a-dir", "name-too-long",
+                                  "nul-byte"])
+    def test_bad_out_exits_2_before_the_suite_runs(self, out, tmp_path,
+                                                   capsys, monkeypatch):
+        def never(cfg, inputs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(cli._RUNNERS, "clt", never)
+        assert main(["clt", "--out", str(tmp_path / out)]) == 2
+        assert "config error: out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        b"[clt]\nsize = 8\nsize = 9\n",       # duplicate key
+        b"size = 8\n",                         # no section header
+        b"[clt]\nsize\n",                      # key without '='
+        b"[clt]\nsize = 8\xff\n",              # not UTF-8
+    ], ids=["duplicate", "no-section", "no-equals", "not-utf8"])
+    def test_malformed_config_file_exits_2(self, text, tmp_path, capsys):
+        conf = tmp_path / "exp.conf"
+        conf.write_bytes(text)
+        assert main(["clt", "--config", str(conf)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_percent_in_config_value_is_literal(self, tmp_path, capsys):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"[clt]\nout = {tmp_path / 'run%1.csv'}\n"
+                        "size = 8\nreplicates = 100\n")
+        assert main(["clt", "--config", str(conf)]) == 0
+        assert (tmp_path / "run%1.csv").read_text().startswith("dist_x,")
 
     def test_failed_bound_exits_1(self, capsys, monkeypatch):
         # no matched-moment configuration can legitimately fail its bound,
@@ -817,6 +854,9 @@ CLI_PROBE = (
     "    return result\n"
     "cli.run = probed\n"
     "seen['status'] = cli.main(sys.argv[1:])\n"
+    "seen['stdlib'] = sorted(m for m in sys.modules if m in\n"
+    "                        ('concurrent.futures', 'configparser',\n"
+    "                         'logging'))\n"
     "print(json.dumps(seen))\n"
 )
 STAGES = ("imported", "entered", "returned")
@@ -870,13 +910,21 @@ class TestLapackLoading:
 class TestScipyLoading:
     """No suite off the spectrum loads any scipy module, and every suite
     finds numpy.random loaded when it starts: numpy 2 loads it on first
-    use, which would otherwise fall inside the suite's run."""
+    use, which would otherwise fall inside the suite's run.  A one-thread
+    run without a config file loads none of ``concurrent.futures``,
+    ``configparser`` and ``logging``."""
 
     @pytest.mark.parametrize("args", OFF_SPECTRUM, ids=lambda args: args[0])
     def test_suites_off_the_spectrum_never_load_scipy(self, args):
         seen = probe_cli(tuple(args))
         assert [m for stage in STAGES for m in seen[stage]
                 if m != "numpy.random"] == []
+
+    @pytest.mark.parametrize("args", OFF_SPECTRUM + SPECTRAL,
+                             ids=lambda args: args[0])
+    def test_one_thread_without_a_config_file_loads_no_pool_or_parser(
+            self, args):
+        assert probe_cli(tuple(args))["stdlib"] == []
 
     @pytest.mark.parametrize("args", OFF_SPECTRUM + SPECTRAL,
                              ids=lambda args: args[0])

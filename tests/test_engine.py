@@ -46,8 +46,7 @@ def same_bits(a, b) -> bool:
 
 def draws(n: int, rows: int, spec=GAUSSIAN, label: str = "engine"):
     """``rows`` replicate draws of n coordinates, filled as one block."""
-    stream = RandomStream(7, label)
-    return make_vector_sampler([spec] * n)(map(stream.replicate, range(rows)),
+    return make_vector_sampler([spec] * n)(RandomStream(7, label), 0,
                                            np.empty((rows, n)))
 
 
@@ -196,7 +195,8 @@ class TestEngineDeterminism:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(core, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor",
+                            InlinePool)
         n = 400
         serial = self._values(1, n)
         chunks = -(-333 // block_rows(n))
