@@ -21,7 +21,7 @@ from lindeberg_lab import (
     ground_state,
     sk_experiment,
     sk_family,
-    softmax_value,
+    softmax_state,
     test_function,
 )
 
@@ -34,7 +34,7 @@ x = gen.standard_normal(layout.coordinate_count)
 fe = free_energy(layout, params, x)
 print(f"N={N}: free energy by block enumeration     F = {fe:.10f}")
 print(f"      via member-family soft max (level N)  F = "
-      f"{softmax_value(sk_family(layout, params), float(N), x):.10f}")
+      f"{softmax_state(sk_family(layout, params), float(N), x).value:.10f}")
 
 hard = N**-1.5 * ground_state(layout, x)[0]
 print(f"      hard max over configurations          M = {hard:.10f}")

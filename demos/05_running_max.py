@@ -43,6 +43,7 @@ print("\nhalf-normal reference CDF values:")
 for t in (0.5, 1.0, 2.0):
     print(f"  P(|Z| <= {t:.1f}) = {half_normal_reference(t):.6f}")
 
-print("\nbound decay on a size grid (gamma = 1.6):")
+print("\nbound decay on a size grid (rademacher vs gaussian, gamma = 1.596):")
 for n in (10**2, 10**3, 10**4, 10**5):
-    print(f"  n = {n:>6d}   bound = {erdos_kac_bound(g, 1.6, n):.4f}")
+    bound = erdos_kac_bound(RADEMACHER, GAUSSIAN, n, g)
+    print(f"  n = {n:>6d}   bound = {bound:.4f}")

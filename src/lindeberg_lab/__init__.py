@@ -22,7 +22,6 @@ from .core import (
     clt_experiment,
     estimate_lambda,
     fd_partial,
-    mc_gap,
     mean_function,
     swap_bound,
     test_function,
@@ -37,7 +36,6 @@ from .distributions import (
     Family,
     pareto,
     parse_spec,
-    sample,
     third_abs_moment,
     truncated_second_moment,
     truncated_third_moment,
@@ -62,7 +60,6 @@ from .smoothmax import (
     optimized_max_bound,
     smoothed_lambda_bounds,
     softmax_state,
-    softmax_value,
 )
 from .walks import (
     erdos_kac_bound,

@@ -48,13 +48,12 @@ import numpy as np
 from . import __version__
 from .core import GapReport, LindebergError, clt_bound, clt_experiment, \
     clt_swap_terms, estimate_lambda, test_function
-from .distributions import parse_spec, third_abs_moment
+from .distributions import parse_spec
 from .rng import RandomStream
 from .sk import (
     CouplingLayout,
     SKParams,
     check_enumerable,
-    family_lambda,
     free_energy_function,
     free_energy_lambda,
     sk_bound,
@@ -381,8 +380,7 @@ def _run_lambda_audit(config, _):
     fam = sk_family(layout, params)
     pts = _audit_points(seed, "sk", layout.coordinate_count)
     est = estimate_family_lambda(fam, pts)
-    lam2, lam3, _ = family_lambda(params, N)
-    add("sk_family", N, lam2, lam3, est.lambda2, est.lambda3)
+    add("sk_family", N, fam.lambda2, fam.lambda3, est.lambda2, est.lambda3)
 
     fe_bounds = free_energy_lambda(params, N)
     est = estimate_lambda(free_energy_function(layout, params), pts[:3])
@@ -403,22 +401,19 @@ def _bound_inputs(values) -> SimpleNamespace:
     """What a config hands ``_BOUNDS`` and its run, parsed once; a suite
     that declares no beta or h sits at beta = 1, h = 0 (so bound_table's
     sk_free_energy row sits at h = 0)."""
-    a = SimpleNamespace(spec_x=parse_spec(values["dist_x"]),
-                        spec_y=parse_spec(values["dist_y"]),
-                        g=test_function(values["g"]),
-                        z=complex(values.get("z_re", 0.0),
-                                  values.get("z_im", 0.0)),
-                        epsilon=values.get("epsilon"),
-                        params=SKParams(beta=values.get("beta", 1.0),
-                                        h=values.get("h", 0.0)))
-    a.gamma = max(third_abs_moment(a.spec_x), third_abs_moment(a.spec_y))
-    return a
+    return SimpleNamespace(spec_x=parse_spec(values["dist_x"]),
+                           spec_y=parse_spec(values["dist_y"]),
+                           g=test_function(values["g"]),
+                           z=complex(values.get("z_re", 0.0),
+                                     values.get("z_im", 0.0)),
+                           epsilon=values.get("epsilon"),
+                           params=SKParams(beta=values.get("beta", 1.0),
+                                           h=values.get("h", 0.0)))
 
 
-def _wigner_row(a, n):
-    influence = derivative_bounds(n, a.z.imag)
-    return (semicircle_bound(a.spec_x, a.spec_y, n, a.z, a.g, a.epsilon),
-            influence.lambda2, influence.lambda3)
+def _influence(owner):
+    """(lambda2, lambda3) of the family or derivative bounds a bound reads."""
+    return owner.lambda2, owner.lambda3
 
 
 # the ground-state experiment is defined at beta = 1, h = 0, whatever beta
@@ -428,15 +423,15 @@ _GROUND_STATE = SKParams()
 # suite -> (check, row) at size n: ``check`` is the domain of the bound
 # function the suite's run calls, which calls it first, and does no bound
 # arithmetic, so checking a config leaves all of a process's bound arithmetic
-# inside ``run``; ``row`` is (bound, lambda2, lambda3).  bound_table writes
-# every row, in this order.
+# inside ``run``; ``row`` is (bound, lambda2, lambda3), each lambda read from
+# the object its bound reads.  bound_table writes every row, in this order.
 _BOUNDS = {
     "clt": (lambda a, n: clt_swap_terms(a.spec_x, a.spec_y, n),
             lambda a, n: (clt_bound(a.spec_x, a.spec_y, n, a.g),
-                          1.0 / n, n**-1.5)),
-    "erdos_kac": (lambda a, n: erdos_kac_domain(a.gamma, n),
-                  lambda a, n: (erdos_kac_bound(a.g, a.gamma, n),
-                                1.0 / n, n**-1.5)),
+                          *clt_swap_terms(a.spec_x, a.spec_y, n)[:2])),
+    "erdos_kac": (lambda a, n: erdos_kac_domain(a.spec_x, a.spec_y, n),
+                  lambda a, n: (erdos_kac_bound(a.spec_x, a.spec_y, n, a.g),
+                                *_influence(walk_family(n)))),
     "sk_free_energy": (
         lambda a, n: sk_bound_inputs("free_energy", a.spec_x, a.spec_y,
                                      a.params, n),
@@ -448,10 +443,13 @@ _BOUNDS = {
                                      _GROUND_STATE, n),
         lambda a, n: (sk_bound("ground_state", a.spec_x, a.spec_y,
                                _GROUND_STATE, n, a.g),
-                      *family_lambda(_GROUND_STATE, n)[:2])),
+                      *_influence(sk_family(CouplingLayout(n),
+                                            _GROUND_STATE)))),
     "wigner": (lambda a, n: semicircle_swap_terms(a.spec_x, a.spec_y, n, a.z,
                                                   a.epsilon),
-               _wigner_row),
+               lambda a, n: (semicircle_bound(a.spec_x, a.spec_y, n, a.z,
+                                              a.g, a.epsilon),
+                             *_influence(derivative_bounds(n, a.z.imag)))),
 }
 
 

@@ -20,12 +20,12 @@ of both laws and
 When both laws have finite third absolute moments the K -> oo limit gives the
 third-moment form  2 C2(g) gamma n lambda_3(f).
 
-``mc_gap`` estimates the left side by paired Monte Carlo (common replicate
+Every suite estimates the left side by paired Monte Carlo (common replicate
 indices, independent counter-based streams for X and Y) and reports it against
-a caller-supplied bound with a 3-sigma noise margin.  Every suite is an
-adapter over the same two calls: ``paired_functional_values`` draws the
-replicates in (B, n) blocks and maps each block to its B values f(X), f(Y),
-and ``summarize_gap`` applies g to them and reduces the differences.
+its bound with a 3-sigma noise margin, through the same two calls:
+``paired_functional_values`` draws the replicates in (B, n) blocks and maps
+each block to its B values f(X), f(Y), and ``summarize_gap`` applies g to them
+and reduces the differences.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ __all__ = [
     "estimate_lambda",
     "paired_functional_values",
     "summarize_gap",
-    "mc_gap",
     "clt_experiment",
 ]
 
@@ -593,27 +592,6 @@ def summarize_gap(g: TestFunction, vx: np.ndarray, vy: np.ndarray, *,
         theoretical_bound=theoretical_bound,
         seed=seed,
     )
-
-
-def mc_gap(f: SmoothFunction, g: TestFunction, spec_x, spec_y,
-           replicates: int, master_seed: int, experiment: str = "mc-gap",
-           theoretical_bound: float = 0.0, threads: int = 1) -> GapReport:
-    """Paired estimate of |E g(f(X)) - E g(f(Y))| against a bound.
-
-    ``f.value`` runs on each row of every replicate block.  With the default
-    bound 0 the report is a pure noise check: it passes exactly when the
-    estimated gap is within 3 standard errors of zero.
-    """
-
-    def values(block):
-        return np.fromiter(map(f.value, block), dtype=float, count=len(block))
-
-    vx, vy = paired_functional_values(
-        values, values, spec_x, spec_y, f.n, replicates, master_seed,
-        experiment, threads=threads,
-    )
-    return summarize_gap(g, vx, vy, experiment_id=experiment, n=f.n,
-                         theoretical_bound=theoretical_bound, seed=master_seed)
 
 
 def clt_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec, n: int,

@@ -40,8 +40,8 @@ import numpy as np
 __all__ = [
     "Family",
     "DistributionSpec",
+    "pareto",
     "parse_spec",
-    "sample",
     "truncated_second_moment",
     "truncated_third_moment",
     "third_abs_moment",
@@ -115,12 +115,6 @@ def parse_spec(text: str) -> DistributionSpec:
 def _pareto_scale(a: float) -> float:
     # |W| ~ Pareto(1, a), E W^2 = a/(a-2); X = W / s has unit variance.
     return math.sqrt(a / (a - 2.0))
-
-
-def sample(spec: DistributionSpec, gen: np.random.Generator, size=None):
-    """Draw from the law; one uniform consumed per value."""
-    u = _transform(spec, np.asarray(gen.random(size)))
-    return u if size is not None else u[()]
 
 
 def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:

@@ -86,7 +86,6 @@ __all__ = [
     "SKParams",
     "SKKind",
     "sk_family",
-    "family_lambda",
     "free_energy",
     "free_energy_function",
     "free_energy_lambda",
@@ -123,13 +122,6 @@ class CouplingLayout:
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.size)
                 for j in range(i + 1, self.size)]
-
-    def index(self, i: int, j: int) -> int:
-        if j < i:
-            i, j = j, i
-        if not 0 <= i < j < self.size:
-            raise ValueError("pair out of range")
-        return i * self.size - i * (i + 1) // 2 + (j - i - 1)
 
     def coupling_matrix(self, x: np.ndarray) -> np.ndarray:
         """Symmetric zero-diagonal matrix X with X[i, j] = x_ij; a (B, n)
@@ -331,15 +323,6 @@ def sk_family(layout: CouplingLayout, params: SKParams) -> FunctionFamily:
         log_size=N * math.log(2.0),
         name=f"sk[N={N},beta={params.beta:g},h={params.h:g}]",
     )
-
-
-def family_lambda(params: SKParams, N: int) -> tuple[float, float, float]:
-    """Exact family influences (beta^2 N^-3, beta^3 N^(-9/2)) and log size."""
-    if N < 2:
-        raise ValueError("need at least two spins")
-    return (params.beta**2 * N**-3.0,
-            params.beta**3 * N**-4.5,
-            N * math.log(2.0))
 
 
 def _pair_energies(layout: CouplingLayout, x: np.ndarray,

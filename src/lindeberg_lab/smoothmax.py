@@ -52,14 +52,12 @@ __all__ = [
     "FunctionFamily",
     "SoftMaxState",
     "SoftMaxChain",
-    "softmax_value",
     "softmax_state",
     "coordinate_chain",
     "softmax_function",
     "smoothed_lambda_bounds",
     "max_swap_bound",
     "k_constant",
-    "optimized_max_alpha",
     "optimized_max_bound",
     "estimate_family_lambda",
 ]
@@ -128,8 +126,7 @@ class SoftMaxState:
 
     alpha: float
     point: np.ndarray
-    value: float
-    log_partition: float   # log Z = log sum exp(alpha f)
+    value: float           # alpha^(-1) log sum exp(alpha f), max-shifted
     weights: np.ndarray    # p(x, f), sums to 1
 
 
@@ -146,7 +143,6 @@ def softmax_state(family: FunctionFamily, alpha: float,
         alpha=alpha,
         point=x,
         value=(shift + math.log(z)) / alpha,
-        log_partition=shift + math.log(z),
         weights=w / z,
     )
 
@@ -183,18 +179,13 @@ def coordinate_chain(family: FunctionFamily, state: SoftMaxState,
                         d2p=d2p, d2e=d2e)
 
 
-def softmax_value(family: FunctionFamily, alpha: float, x: np.ndarray) -> float:
-    """alpha^(-1) log sum exp(alpha f(x)), max-shifted."""
-    return softmax_state(family, alpha, x).value
-
-
 def softmax_function(family: FunctionFamily, alpha: float) -> SmoothFunction:
     """F_alpha wrapped as a SmoothFunction with analytic partials, read
     from one state and n coordinate chains per point."""
     alpha = _check_alpha(alpha)
 
     def value(x):
-        return softmax_value(family, alpha, x)
+        return softmax_state(family, alpha, x).value
 
     def table(x):
         state = softmax_state(family, alpha, x)
@@ -236,18 +227,13 @@ def k_constant(g: TestFunction) -> float:
     return 19.0 / 3.0 * g.norm1 + 13.0 * g.norm2 + 13.0 / 3.0 * g.norm3
 
 
-def optimized_max_alpha(gamma: float, n: int, lambda3_family: float,
-                        log_size: float) -> float:
-    """The smoothing level [ (g n l3)^(-2/3) (log|F|)^(2/3) + 1 ]^(1/2)."""
-    gnl = gamma * n * lambda3_family
-    if gnl == 0.0:
-        return math.inf if log_size > 0.0 else 1.0
-    return math.sqrt(gnl ** (-2.0 / 3.0) * log_size ** (2.0 / 3.0) + 1.0)
-
-
 def optimized_max_bound(g: TestFunction, gamma: float, n: int,
                         family: FunctionFamily) -> float:
-    """Alpha-optimized max bound K(g) [ (g n l3)^(1/3) (log|F|)^(2/3) + g n l3 ]."""
+    """Alpha-optimized max bound K(g) [ (g n l3)^(1/3) (log|F|)^(2/3) + g n l3 ].
+
+    It dominates ``max_swap_bound`` at K = oo, body sum 2 gamma n, and the
+    level alpha = [ (g n l3)^(-2/3) (log|F|)^(2/3) + 1 ]^(1/2).
+    """
     if math.isinf(gamma):
         raise InfiniteGammaError(
             "optimized max bound needs a finite third absolute moment"

@@ -83,17 +83,23 @@ def max_partial_sums(x):
     return float(top) if x.ndim == 1 else top
 
 
-def erdos_kac_domain(gamma: float, n: int) -> None:
-    """Raise outside the domain of ``erdos_kac_bound``; no bound arithmetic."""
+def erdos_kac_domain(spec_x: DistributionSpec, spec_y: DistributionSpec,
+                     n: int) -> float:
+    """gamma = max(E|X|^3, E|Y|^3) of ``erdos_kac_bound``; raises outside its
+    domain and does no bound arithmetic."""
+    gamma = max(third_abs_moment(spec_x), third_abs_moment(spec_y))
     if math.isinf(gamma):
         raise InfiniteGammaError("the bound needs a finite third moment")
     if n < 2:
         raise ValueError("need at least two steps")
+    return gamma
 
 
-def erdos_kac_bound(g: TestFunction, gamma: float, n: int) -> float:
-    """K(g) [ gamma^(1/3) n^(-1/6) (log n)^(2/3) + gamma n^(-1/2) ]."""
-    erdos_kac_domain(gamma, n)
+def erdos_kac_bound(spec_x: DistributionSpec, spec_y: DistributionSpec,
+                    n: int, g: TestFunction) -> float:
+    """K(g) [ gamma^(1/3) n^(-1/6) (log n)^(2/3) + gamma n^(-1/2) ] with
+    gamma = max(E|X|^3, E|Y|^3)."""
+    gamma = erdos_kac_domain(spec_x, spec_y, n)
     return optimized_max_bound(g, gamma, n, walk_family(n))
 
 
@@ -134,8 +140,7 @@ def erdos_kac_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
     The KS diagnostic is computed from the Y-side maxima (put the Gaussian
     law on the Y side to probe the half-normal limit directly).
     """
-    gamma = max(third_abs_moment(spec_x), third_abs_moment(spec_y))
-    bound = erdos_kac_bound(g, gamma, n)
+    bound = erdos_kac_bound(spec_x, spec_y, n, g)
     experiment = f"erdos-kac/{spec_x.label}-vs-{spec_y.label}/n{n}"
     vx, vy = paired_functional_values(
         max_partial_sums, max_partial_sums, spec_x, spec_y, n, replicates,

@@ -100,14 +100,6 @@ class WignerLayout:
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.size) for j in range(i, self.size)]
 
-    def index(self, i: int, j: int) -> int:
-        if j < i:
-            i, j = j, i
-        if not 0 <= i <= j < self.size:
-            raise ValueError("pair out of range")
-        # row i starts after rows 0..i-1, which hold N, N-1, ... entries
-        return i * self.size - i * (i - 1) // 2 + (j - i)
-
 
 def _upper_triangle(layout: WignerLayout, x: np.ndarray) -> np.ndarray:
     """Entries N^(-1/2) x_ij at (i, j), i <= j, zeros below; Fortran order."""
@@ -258,30 +250,21 @@ def stieltjes_partials_all(layout: WignerLayout, x: np.ndarray,
                      -6.0 * t3 * half**3 / N], axis=1)
 
 
-def stieltjes_function(layout: WignerLayout, z: complex,
-                       part: str = "complex") -> SmoothFunction:
-    """The transform at fixed z as a SmoothFunction of the coordinates.
-
-    ``part`` selects the complex value or its real/imaginary projection; the
-    projections inherit the influence bounds of the complex transform.  The
-    partials read one ``stieltjes_partials_all`` table per point.
-    """
-    if part not in ("complex", "re", "im"):
-        raise ValueError("part must be 'complex', 're' or 'im'")
+def stieltjes_function(layout: WignerLayout, z: complex) -> SmoothFunction:
+    """The complex transform at fixed z as a SmoothFunction of the
+    coordinates.  The partials read one ``stieltjes_partials_all`` table per
+    point."""
     z = _check_z(z)
-    N = layout.size
-    take = {"complex": lambda w: w, "re": lambda w: w.real,
-            "im": lambda w: w.imag}[part]
 
     def value(x):
-        return take(stieltjes(layout, x, z))
+        return stieltjes(layout, x, z)
 
     def table(x):
-        return take(stieltjes_partials_all(layout, x, z))
+        return stieltjes_partials_all(layout, x, z)
 
     return SmoothFunction(n=layout.coordinate_count, value=value,
                           partial=partials_at_point(table),
-                          name=f"stieltjes[N={N},z={z},{part}]")
+                          name=f"stieltjes[N={layout.size},z={z}]")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ import math
 
 import numpy as np
 
+from lindeberg_lab import core
 from lindeberg_lab import distributions as dist
-from lindeberg_lab.core import FULL_LINE, SmoothFunction, TestFunction, \
-    triangle_indices
+from lindeberg_lab.core import FULL_LINE, GapReport, SmoothFunction, \
+    TestFunction, summarize_gap, triangle_indices
 from lindeberg_lab.distributions import DistributionSpec
 from lindeberg_lab.sk import CouplingLayout, SKParams
 from lindeberg_lab.smoothmax import FunctionFamily, coordinate_chain, \
@@ -61,6 +62,32 @@ def telescoping_decomposition(f: SmoothFunction, g: TestFunction,
     return increments
 
 
+def mc_gap(f: SmoothFunction, g: TestFunction, spec_x, spec_y,
+           replicates: int, master_seed: int, experiment: str = "mc-gap",
+           theoretical_bound: float = 0.0, threads: int = 1) -> GapReport:
+    """Paired estimate of |E g(f(X)) - E g(f(Y))| against a bound, with
+    ``f.value`` run on each row of every replicate block: the engine with
+    a functional of one vector at a time.  With the default bound 0 the
+    report passes exactly when the gap is within 3 standard errors of 0."""
+
+    def values(block):
+        return np.fromiter(map(f.value, block), dtype=float, count=len(block))
+
+    vx, vy = core.paired_functional_values(
+        values, values, spec_x, spec_y, f.n, replicates, master_seed,
+        experiment, threads=threads,
+    )
+    return summarize_gap(g, vx, vy, experiment_id=experiment, n=f.n,
+                         theoretical_bound=theoretical_bound, seed=master_seed)
+
+
+def sample(spec: DistributionSpec, gen: np.random.Generator, size=None):
+    """Draw from the law, one uniform of ``gen`` per value: an array of
+    ``size`` values, or one float without it."""
+    u = dist._transform(spec, np.asarray(gen.random(size)))
+    return u if size is not None else u[()]
+
+
 def sample_vector(specs, gen: np.random.Generator) -> np.ndarray:
     """Draw one value per coordinate spec: coordinate i transforms the i-th
     uniform of ``gen`` on its own, without the compiled vector sampler."""
@@ -95,6 +122,16 @@ def normal_quantile(p) -> np.ndarray:
     tail = np.where(s <= 5.0, near, far)
     tail = np.where(q < 0.0, -tail, tail)
     return np.where(np.abs(q) <= 0.425, central, tail)
+
+
+def pair_index(layout, i: int, j: int) -> int:
+    """Flat coordinate of the pair (i, j), in either order, in closed form:
+    pairs i < j of a ``CouplingLayout``, i <= j of a ``WignerLayout``, row
+    by row as ``layout.pairs()`` lists them."""
+    i, j = min(i, j), max(i, j)
+    d = 0 if isinstance(layout, WignerLayout) else 1
+    # row r holds the N - r - d pairs (r, r + d), ..., (r, N - 1)
+    return i * (layout.size - d) - i * (i - 1) // 2 + (j - i - d)
 
 
 def family_member(layout: CouplingLayout, params: SKParams, sigma,

@@ -15,14 +15,15 @@ from pathlib import Path
 import pytest
 
 import lindeberg_lab
-from lindeberg_lab import cli, sk
+from lindeberg_lab import cli, core, sk, walks, wigner
 from lindeberg_lab.cli import ConfigError, build_config, main, run
 from lindeberg_lab.core import GapReport, LindebergError, swap_bound, \
     third_moment_bound
 from lindeberg_lab.core import c_constants
 from lindeberg_lab.core import test_function as named_g
 from lindeberg_lab.distributions import parse_spec, third_abs_moment
-from lindeberg_lab.sk import SKParams, family_lambda, free_energy_lambda
+from lindeberg_lab.sk import CouplingLayout, SKParams, free_energy_lambda, \
+    sk_family
 from lindeberg_lab.smoothmax import k_constant
 from lindeberg_lab.walks import erdos_kac_bound
 from lindeberg_lab.wigner import SemicircleReport
@@ -314,7 +315,8 @@ class TestBoundTable:
             swap_bound(c1, c2, 1 / n, n**-1.5, 0.0, n * (gx + gy)),
             rel=1e-14)
         assert table["erdos_kac"][2] == pytest.approx(
-            erdos_kac_bound(g, max(gx, gy), n), rel=1e-14)
+            erdos_kac_bound(parse_spec(cfg.dist_x), parse_spec(cfg.dist_y), n,
+                            g), rel=1e-14)
 
     def test_sk_rows_reproduce_influence_bounds(self):
         result = run(build_config("bound_table", None, {"sizes": "12"}))
@@ -322,6 +324,34 @@ class TestBoundTable:
         l2, l3 = free_energy_lambda(SKParams(beta=1.0), 12)
         assert row[3] == pytest.approx(l2, rel=1e-14)
         assert row[4] == pytest.approx(l3, rel=1e-14)
+
+    def test_rows_print_the_lambda_their_bound_read(self, monkeypatch):
+        # record the influence each bound's arithmetic receives: the family
+        # of optimized_max_bound, the lambdas of swap_bound and the lambda3
+        # of third_moment_bound; a row must print those very floats
+        read = []
+
+        def spy(module, name, influence):
+            original = getattr(module, name)
+
+            def wrapped(*args):
+                read.append(influence(*args))
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        for module in (walks, sk):
+            spy(module, "optimized_max_bound",
+                lambda g, gamma, n, fam: (fam.lambda2, fam.lambda3))
+        for module in (core, wigner):
+            spy(module, "swap_bound", lambda c1, c2, l2, l3, *sums: (l2, l3))
+        spy(sk, "third_moment_bound", lambda c2, gamma, n, l3: (None, l3))
+        sizes = ",".join(map(str, range(2, 41)))
+        result = run(build_config("bound_table", None, {"sizes": sizes}))
+        assert len(read) == len(result.rows) == 5 * 39
+        for row, (lam2, lam3) in zip(result.rows, read):
+            assert row[4] == lam3, row[:2]
+            assert lam2 is None or row[3] == lam2, row[:2]
 
     def test_large_size_is_arithmetic_only(self):
         # no row may enumerate pairs or members, which at n = 4000 costs
@@ -339,14 +369,15 @@ class TestBoundTable:
         l2f, l3f = free_energy_lambda(SKParams(beta=1.0), n)
         assert table["sk_free_energy"][2:] == (
             third_moment_bound(c2, gamma, pairs, l3f), l2f, l3f)
-        lam2, lam3, log_size = family_lambda(SKParams(beta=1.0), n)
-        gnl = gamma * pairs * lam3
+        fam = sk_family(CouplingLayout(n), SKParams(beta=1.0))
+        gnl = gamma * pairs * fam.lambda3
         assert table["sk_ground_state"][2] == pytest.approx(
-            k_constant(g) * (gnl ** (1 / 3) * log_size ** (2 / 3) + gnl),
+            k_constant(g) * (gnl ** (1 / 3) * fam.log_size ** (2 / 3) + gnl),
             rel=1e-14)
-        assert table["sk_ground_state"][3:] == (lam2, lam3)
+        assert table["sk_ground_state"][3:] == (fam.lambda2, fam.lambda3)
         assert table["erdos_kac"][2] == pytest.approx(
-            erdos_kac_bound(g, gamma, n), rel=1e-14)
+            erdos_kac_bound(parse_spec(cfg.dist_x), parse_spec(cfg.dist_y), n,
+                            g), rel=1e-14)
 
     def test_largest_size_is_arithmetic_only(self):
         # 2^53 is the largest size whose n and n - 1 are distinct floats

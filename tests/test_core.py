@@ -20,7 +20,6 @@ from lindeberg_lab.core import (
     clt_experiment,
     estimate_lambda,
     fd_partial,
-    mc_gap,
     mean_function,
     paired_functional_values,
     summarize_gap,
@@ -33,14 +32,13 @@ from lindeberg_lab.distributions import (
     RADEMACHER,
     UNIFORM,
     pareto,
-    sample,
     truncated_second_moment,
     truncated_third_moment,
 )
 from lindeberg_lab.rng import RandomStream
 from lindeberg_lab import core, sk, smoothmax, wigner
 from lindeberg_lab.walks import walk_family
-from oracles import monomial, sample_vector, softmax_partials, \
+from oracles import monomial, sample, sample_vector, softmax_partials, \
     telescoping_decomposition
 
 SIN = named_g("sin")
@@ -387,15 +385,14 @@ class TestTriangleOffsets:
 
 class TestMcGap:
     def test_identical_laws_within_noise(self):
-        report = mc_gap(mean_function(32), SIN, GAUSSIAN, GAUSSIAN,
-                        replicates=2000, master_seed=3)
+        report = clt_experiment(GAUSSIAN, GAUSSIAN, 32, SIN, replicates=2000,
+                                master_seed=3)
         assert report.mc_gap <= 3.0 * report.std_error
-        assert report.passed  # bound defaults to 0
 
     def test_replicate_floor(self):
         with pytest.raises(ValueError):
-            mc_gap(mean_function(4), SIN, GAUSSIAN, GAUSSIAN,
-                   replicates=99, master_seed=1)
+            clt_experiment(GAUSSIAN, GAUSSIAN, 4, SIN, replicates=99,
+                           master_seed=1)
 
     def test_matched_second_moments_with_clipped_square(self):
         # closed-form oracle: E g(X) under both laws by quadrature; with the
@@ -405,25 +402,23 @@ class TestMcGap:
         phi = lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
         e_gauss = quad(lambda t: g.value(t) * phi(t), -40, 40, limit=200)[0]
         assert abs(e_rad - e_gauss) < 1e-12
-        f = SmoothFunction(n=1, value=lambda x: float(x[0]),
-                           partial=lambda i, p, x: 1.0 if p == 1 else 0.0)
-        report = mc_gap(f, g, RADEMACHER, GAUSSIAN, replicates=4000,
-                        master_seed=10)
+        # at n = 1 the normalized sum is the coordinate itself
+        report = clt_experiment(RADEMACHER, GAUSSIAN, 1, g, replicates=4000,
+                                master_seed=10)
         assert report.mc_gap <= 3.0 * report.std_error + 1e-12
 
     def test_report_is_deterministic(self):
-        a = mc_gap(mean_function(8), SIN, RADEMACHER, GAUSSIAN,
-                   replicates=300, master_seed=5, experiment="det")
-        b = mc_gap(mean_function(8), SIN, RADEMACHER, GAUSSIAN,
-                   replicates=300, master_seed=5, experiment="det")
+        a = clt_experiment(RADEMACHER, GAUSSIAN, 8, SIN, replicates=300,
+                           master_seed=5)
+        b = clt_experiment(RADEMACHER, GAUSSIAN, 8, SIN, replicates=300,
+                           master_seed=5)
         assert a == b
 
     def test_threads_reproduce_serial(self):
-        serial = mc_gap(mean_function(16), SIN, RADEMACHER, GAUSSIAN,
-                        replicates=500, master_seed=8, experiment="thr")
-        threaded = mc_gap(mean_function(16), SIN, RADEMACHER, GAUSSIAN,
-                          replicates=500, master_seed=8, experiment="thr",
-                          threads=4)
+        serial = clt_experiment(RADEMACHER, GAUSSIAN, 16, SIN, replicates=500,
+                                master_seed=8)
+        threaded = clt_experiment(RADEMACHER, GAUSSIAN, 16, SIN,
+                                  replicates=500, master_seed=8, threads=4)
         assert serial == threaded
 
     def test_replicate_regenerates_alone(self):
@@ -446,12 +441,18 @@ class TestMcGap:
 
     def test_per_coordinate_spec_lists(self):
         specs = [RADEMACHER, GAUSSIAN, RADEMACHER, GAUSSIAN]
-        report = mc_gap(mean_function(4), SIN, specs, specs,
-                        replicates=400, master_seed=2)
+
+        def mean(block):
+            return block.sum(axis=1) / 2.0
+
+        vx, vy = paired_functional_values(mean, mean, specs, specs, 4, 400,
+                                          2, "spec-lists")
+        report = summarize_gap(SIN, vx, vy, experiment_id="spec-lists", n=4,
+                               theoretical_bound=0.0, seed=2)
         assert report.mc_gap <= 4.0 * report.std_error + 1e-12
         with pytest.raises(ValueError):
-            mc_gap(mean_function(3), SIN, specs, specs, replicates=400,
-                   master_seed=2)
+            paired_functional_values(mean, mean, specs, specs, 3, 400, 2,
+                                     "spec-lists")
 
     @staticmethod
     def _diffs_summary(diffs):

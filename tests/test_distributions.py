@@ -32,13 +32,12 @@ from lindeberg_lab.distributions import (
     make_vector_sampler,
     pareto,
     parse_spec,
-    sample,
     third_abs_moment,
     truncated_second_moment,
     truncated_third_moment,
 )
 from lindeberg_lab.rng import RandomStream
-from oracles import normal_quantile
+from oracles import normal_quantile, sample
 
 SQRT3 = math.sqrt(3.0)
 

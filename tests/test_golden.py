@@ -35,9 +35,9 @@ GOLDEN = [
       "--replicates", "400", "--threads", "2"],
      "67e0601f326e063c7cabba30b3ca89bfb248a774b99d8c3479d0d72e5becfeda"),
     (["bound_table", "--sizes", "8,12,16"],
-     "6778d3b34465b249aea1b4887e17f396950c642af4a66dc69d22c9672e88ca0a"),
+     "e2c49721c8560d023ebc200b14a94aba762d7b7c2f4e22854a8ac8408a267c74"),
     (["bound_table", "--sizes", "8,24", "--format", "json"],
-     "2b36a91479df629d84111bf24460cf30a2210b68bc560ca34341198a01e4eab2"),
+     "643dfb56d20b1c4286e93cc0801a8f39f26b9dc651581bba26677c1342183eb9"),
 ]
 
 

@@ -19,7 +19,6 @@ from lindeberg_lab.sk import (
     CouplingLayout,
     SKKind,
     SKParams,
-    family_lambda,
     free_energy,
     free_energy_lambda,
     ground_state,
@@ -30,9 +29,9 @@ from lindeberg_lab.smoothmax import (
     estimate_family_lambda,
     max_swap_bound,
     optimized_max_bound,
-    softmax_value,
+    softmax_state,
 )
-from oracles import family_member, free_energy_gray
+from oracles import family_member, free_energy_gray, pair_index
 
 TANH = named_g("tanh")
 
@@ -65,8 +64,8 @@ class TestLayout:
         pairs = layout.pairs()
         assert len(pairs) == layout.coordinate_count == 10
         for c, (i, j) in enumerate(pairs):
-            assert layout.index(i, j) == c
-            assert layout.index(j, i) == c
+            assert pair_index(layout, i, j) == c
+            assert pair_index(layout, j, i) == c
 
     def test_coupling_matrix_round_trip(self):
         layout = CouplingLayout(4)
@@ -122,16 +121,16 @@ class TestFamilyMember:
 
 class TestFamilyLambda:
     def test_stated_values(self):
-        lam2, lam3, logm = family_lambda(SKParams(beta=1.0), 10)
-        assert lam2 == pytest.approx(1e-3, rel=1e-15)
-        assert lam3 == pytest.approx(10.0**-4.5, rel=1e-15)
-        assert logm == pytest.approx(10.0 * math.log(2.0), rel=1e-15)
+        fam = sk_family(CouplingLayout(10), SKParams(beta=1.0))
+        assert fam.lambda2 == pytest.approx(1e-3, rel=1e-15)
+        assert fam.lambda3 == pytest.approx(10.0**-4.5, rel=1e-15)
+        assert fam.log_size == pytest.approx(10.0 * math.log(2.0), rel=1e-15)
 
     def test_beta_homogeneity(self):
-        base2, base3, _ = family_lambda(SKParams(beta=1.0), 8)
-        dbl2, dbl3, _ = family_lambda(SKParams(beta=2.0), 8)
-        assert dbl2 == pytest.approx(4.0 * base2, rel=1e-15)
-        assert dbl3 == pytest.approx(8.0 * base3, rel=1e-15)
+        base = sk_family(CouplingLayout(8), SKParams(beta=1.0))
+        dbl = sk_family(CouplingLayout(8), SKParams(beta=2.0))
+        assert dbl.lambda2 == pytest.approx(4.0 * base.lambda2, rel=1e-15)
+        assert dbl.lambda3 == pytest.approx(8.0 * base.lambda3, rel=1e-15)
 
     def test_empirical_family_influence_is_exact(self):
         # members are linear with constant partials, so the sampled sup
@@ -141,9 +140,7 @@ class TestFamilyLambda:
         params = SKParams(beta=1.0, h=0.3)
         fam = sk_family(layout, params)
         est = estimate_family_lambda(fam, coupling_draws("lam", N, 2))
-        lam2, lam3, _ = family_lambda(params, N)
-        assert est.lambda2 == pytest.approx(lam2, rel=1e-14)
-        assert est.lambda3 == pytest.approx(lam3, rel=1e-14)
+        assert (est.lambda2, est.lambda3) == (fam.lambda2, fam.lambda3)
 
     def test_family_is_lazy(self):
         # bounds read only the family's influence and size; the N(N-1)/2
@@ -229,7 +226,7 @@ class TestFreeEnergy:
             fam = sk_family(layout, params)
             for x in coupling_draws(f"stream{N}", N, 3):
                 a = free_energy(layout, params, x)
-                b = softmax_value(fam, float(N), x)
+                b = softmax_state(fam, float(N), x).value
                 assert a == pytest.approx(b, abs=1e-12)
 
     def test_agrees_with_gray_code_path(self):
@@ -309,7 +306,7 @@ class TestFreeEnergy:
             perm = gen.permutation(N)
             xp = np.empty_like(x)
             for c, (i, j) in enumerate(layout.pairs()):
-                xp[layout.index(perm[i], perm[j])] = x[c]
+                xp[pair_index(layout, perm[i], perm[j])] = x[c]
             assert free_energy(layout, params, xp) == pytest.approx(
                 free_energy(layout, params, x), rel=1e-13)
 

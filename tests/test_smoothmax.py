@@ -14,12 +14,10 @@ from lindeberg_lab.smoothmax import (
     estimate_family_lambda,
     k_constant,
     max_swap_bound,
-    optimized_max_alpha,
     optimized_max_bound,
     smoothed_lambda_bounds,
     softmax_function,
     softmax_state,
-    softmax_value,
 )
 from oracles import softmax_partials
 
@@ -85,7 +83,8 @@ class TestSoftMaxValue:
         fam = member_family((sine_member(2),), c1=1.0, c2=2.0, c3=4.0)
         x = np.array([0.4, -0.9])
         for alpha in (1.0, 3.0, 50.0):
-            assert softmax_value(fam, alpha, x) == sine_member(2).value(x)
+            assert (softmax_state(fam, alpha, x).value
+                    == sine_member(2).value(x))
 
     def test_duplicated_members_shift_by_log_m(self):
         base = sine_member(1)
@@ -93,20 +92,20 @@ class TestSoftMaxValue:
         x = np.array([-0.3, 0.7])
         for alpha in (1.0, 2.5):
             expect = base.value(x) + math.log(5.0) / alpha
-            assert softmax_value(fam, alpha, x) == pytest.approx(
+            assert softmax_state(fam, alpha, x).value == pytest.approx(
                 expect, rel=1e-14)
 
     def test_two_member_hand_value(self):
         # members {0, x_0} at x_0 = 0, alpha = 1 -> log 2
         fam = member_family((constant_member(0.0), linear_member(1)),
                             c1=1.0, c2=0.0, c3=0.0)
-        assert softmax_value(fam, 1.0, np.zeros(1)) == pytest.approx(
+        assert softmax_state(fam, 1.0, np.zeros(1)).value == pytest.approx(
             math.log(2.0), rel=1e-15)
 
     def test_alpha_below_one_rejected(self):
         fam = sine_family()
         with pytest.raises(ValueError):
-            softmax_value(fam, 0.5, np.zeros(2))
+            softmax_state(fam, 0.5, np.zeros(2))
 
     def test_sandwich_at_random_points(self):
         fam = sine_family(5)
@@ -116,7 +115,7 @@ class TestSoftMaxValue:
             for _ in range(1000):
                 x = gen.uniform(-3, 3, size=2)
                 hard = float(fam.values(x).max())
-                soft = softmax_value(fam, alpha, x)
+                soft = softmax_state(fam, alpha, x).value
                 assert -1e-12 <= soft - hard <= gap + 1e-12
 
     def test_monotone_in_alpha(self):
@@ -125,7 +124,7 @@ class TestSoftMaxValue:
         grid = [1.0, 2.0, 4.0, 8.0, 16.0, 64.0]
         for _ in range(50):
             x = gen.uniform(-3, 3, size=2)
-            vals = [softmax_value(fam, a, x) for a in grid]
+            vals = [softmax_state(fam, a, x).value for a in grid]
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -179,7 +178,7 @@ def assert_chain_inequalities(fam, alpha, x):
     """The five uniform links of the derivative chain, componentwise."""
     state = softmax_state(fam, alpha, x)
     assert abs(state.weights.sum() - 1.0) <= 1e-12
-    assert state.log_partition > -math.inf
+    assert math.isfinite(state.value)
     c1, c2, c3 = fam.c1, fam.c2, fam.c3
     for i in range(fam.n):
         chain = coordinate_chain(fam, state, i)
@@ -261,15 +260,27 @@ class TestBounds:
         assert k_constant(SIN) == pytest.approx(71.0 / 3.0, rel=1e-15)
 
     def test_optimized_alpha_properties(self):
-        # alpha* >= 1 and 1/alpha* <= (g n l3)^(1/3) (log m)^(-1/3)
+        # the closed form is the smoothed max bound at K = oo (no tail, body
+        # sum 2 gamma n) and the level alpha* below, bounded above: alpha*
+        # >= 1, 1/alpha* <= (g n l3)^(1/3) (log m)^(-1/3), and the closed
+        # form dominates the smoothed bound there
         for gamma in (0.5, 1.0, 2.0):
             for n in (10, 400, 10_000):
                 for lam3 in (1e-6, 1e-3, 0.5):
                     for logm in (math.log(2), 5.0, 50.0):
-                        a = optimized_max_alpha(gamma, n, lam3, logm)
+                        gnl = gamma * n * lam3
+                        a = math.sqrt(gnl ** (-2 / 3) * logm ** (2 / 3) + 1)
                         assert a >= 1.0
-                        assert 1.0 / a <= (gamma * n * lam3) ** (1 / 3) * \
+                        assert 1.0 / a <= gnl ** (1 / 3) * \
                             logm ** (-1 / 3) + 1e-15
+                        fam = FunctionFamily(
+                            n=n, values=None, partials=None,
+                            c1=lam3 ** (1 / 3), c2=0.0, c3=0.0,
+                            log_size=logm)
+                        smoothed = max_swap_bound(SIN, a, fam, 0.0,
+                                                  2.0 * gamma * n)
+                        assert smoothed <= optimized_max_bound(
+                            SIN, gamma, n, fam) * (1.0 + 1e-12)
 
     def test_optimized_bound_single_member(self):
         single = member_family((linear_member(3),),

@@ -10,8 +10,8 @@ from scipy.stats import kstest
 
 from lindeberg_lab.core import test_function as named_g
 from lindeberg_lab.core import InfiniteGammaError
-from lindeberg_lab.distributions import GAUSSIAN, RADEMACHER, pareto, \
-    third_abs_moment
+from lindeberg_lab.distributions import GAUSSIAN, RADEMACHER, UNIFORM, \
+    pareto, third_abs_moment
 from lindeberg_lab.rng import RandomStream
 from lindeberg_lab.smoothmax import estimate_family_lambda, k_constant, \
     optimized_max_bound
@@ -79,13 +79,15 @@ class TestWalkFamily:
         n = 10**7
         start = time.perf_counter()
         fam = walk_family(n)
-        bound = erdos_kac_bound(SIN, 1.6, n)
+        bound = erdos_kac_bound(RADEMACHER, GAUSSIAN, n, SIN)
         assert time.perf_counter() - start < 1.0
         assert fam.lambda3 == pytest.approx(n**-1.5, rel=1e-14)
         assert fam.log_size == pytest.approx(math.log(n), rel=1e-15)
+        gamma = third_abs_moment(GAUSSIAN)
         assert bound == pytest.approx(
-            k_constant(SIN) * ((1.6 * n**-0.5) ** (1.0 / 3.0)
-                               * math.log(n) ** (2.0 / 3.0) + 1.6 * n**-0.5),
+            k_constant(SIN) * ((gamma * n**-0.5) ** (1.0 / 3.0)
+                               * math.log(n) ** (2.0 / 3.0)
+                               + gamma * n**-0.5),
             rel=1e-12)
 
     def test_member_arrays_are_prefix_sums(self):
@@ -114,28 +116,33 @@ class TestWalkFamily:
 
 class TestBound:
     def test_routes_through_optimized_max_bound(self):
+        # gamma is the larger third absolute moment of the two laws
         for n in (16, 400):
-            for gamma in (1.0, 1.6):
-                assert erdos_kac_bound(SIN, gamma, n) == pytest.approx(
+            for laws in ((RADEMACHER, RADEMACHER), (RADEMACHER, GAUSSIAN),
+                         (GAUSSIAN, RADEMACHER)):
+                gamma = max(map(third_abs_moment, laws))
+                assert erdos_kac_bound(*laws, n, SIN) == pytest.approx(
                     optimized_max_bound(SIN, gamma, n, walk_family(n)),
                     rel=1e-12)
 
     def test_closed_form_at_sin(self):
-        # K(sin) = 19/3 + 13 + 13/3 = 71/3; the two channels in brackets
-        n, gamma = 400, 1.0
-        got = erdos_kac_bound(SIN, gamma, n)
+        # K(sin) = 19/3 + 13 + 13/3 = 71/3; the two channels in brackets;
+        # rademacher steps have gamma = 1
+        n = 400
+        got = erdos_kac_bound(RADEMACHER, RADEMACHER, n, SIN)
         expect = (71.0 / 3.0) * (
             n**(-1.0 / 6.0) * math.log(n) ** (2.0 / 3.0) + n**-0.5)
         assert got == pytest.approx(expect, rel=1e-13)
         assert k_constant(SIN) == pytest.approx(71.0 / 3.0)
 
     def test_decreasing_in_n(self):
-        vals = [erdos_kac_bound(SIN, 1.3, n) for n in (50, 200, 800, 3200)]
+        vals = [erdos_kac_bound(UNIFORM, UNIFORM, n, SIN)
+                for n in (50, 200, 800, 3200)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_refuses_infinite_gamma(self):
         with pytest.raises(InfiniteGammaError):
-            erdos_kac_bound(SIN, third_abs_moment(pareto(2.5)), 100)
+            erdos_kac_bound(pareto(2.5), GAUSSIAN, 100, SIN)
 
 
 class TestHalfNormalReference:
@@ -172,13 +179,43 @@ class TestKsStatistic:
             ks_to_half_normal(np.array([]))
 
 
+def expected_running_max(spec, n: int) -> float:
+    """E max_{1<=k<=n} S_k / sqrt(n) for iid steps of a symmetric law, exactly.
+
+    Spitzer's identity (Trans. AMS 82, 1956), applied to the walk after its
+    first mean-zero step, gives E max_{1<=k<=n} S_k = sum_{k<n} E[S_k^+] / k,
+    where E[S_k^+] = sqrt(k / 2 pi) for gaussian steps and
+    2^-k sum_j max(2j - k, 0) C(k, j) for rademacher ones.
+    """
+    if spec == GAUSSIAN:
+        positive = [math.sqrt(k / (2.0 * math.pi)) for k in range(1, n)]
+    else:
+        assert spec == RADEMACHER
+        positive = [math.fsum(max(2 * j - k, 0) * math.comb(k, j)
+                              for j in range(k + 1)) / 2.0**k
+                    for k in range(1, n)]
+    return math.fsum(p / k for k, p in enumerate(positive, 1)) / math.sqrt(n)
+
+
 class TestExperiment:
+    def test_identity_gap_matches_spitzer(self):
+        # exact two-sided oracle: with g = identity the signed gap is
+        # E max of the rademacher walk minus that of the gaussian one
+        n = 16
+        report = erdos_kac_experiment(RADEMACHER, GAUSSIAN, n,
+                                      named_g("identity"), 200_000, 20240)
+        exact = (expected_running_max(RADEMACHER, n)
+                 - expected_running_max(GAUSSIAN, n))
+        assert exact == pytest.approx(0.020819, abs=5e-7)
+        gap = report.report
+        assert abs(gap.mean_gap - exact) <= 3.0 * gap.std_error
+
     def test_small_run_passes(self):
         report = erdos_kac_experiment(RADEMACHER, GAUSSIAN, 64, SIN,
                                       replicates=400, master_seed=6)
         assert report.passed
         assert report.report.theoretical_bound == pytest.approx(
-            erdos_kac_bound(SIN, third_abs_moment(GAUSSIAN), 64), rel=1e-13)
+            erdos_kac_bound(RADEMACHER, GAUSSIAN, 64, SIN), rel=1e-13)
         assert 0.0 < report.ks_distance < 0.25
 
     def test_deterministic(self):

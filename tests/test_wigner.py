@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +20,7 @@ from scipy.integrate import quad
 
 from lindeberg_lab import wigner
 from lindeberg_lab.core import InfiniteGammaError, estimate_lambda, \
-    fd_partial, mc_gap
+    fd_partial
 from lindeberg_lab.core import test_function as named_g
 from lindeberg_lab.distributions import GAUSSIAN, RADEMACHER, pareto
 from lindeberg_lab.rng import RandomStream
@@ -40,7 +41,7 @@ from lindeberg_lab.wigner import (
     stieltjes_function,
     stieltjes_partials_all,
 )
-from oracles import stieltjes_partials
+from oracles import mc_gap, pair_index, stieltjes_partials
 
 IDENTITY = named_g("identity")
 
@@ -60,16 +61,12 @@ class TestLayout:
         pairs = layout.pairs()
         assert len(pairs) == layout.coordinate_count == 15
         for c, (i, j) in enumerate(pairs):
-            assert layout.index(i, j) == c
-            assert layout.index(j, i) == c
+            assert pair_index(layout, i, j) == c
+            assert pair_index(layout, j, i) == c
 
     def test_pair_order_matches_flat_order(self):
         layout = WignerLayout(2)
         assert layout.pairs() == [(0, 0), (0, 1), (1, 1)]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            WignerLayout(3).index(0, 3)
 
 
 class TestBuildMatrix:
@@ -327,7 +324,7 @@ class TestPartials:
         # the first diagonal partial is N^(-3/2)
         N = 5
         layout = WignerLayout(N)
-        c = layout.index(2, 2)
+        c = pair_index(layout, 2, 2)
         d1, d2, d3 = stieltjes_partials(layout, np.zeros(15), 1j, c)
         assert d1 == pytest.approx(N**-1.5, rel=1e-13)
         G = 1j * np.eye(N)
@@ -545,7 +542,8 @@ class TestSemicircleExperiment:
         # the Re-part report must coincide with a literal mc_gap run of the
         # real-part transform under the same experiment label
         layout = WignerLayout(N)
-        f_re = stieltjes_function(layout, z, part="re")
+        f_re = replace(stieltjes_function(layout, z),
+                       value=lambda x: stieltjes(layout, x, z).real)
         twin = mc_gap(f_re, IDENTITY, RADEMACHER, GAUSSIAN, replicates=150,
                       master_seed=5, experiment=report.report_re.experiment_id
                       .removesuffix("/re"),
@@ -554,6 +552,15 @@ class TestSemicircleExperiment:
                                             rel=1e-12)
         assert twin.std_error == pytest.approx(report.report_re.std_error,
                                                rel=1e-12)
+
+    def test_re_gap_is_zero_on_the_imaginary_axis(self):
+        # exact oracle: at z = iv, Re m is odd under x -> -x (the spectrum
+        # flips), and both laws are symmetric, so E Re m is the same, 0,
+        # under each; a shifted law breaks the symmetry
+        report = semicircle_experiment(RADEMACHER, GAUSSIAN, 16, 2j, IDENTITY,
+                                       replicates=2000, master_seed=20240)
+        gap = report.report_re
+        assert abs(gap.mean_gap) <= 3.0 * gap.std_error
 
     def test_identical_laws_within_noise(self):
         report = semicircle_experiment(GAUSSIAN, GAUSSIAN, 12, 1j, IDENTITY,
