@@ -8,8 +8,6 @@ Carlo for Rademacher-vs-Gaussian steps and watch bound and gap shrink as n
 grows.
 """
 
-import math
-
 from lindeberg_lab import (
     GAUSSIAN,
     RADEMACHER,

@@ -11,6 +11,7 @@ ground state, and maxima of random-walk partial sums.
 __version__ = "0.1.0"
 
 from .core import (
+    BoundTerms,
     GapReport,
     InfiniteGammaError,
     LambdaEstimate,
@@ -21,6 +22,7 @@ from .core import (
     clt_bound,
     clt_experiment,
     estimate_lambda,
+    evaluate_bound,
     fd_partial,
     mean_function,
     swap_bound,

@@ -46,8 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .core import GapReport, LindebergError, clt_bound, clt_experiment, \
-    clt_swap_terms, estimate_lambda, test_function
+from .core import GapReport, LindebergError, clt_experiment, \
+    clt_swap_terms, estimate_lambda, evaluate_bound, test_function
 from .distributions import parse_spec
 from .rng import RandomStream
 from .sk import (
@@ -56,19 +56,17 @@ from .sk import (
     check_enumerable,
     free_energy_function,
     free_energy_lambda,
-    sk_bound,
-    sk_bound_inputs,
     sk_experiment,
     sk_family,
+    sk_terms,
 )
 from .smoothmax import estimate_family_lambda
-from .walks import erdos_kac_bound, erdos_kac_domain, erdos_kac_experiment, \
+from .walks import erdos_kac_domain, erdos_kac_experiment, erdos_kac_terms, \
     walk_family
 from .wigner import (
     WignerLayout,
     derivative_bounds,
     lapack,
-    semicircle_bound,
     semicircle_experiment,
     semicircle_swap_terms,
     stieltjes_function,
@@ -411,52 +409,49 @@ def _bound_inputs(values) -> SimpleNamespace:
                                            h=values.get("h", 0.0)))
 
 
-def _influence(owner):
-    """(lambda2, lambda3) of the family or derivative bounds a bound reads."""
-    return owner.lambda2, owner.lambda3
-
-
 # the ground-state experiment is defined at beta = 1, h = 0, whatever beta
 # bound_table sets for the free energy
 _GROUND_STATE = SKParams()
 
-# suite -> (check, row) at size n: ``check`` is the domain of the bound
-# function the suite's run calls, which calls it first, and does no bound
-# arithmetic, so checking a config leaves all of a process's bound arithmetic
-# inside ``run``; ``row`` is (bound, lambda2, lambda3), each lambda read from
-# the object its bound reads.  bound_table writes every row, in this order.
+
+def _terms_entry(terms, check=None):
+    """A ``_BOUNDS`` entry: (check, terms); a terms function that calls no
+    name perfbench traces is its own check."""
+    return check or terms, terms
+
+
+# suite -> (check, terms) at size n: ``terms`` builds the suite's
+# ``BoundTerms``, the record its run evaluates; ``check`` raises where
+# ``terms`` does and calls no traced name (erdos_kac's terms function reads
+# ``walk_family``, so its check is ``erdos_kac_domain``), so checking a
+# config leaves all of a process's bound arithmetic inside ``run``.
+# bound_table writes every suite's row, in this order.
 _BOUNDS = {
-    "clt": (lambda a, n: clt_swap_terms(a.spec_x, a.spec_y, n),
-            lambda a, n: (clt_bound(a.spec_x, a.spec_y, n, a.g),
-                          *clt_swap_terms(a.spec_x, a.spec_y, n)[:2])),
-    "erdos_kac": (lambda a, n: erdos_kac_domain(a.spec_x, a.spec_y, n),
-                  lambda a, n: (erdos_kac_bound(a.spec_x, a.spec_y, n, a.g),
-                                *_influence(walk_family(n)))),
-    "sk_free_energy": (
-        lambda a, n: sk_bound_inputs("free_energy", a.spec_x, a.spec_y,
-                                     a.params, n),
-        lambda a, n: (sk_bound("free_energy", a.spec_x, a.spec_y, a.params,
-                               n, a.g),
-                      *free_energy_lambda(a.params, n))),
-    "sk_ground_state": (
-        lambda a, n: sk_bound_inputs("ground_state", a.spec_x, a.spec_y,
-                                     _GROUND_STATE, n),
-        lambda a, n: (sk_bound("ground_state", a.spec_x, a.spec_y,
-                               _GROUND_STATE, n, a.g),
-                      *_influence(sk_family(CouplingLayout(n),
-                                            _GROUND_STATE)))),
-    "wigner": (lambda a, n: semicircle_swap_terms(a.spec_x, a.spec_y, n, a.z,
-                                                  a.epsilon),
-               lambda a, n: (semicircle_bound(a.spec_x, a.spec_y, n, a.z,
-                                              a.g, a.epsilon),
-                             *_influence(derivative_bounds(n, a.z.imag)))),
+    "clt": _terms_entry(lambda a, n: clt_swap_terms(a.spec_x, a.spec_y, n)),
+    "erdos_kac": _terms_entry(
+        lambda a, n: erdos_kac_terms(a.spec_x, a.spec_y, n),
+        check=lambda a, n: erdos_kac_domain(a.spec_x, a.spec_y, n)),
+    "sk_free_energy": _terms_entry(
+        lambda a, n: sk_terms("free_energy", a.spec_x, a.spec_y, a.params,
+                              n)),
+    "sk_ground_state": _terms_entry(
+        lambda a, n: sk_terms("ground_state", a.spec_x, a.spec_y,
+                              _GROUND_STATE, n)),
+    "wigner": _terms_entry(
+        lambda a, n: semicircle_swap_terms(a.spec_x, a.spec_y, n, a.z,
+                                           a.epsilon)),
 }
 
 
 def _run_bound_table(config, a):
-    """Every suite's bound over a size grid; pure arithmetic."""
-    rows = [(suite, n, *_BOUNDS[suite][1](a, n))
-            for n in config.sizes for suite in _BOUNDS]
+    """Every suite's bound and the influence it read, over a size grid;
+    pure arithmetic."""
+    rows = []
+    for n in config.sizes:
+        for suite, (_, terms_of) in _BOUNDS.items():
+            terms = terms_of(a, n)
+            rows.append((suite, n, evaluate_bound(terms, a.g), terms.lambda2,
+                         terms.lambda3))
     return (("setup", "size", "bound", "lambda2", "lambda3"), rows, True, [])
 
 

@@ -20,12 +20,19 @@ of both laws and
 When both laws have finite third absolute moments the K -> oo limit gives the
 third-moment form  2 C2(g) gamma n lambda_3(f).
 
+Every suite hands its bound inputs over in one record, ``BoundTerms``: the
+form of its bound (this swap bound, the third-moment form, or the
+alpha-optimized max bound of ``smoothmax``), lambda_2 and lambda_3 read from
+their owner, the tail and body sums at the truncation level K, gamma, n and,
+for a max, log |F|.  ``evaluate_bound`` is the one function that turns a
+record into a bound for g.
+
 Every suite estimates the left side by paired Monte Carlo (common replicate
-indices, independent counter-based streams for X and Y) and reports it against
-its bound with a 3-sigma noise margin, through the same two calls:
-``paired_functional_values`` draws the replicates in (B, n) blocks and maps
-each block to its B values f(X), f(Y), and ``summarize_gap`` applies g to them
-and reduces the differences.
+indices, independent counter-based streams for X and Y, one law per side) and
+reports it against its bound with a 3-sigma noise margin, through the same
+two calls: ``paired_functional_values`` draws the replicates in (B, n) blocks
+and maps each block to its B values f(X), f(Y), and ``summarize_gap`` applies
+g to them and reduces the differences.
 """
 
 from __future__ import annotations
@@ -55,6 +62,8 @@ __all__ = [
     "c_constants",
     "swap_bound",
     "third_moment_bound",
+    "BoundTerms",
+    "evaluate_bound",
     "clt_swap_terms",
     "clt_bound",
     "fd_partial",
@@ -339,28 +348,81 @@ def third_moment_bound(c2: float, gamma: float, n: int, lambda3: float) -> float
     return 2.0 * c2 * gamma * n * lambda3
 
 
+BOUND_FORMS = ("swap", "third_moment", "max")
+
+
+@dataclass(frozen=True)
+class BoundTerms:
+    """Every input of a suite's bound, read from its owners.
+
+    ``form`` names the arithmetic ``evaluate_bound`` runs on the record:
+
+    - "swap": ``swap_bound``, C1 lambda2 tail_sum + C2 lambda3 body_sum;
+    - "third_moment": ``third_moment_bound``, 2 C2 gamma n lambda3;
+    - "max": ``smoothmax.optimized_max_bound`` of a family of
+      exp(``log_size``) members.
+
+    ``lambda2`` and ``lambda3`` are the influence values of the suite's
+    function or family.  ``tail_sum`` and ``body_sum`` are the truncated
+    moments of both laws at the truncation level ``truncation`` (K), summed
+    over the ``n`` coordinates; the K = oo forms hold no tail and the body
+    2 gamma n that they bound.  ``gamma`` is the larger third absolute
+    moment of the two laws (inf for a heavy tail, which only the swap form
+    at a finite K admits).
+    """
+
+    form: str
+    lambda2: float
+    lambda3: float
+    tail_sum: float
+    body_sum: float
+    truncation: float
+    gamma: float
+    n: int
+    log_size: float = 0.0
+
+    def __post_init__(self):
+        if self.form not in BOUND_FORMS:
+            raise ValueError(f"unknown bound form {self.form!r}; "
+                             f"choose from {BOUND_FORMS}")
+
+
+def evaluate_bound(terms: BoundTerms, g: TestFunction) -> float:
+    """The bound of ``terms`` for g, in the arithmetic order of its form's
+    function, so every form gives the bits that function gives."""
+    if terms.form == "max":
+        # smoothmax imports this module, so its bound is looked up per call
+        from .smoothmax import optimized_max_bound
+
+        return optimized_max_bound(g, terms.gamma, terms.n, terms)
+    c1, c2 = c_constants(g)
+    if terms.form == "third_moment":
+        return third_moment_bound(c2, terms.gamma, terms.n, terms.lambda3)
+    return swap_bound(c1, c2, terms.lambda2, terms.lambda3, terms.tail_sum,
+                      terms.body_sum)
+
+
 def clt_swap_terms(spec_x: DistributionSpec, spec_y: DistributionSpec,
-                   n: int) -> tuple[float, float, float, float]:
-    """(lambda_2, lambda_3, tail sum, body sum) of the CLT bound at K = oo:
-    the mean function's 1/n and n^(-3/2), no tail, and the full third
-    moments of both laws in the body; raises outside its domain and does no
-    bound arithmetic."""
+                   n: int) -> BoundTerms:
+    """The CLT bound's record: the swap form at K = oo, with the mean
+    function's lambda_2 = 1/n and lambda_3 = n^(-3/2), no tail, and the full
+    third moments of both laws in the body; raises outside its domain and
+    does no bound arithmetic."""
     if n < 1:
         raise ValueError("the normalized sum needs at least one term")
     gx = third_abs_moment(spec_x)
     gy = third_abs_moment(spec_y)
     if math.isinf(gx) or math.isinf(gy):
         raise InfiniteGammaError("CLT bound needs finite third moments")
-    return 1.0 / n, n**-1.5, 0.0, n * (gx + gy)
+    return BoundTerms(form="swap", lambda2=1.0 / n, lambda3=n**-1.5,
+                      tail_sum=0.0, body_sum=n * (gx + gy),
+                      truncation=math.inf, gamma=max(gx, gy), n=n)
 
 
 def clt_bound(spec_x: DistributionSpec, spec_y: DistributionSpec, n: int,
               g: TestFunction) -> float:
-    """Bound of the normalized-sum gap: the swap bound at K = oo, which
-    gives C2 (g_x + g_y) / sqrt(n)."""
-    terms = clt_swap_terms(spec_x, spec_y, n)
-    c1, c2 = c_constants(g)
-    return swap_bound(c1, c2, *terms)
+    """Bound of the normalized-sum gap, C2 (g_x + g_y) / sqrt(n)."""
+    return evaluate_bound(clt_swap_terms(spec_x, spec_y, n), g)
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +554,6 @@ class SuiteReport:
                    if isinstance(v, GapReport))
 
 
-def _as_spec_list(spec, n: int) -> list[DistributionSpec]:
-    if isinstance(spec, DistributionSpec):
-        return [spec] * n
-    specs = list(spec)
-    if len(specs) != n:
-        raise ValueError("per-coordinate spec list has wrong length")
-    return specs
-
-
 # float64 entries in one replicate block: the engine draws block_rows(n)
 # replicates per block, so vectors of more than BLOCK_ELEMENTS / 2
 # coordinates go one replicate at a time (the SK kernel sizes its stacks of
@@ -515,14 +568,17 @@ def block_rows(n: int) -> int:
 
 def paired_functional_values(eval_x: Callable[[np.ndarray], np.ndarray],
                              eval_y: Callable[[np.ndarray], np.ndarray],
-                             spec_x, spec_y, n: int, replicates: int,
+                             spec_x: DistributionSpec,
+                             spec_y: DistributionSpec, n: int,
+                             replicates: int,
                              master_seed: int, experiment: str,
                              threads: int = 1,
                              dtype=float) -> tuple[np.ndarray, np.ndarray]:
     """Functional values (eval_x(X_r), eval_y(Y_r)) of every replicate r.
 
-    The sides share replicate indices but use independent counter-based
-    streams, and replicate r of each side is a pure function of
+    Each side draws all n coordinates from its one law.  The sides share
+    replicate indices but use independent counter-based streams, and
+    replicate r of each side is a pure function of
     (master_seed, experiment, side, r).  Replicates are drawn in blocks of
     B <= ``block_rows(n)`` rows: row k of the (B, n) block is filled from the
     stream positioned at its replicate, one in-place transform runs over the
@@ -540,8 +596,8 @@ def paired_functional_values(eval_x: Callable[[np.ndarray], np.ndarray],
         raise ValueError("at least 100 replicates are required")
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    draw_x = make_vector_sampler(_as_spec_list(spec_x, n))
-    draw_y = make_vector_sampler(_as_spec_list(spec_y, n))
+    draw_x = make_vector_sampler([spec_x] * n)
+    draw_y = make_vector_sampler([spec_y] * n)
     vx = np.empty(replicates, dtype=dtype)
     vy = np.empty(replicates, dtype=dtype)
     rows = block_rows(n)
@@ -597,11 +653,12 @@ def summarize_gap(g: TestFunction, vx: np.ndarray, vy: np.ndarray, *,
 def clt_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec, n: int,
                    g: TestFunction, replicates: int, master_seed: int,
                    threads: int = 1) -> GapReport:
-    """Normalized-sum gap vs ``clt_bound``, C2 (g_x + g_y)/sqrt(n).
+    """Normalized-sum gap vs the bound of ``clt_swap_terms``,
+    C2 (g_x + g_y)/sqrt(n).
 
     The functional is ``mean_function(n)`` applied to a whole block at once.
     """
-    bound = clt_bound(spec_x, spec_y, n, g)
+    bound = evaluate_bound(clt_swap_terms(spec_x, spec_y, n), g)
     root = 1.0 / math.sqrt(n)
 
     def mean(block):

@@ -251,41 +251,30 @@ def _normal_quantile(p: np.ndarray) -> np.ndarray:
 
 
 def make_vector_sampler(specs):
-    """Compile a per-coordinate spec list into ``draw(stream, start, out)``.
+    """Compile a list of n coordinate specs, all one law, into
+    ``draw(stream, start, out)``.
 
     ``draw`` has the ``RandomStream`` ``stream`` fill the rows of the (B, n)
     float array ``out`` with the uniforms of replicates ``start`` ..
-    ``start + B - 1``, transforms the block in place and returns it.
-    Coordinate i always consumes the i-th uniform of its replicate, whether
-    the list is homogeneous (one vectorized transform) or mixed (grouped
-    transforms through index arrays).  The transforms are elementwise, so a
-    row's values do not depend on the block around it.  A caller that passes
-    the same ``out`` on every call must not keep a reference to an earlier
-    result.
+    ``start + B - 1``, transforms the block in place with one vectorized
+    transform and returns it, so coordinate i always consumes the i-th
+    uniform of its replicate.  The transform is elementwise, so a row's
+    values do not depend on the block around it.  A caller that passes the
+    same ``out`` on every call must not keep a reference to an earlier
+    result.  A list of differing laws, or of anything but a
+    ``DistributionSpec``, raises ValueError.
     """
     specs = list(specs)
-    n = len(specs)
-    if n == 0:
+    if not specs:
         raise ValueError("need at least one coordinate spec")
-
-    if specs.count(specs[0]) == n:
-        spec0 = specs[0]
-
-        def draw(stream, start: int, out: np.ndarray) -> np.ndarray:
-            return _transform(spec0, stream.fill(start, out))
-
-        return draw
-
-    groups = {}
-    for i, s in enumerate(specs):
-        groups.setdefault(s, []).append(i)
-    compiled = [(spec, np.array(idx)) for spec, idx in groups.items()]
+    spec = specs[0]
+    if not isinstance(spec, DistributionSpec) or \
+            specs.count(spec) != len(specs):
+        raise ValueError("every coordinate must draw from one "
+                         "DistributionSpec")
 
     def draw(stream, start: int, out: np.ndarray) -> np.ndarray:
-        u = stream.fill(start, out)
-        for spec, idx in compiled:
-            u[:, idx] = _transform(spec, u[:, idx])
-        return u
+        return _transform(spec, stream.fill(start, out))
 
     return draw
 

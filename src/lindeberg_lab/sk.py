@@ -61,22 +61,22 @@ from typing import Iterator
 import numpy as np
 
 from .core import (
+    BoundTerms,
     GapReport,
     InfiniteGammaError,
     SmoothFunction,
     SuiteReport,
     TestFunction,
-    c_constants,
+    evaluate_bound,
     paired_functional_values,
     summarize_gap,
-    third_moment_bound,
     triangle_indices,
     triangle_offsets,
 )
 from .distributions import DistributionSpec, third_abs_moment
 from .smoothmax import (
     FunctionFamily,
-    optimized_max_bound,
+    max_bound_terms,
     smoothed_lambda_bounds,
     softmax_function,
 )
@@ -92,7 +92,7 @@ __all__ = [
     "ground_state",
     "check_enumerable",
     "SKReport",
-    "sk_bound_inputs",
+    "sk_terms",
     "sk_bound",
     "sk_experiment",
 ]
@@ -448,57 +448,56 @@ class SKReport(SuiteReport):
     report: GapReport
 
 
-def sk_bound_inputs(kind: SKKind | str, spec_x: DistributionSpec,
-                    spec_y: DistributionSpec, params: SKParams,
-                    N: int) -> tuple[SKKind, int, float]:
-    """(kind, coupling count n, gamma) of ``sk_bound``; raises outside its
-    domain and does no bound arithmetic."""
+def sk_terms(kind: SKKind | str, spec_x: DistributionSpec,
+             spec_y: DistributionSpec, params: SKParams,
+             N: int) -> BoundTerms:
+    """The record of ``sk_experiment``'s bound over the n = N(N-1)/2
+    couplings, gamma the larger third absolute moment.
+
+    Free energy: the third-moment form with the smoothed influence of
+    ``free_energy_lambda``, 13 beta^3 N^(-5/2).  Ground state: the max form
+    of ``sk_family``.  Raises outside its domain and does no bound
+    arithmetic; nothing is enumerated.
+    """
     kind = SKKind(kind)
-    n = CouplingLayout(N).coordinate_count
+    layout = CouplingLayout(N)
+    n = layout.coordinate_count
     gamma = max(third_abs_moment(spec_x), third_abs_moment(spec_y))
     if math.isinf(gamma):
         raise InfiniteGammaError("the SK bounds need finite third moments")
-    if kind is SKKind.FREE_ENERGY:
-        # the field energy beta h sum_i s_i reaches beta |h| N
-        if not math.isfinite(params.beta * abs(params.h) * N):
-            raise ValueError("beta |h| N must be finite: the field energy "
-                             "overflows")
-    elif params.beta != 1.0 or params.h != 0.0:
-        raise ValueError(
-            "the ground-state experiment is defined at beta = 1, h = 0"
-        )
-    return kind, n, gamma
+    if kind is SKKind.GROUND_STATE:
+        if params.beta != 1.0 or params.h != 0.0:
+            raise ValueError(
+                "the ground-state experiment is defined at beta = 1, h = 0"
+            )
+        return max_bound_terms(gamma, n, sk_family(layout, params))
+    # the field energy beta h sum_i s_i reaches beta |h| N
+    if not math.isfinite(params.beta * abs(params.h) * N):
+        raise ValueError("beta |h| N must be finite: the field energy "
+                         "overflows")
+    lambda2, lambda3 = free_energy_lambda(params, N)
+    return BoundTerms(form="third_moment", lambda2=lambda2, lambda3=lambda3,
+                      tail_sum=0.0, body_sum=2.0 * gamma * n,
+                      truncation=math.inf, gamma=gamma, n=n)
 
 
 def sk_bound(kind: SKKind | str, spec_x: DistributionSpec,
              spec_y: DistributionSpec, params: SKParams, N: int,
              g: TestFunction) -> float:
-    """Bound of the coupling-universality gap of ``sk_experiment``.
-
-    Free energy: the third-moment bound with the smoothed influence of
-    ``free_energy_lambda``, 13 beta^3 N^(-5/2).  Ground state: the
-    alpha-optimized max bound of ``sk_family``.  Pure arithmetic in N:
-    nothing is enumerated.
-    """
-    kind, n, gamma = sk_bound_inputs(kind, spec_x, spec_y, params, N)
-    if kind is SKKind.FREE_ENERGY:
-        _, c2 = c_constants(g)
-        return third_moment_bound(c2, gamma, n,
-                                  free_energy_lambda(params, N)[1])
-    return optimized_max_bound(g, gamma, n,
-                               sk_family(CouplingLayout(N), params))
+    """Bound of the coupling-universality gap of ``sk_experiment``."""
+    return evaluate_bound(sk_terms(kind, spec_x, spec_y, params, N), g)
 
 
 def sk_experiment(kind: SKKind | str, spec_x: DistributionSpec,
                   spec_y: DistributionSpec, params: SKParams, N: int,
                   replicates: int, g: TestFunction, master_seed: int,
                   threads: int = 1) -> SKReport:
-    """Paired coupling-universality gap against ``sk_bound``."""
+    """Paired coupling-universality gap against the bound of ``sk_terms``."""
     kind = SKKind(kind)
     layout = CouplingLayout(N)
     check_enumerable(N)
     n = layout.coordinate_count
-    bound = sk_bound(kind, spec_x, spec_y, params, N, g)
+    bound = evaluate_bound(sk_terms(kind, spec_x, spec_y, params, N), g)
 
     if kind is SKKind.FREE_ENERGY:
         def evaluate(block):

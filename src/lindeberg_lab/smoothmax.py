@@ -39,6 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    BoundTerms,
     InfiniteGammaError,
     LambdaEstimate,
     SmoothFunction,
@@ -59,6 +60,7 @@ __all__ = [
     "max_swap_bound",
     "k_constant",
     "optimized_max_bound",
+    "max_bound_terms",
     "estimate_family_lambda",
 ]
 
@@ -228,11 +230,13 @@ def k_constant(g: TestFunction) -> float:
 
 
 def optimized_max_bound(g: TestFunction, gamma: float, n: int,
-                        family: FunctionFamily) -> float:
+                        family: FunctionFamily | BoundTerms) -> float:
     """Alpha-optimized max bound K(g) [ (g n l3)^(1/3) (log|F|)^(2/3) + g n l3 ].
 
     It dominates ``max_swap_bound`` at K = oo, body sum 2 gamma n, and the
-    level alpha = [ (g n l3)^(-2/3) (log|F|)^(2/3) + 1 ]^(1/2).
+    level alpha = [ (g n l3)^(-2/3) (log|F|)^(2/3) + 1 ]^(1/2).  Of
+    ``family`` it reads only ``lambda3`` and ``log_size``, which the
+    family's ``max_bound_terms`` record holds as well.
     """
     if math.isinf(gamma):
         raise InfiniteGammaError(
@@ -243,6 +247,17 @@ def optimized_max_bound(g: TestFunction, gamma: float, n: int,
     gnl = gamma * n * family.lambda3
     return k_constant(g) * (gnl ** (1.0 / 3.0) * family.log_size ** (2.0 / 3.0)
                             + gnl)
+
+
+def max_bound_terms(gamma: float, n: int,
+                    family: FunctionFamily) -> BoundTerms:
+    """The record of ``optimized_max_bound`` for the max of ``family`` over
+    n coordinates with third absolute moment gamma: the influence and
+    log |F| of the family, at K = oo."""
+    return BoundTerms(form="max", lambda2=family.lambda2,
+                      lambda3=family.lambda3, tail_sum=0.0,
+                      body_sum=2.0 * gamma * n, truncation=math.inf,
+                      gamma=gamma, n=n, log_size=family.log_size)
 
 
 def estimate_family_lambda(family: FunctionFamily,

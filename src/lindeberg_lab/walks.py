@@ -23,20 +23,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BoundTerms,
     GapReport,
     InfiniteGammaError,
     SuiteReport,
     TestFunction,
+    evaluate_bound,
     paired_functional_values,
     summarize_gap,
 )
 from .distributions import DistributionSpec, third_abs_moment
-from .smoothmax import FunctionFamily, optimized_max_bound
+from .smoothmax import FunctionFamily, max_bound_terms
 
 __all__ = [
     "walk_family",
     "max_partial_sums",
     "erdos_kac_domain",
+    "erdos_kac_terms",
     "erdos_kac_bound",
     "half_normal_reference",
     "ks_to_half_normal",
@@ -85,8 +88,8 @@ def max_partial_sums(x):
 
 def erdos_kac_domain(spec_x: DistributionSpec, spec_y: DistributionSpec,
                      n: int) -> float:
-    """gamma = max(E|X|^3, E|Y|^3) of ``erdos_kac_bound``; raises outside its
-    domain and does no bound arithmetic."""
+    """gamma = max(E|X|^3, E|Y|^3) of ``erdos_kac_terms``; raises outside
+    its domain and does no bound arithmetic."""
     gamma = max(third_abs_moment(spec_x), third_abs_moment(spec_y))
     if math.isinf(gamma):
         raise InfiniteGammaError("the bound needs a finite third moment")
@@ -95,12 +98,19 @@ def erdos_kac_domain(spec_x: DistributionSpec, spec_y: DistributionSpec,
     return gamma
 
 
+def erdos_kac_terms(spec_x: DistributionSpec, spec_y: DistributionSpec,
+                    n: int) -> BoundTerms:
+    """The running-max bound's record: the max form of ``walk_family(n)``
+    with gamma of ``erdos_kac_domain``, which it calls first."""
+    gamma = erdos_kac_domain(spec_x, spec_y, n)
+    return max_bound_terms(gamma, n, walk_family(n))
+
+
 def erdos_kac_bound(spec_x: DistributionSpec, spec_y: DistributionSpec,
                     n: int, g: TestFunction) -> float:
     """K(g) [ gamma^(1/3) n^(-1/6) (log n)^(2/3) + gamma n^(-1/2) ] with
     gamma = max(E|X|^3, E|Y|^3)."""
-    gamma = erdos_kac_domain(spec_x, spec_y, n)
-    return optimized_max_bound(g, gamma, n, walk_family(n))
+    return evaluate_bound(erdos_kac_terms(spec_x, spec_y, n), g)
 
 
 def half_normal_reference(t):
@@ -140,7 +150,7 @@ def erdos_kac_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
     The KS diagnostic is computed from the Y-side maxima (put the Gaussian
     law on the Y side to probe the half-normal limit directly).
     """
-    bound = erdos_kac_bound(spec_x, spec_y, n, g)
+    bound = evaluate_bound(erdos_kac_terms(spec_x, spec_y, n), g)
     experiment = f"erdos-kac/{spec_x.label}-vs-{spec_y.label}/n{n}"
     vx, vy = paired_functional_values(
         max_partial_sums, max_partial_sums, spec_x, spec_y, n, replicates,

@@ -51,21 +51,21 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .core import (
+    BoundTerms,
     GapReport,
     InfiniteGammaError,
     SmoothFunction,
     SuiteReport,
     TestFunction,
-    c_constants,
+    evaluate_bound,
     paired_functional_values,
     partials_at_point,
     summarize_gap,
-    swap_bound,
     triangle_indices,
     triangle_offsets,
 )
-from .distributions import DistributionSpec, truncated_second_moment, \
-    truncated_third_moment
+from .distributions import DistributionSpec, third_abs_moment, \
+    truncated_second_moment, truncated_third_moment
 
 __all__ = [
     "WignerLayout",
@@ -78,6 +78,8 @@ __all__ = [
     "derivative_bounds",
     "semicircle_stieltjes",
     "pastur_term",
+    "semicircle_swap_terms",
+    "semicircle_bound",
     "SemicircleReport",
     "semicircle_experiment",
 ]
@@ -312,21 +314,18 @@ def semicircle_stieltjes(z: complex) -> complex:
     return -1.0 / (u + cmath.sqrt(u - 1.0) * cmath.sqrt(u + 1.0))
 
 
-def pastur_term(specs, N: int, epsilon: float) -> float:
-    """N^-2 sum_{i<=j} E(X_ij^2; |X_ij| > eps sqrt(N)); vanishing as N grows
-    is the classical sufficient condition for semicircle convergence."""
+def pastur_term(spec: DistributionSpec, N: int, epsilon: float) -> float:
+    """N^-2 sum_{i<=j} E(X_ij^2; |X_ij| > eps sqrt(N)) for coordinates of the
+    one law ``spec``; vanishing as N grows is the classical sufficient
+    condition for semicircle convergence."""
+    if not isinstance(spec, DistributionSpec):
+        raise ValueError("pastur_term takes one DistributionSpec for every "
+                         "coordinate")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     layout = WignerLayout(N)
     K = epsilon * math.sqrt(N)
-    if isinstance(specs, DistributionSpec):
-        total = layout.coordinate_count * truncated_second_moment(specs, K)
-    else:
-        specs = list(specs)
-        if len(specs) != layout.coordinate_count:
-            raise ValueError("per-coordinate spec list has wrong length")
-        total = math.fsum(truncated_second_moment(s, K) for s in specs)
-    return total / N**2
+    return layout.coordinate_count * truncated_second_moment(spec, K) / N**2
 
 
 @dataclass(frozen=True)
@@ -340,12 +339,11 @@ class SemicircleReport(SuiteReport):
 
 
 def semicircle_swap_terms(spec_x: DistributionSpec, spec_y: DistributionSpec,
-                          N: int, z: complex,
-                          epsilon: float) -> tuple[float, float, float, float]:
-    """(lambda_2, lambda_3, tail sum, body sum) of the transform's swap bound
-    at truncation K = eps sqrt(N); raises outside its domain (a body third
-    moment infinite at K, as at K = inf for Pareto tails with exponent <= 3)
-    and does no bound arithmetic."""
+                          N: int, z: complex, epsilon: float) -> BoundTerms:
+    """The transform bound's record: the swap form at truncation
+    K = eps sqrt(N), with the influence of ``derivative_bounds``; raises
+    outside its domain (a body third moment infinite at K, as at K = inf for
+    Pareto tails with exponent <= 3) and does no bound arithmetic."""
     K = epsilon * math.sqrt(N)
     n = WignerLayout(N).coordinate_count
     tail_sum = n * (truncated_second_moment(spec_x, K)
@@ -358,16 +356,19 @@ def semicircle_swap_terms(spec_x: DistributionSpec, spec_y: DistributionSpec,
             f"use a finite truncation level"
         )
     bounds = derivative_bounds(N, z.imag)
-    return bounds.lambda2, bounds.lambda3, tail_sum, body_sum
+    return BoundTerms(form="swap", lambda2=bounds.lambda2,
+                      lambda3=bounds.lambda3, tail_sum=tail_sum,
+                      body_sum=body_sum, truncation=K,
+                      gamma=max(third_abs_moment(spec_x),
+                                third_abs_moment(spec_y)), n=n)
 
 
 def semicircle_bound(spec_x: DistributionSpec, spec_y: DistributionSpec,
                      N: int, z: complex, g: TestFunction,
                      epsilon: float) -> float:
     """Swap bound for Re/Im of the transform at truncation K = eps sqrt(N)."""
-    terms = semicircle_swap_terms(spec_x, spec_y, N, z, epsilon)
-    c1, c2 = c_constants(g)
-    return swap_bound(c1, c2, *terms)
+    return evaluate_bound(semicircle_swap_terms(spec_x, spec_y, N, z, epsilon),
+                          g)
 
 
 def semicircle_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
@@ -384,7 +385,8 @@ def semicircle_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
     """
     z = _check_z(z)
     layout = WignerLayout(N)
-    bound = semicircle_bound(spec_x, spec_y, N, z, g, epsilon)
+    bound = evaluate_bound(semicircle_swap_terms(spec_x, spec_y, N, z, epsilon),
+                           g)
     experiment = (f"wigner/{spec_x.label}-vs-{spec_y.label}/"
                   f"N{N}/z{z.real:g}+{z.imag:g}i")
 

@@ -88,16 +88,6 @@ def sample(spec: DistributionSpec, gen: np.random.Generator, size=None):
     return u if size is not None else u[()]
 
 
-def sample_vector(specs, gen: np.random.Generator) -> np.ndarray:
-    """Draw one value per coordinate spec: coordinate i transforms the i-th
-    uniform of ``gen`` on its own, without the compiled vector sampler."""
-    if isinstance(specs, DistributionSpec):
-        raise TypeError("sample_vector expects a sequence of specs")
-    u = gen.random(len(specs))
-    return np.array([dist._transform(spec, u[i:i + 1])[0]
-                     for i, spec in enumerate(specs)])
-
-
 def _horner(coefs, r):
     acc = coefs[0]
     for c in coefs[1:]:

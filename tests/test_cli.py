@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import lindeberg_lab
-from lindeberg_lab import cli, core, sk, walks, wigner
+from lindeberg_lab import cli, core, sk, smoothmax
 from lindeberg_lab.cli import ConfigError, build_config, main, run
 from lindeberg_lab.core import GapReport, LindebergError, swap_bound, \
     third_moment_bound
@@ -326,9 +326,10 @@ class TestBoundTable:
         assert row[4] == pytest.approx(l3, rel=1e-14)
 
     def test_rows_print_the_lambda_their_bound_read(self, monkeypatch):
-        # record the influence each bound's arithmetic receives: the family
-        # of optimized_max_bound, the lambdas of swap_bound and the lambda3
-        # of third_moment_bound; a row must print those very floats
+        # record the influence each bound's arithmetic receives, where
+        # core.evaluate_bound looks it up: the family record of
+        # optimized_max_bound, the lambdas of swap_bound and the lambda3 of
+        # third_moment_bound; a row must print those very floats
         read = []
 
         def spy(module, name, influence):
@@ -340,12 +341,10 @@ class TestBoundTable:
 
             monkeypatch.setattr(module, name, wrapped)
 
-        for module in (walks, sk):
-            spy(module, "optimized_max_bound",
-                lambda g, gamma, n, fam: (fam.lambda2, fam.lambda3))
-        for module in (core, wigner):
-            spy(module, "swap_bound", lambda c1, c2, l2, l3, *sums: (l2, l3))
-        spy(sk, "third_moment_bound", lambda c2, gamma, n, l3: (None, l3))
+        spy(smoothmax, "optimized_max_bound",
+            lambda g, gamma, n, fam: (fam.lambda2, fam.lambda3))
+        spy(core, "swap_bound", lambda c1, c2, l2, l3, *sums: (l2, l3))
+        spy(core, "third_moment_bound", lambda c2, gamma, n, l3: (None, l3))
         sizes = ",".join(map(str, range(2, 41)))
         result = run(build_config("bound_table", None, {"sizes": sizes}))
         assert len(read) == len(result.rows) == 5 * 39
@@ -405,25 +404,42 @@ class TestOneBoundPerSuite:
         ("sk_free_energy", {"beta": 0.7}),
         ("sk_ground_state", {}),
     ])
-    def test_run_bound_is_its_bound_table_row(self, suite, over):
+    def test_run_bound_is_its_bound_table_row(self, suite, over,
+                                              monkeypatch):
         # the free-energy run once computed 13 beta^3 N^-2.5 itself, which
-        # differs from free_energy_lambda in the last bit at N = 12
-        table = run(build_config("bound_table", None,
-                                 {**self.LAWS, **over, "sizes": "12"}))
-        [row] = [row for row in table.rows if row[0] == suite]
+        # differs from free_energy_lambda in the last bit at N = 12; the
+        # row is (bound, lambda2, lambda3) of the one record the run
+        # evaluates
+        evaluated = []
+        evaluate = core.evaluate_bound
+
+        def recording(terms, g):
+            evaluated.append((terms, evaluate(terms, g)))
+            return evaluated[-1][1]
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lindeberg_lab") and \
+                    vars(module).get("evaluate_bound") is evaluate:
+                monkeypatch.setattr(module, "evaluate_bound", recording)
         result = run(build_config(suite, None,
                                     {**self.LAWS, **over, "size": 12,
                                      "replicates": 100}))
-        bound = result.rows[0][result.columns.index("bound")]
-        assert bound.hex() == row[2].hex()
+        [(terms, bound)] = evaluated
+        table = run(build_config("bound_table", None,
+                                 {**self.LAWS, **over, "sizes": "12"}))
+        [row] = [row for row in table.rows if row[0] == suite]
+        assert result.rows[0][result.columns.index("bound")].hex() == \
+            bound.hex()
+        assert [v.hex() for v in row[2:]] == \
+            [v.hex() for v in (bound, terms.lambda2, terms.lambda3)]
 
 
 class TestBoundRowsAsValidator:
     """A config is checked by calling its suite's check in
-    ``cli._BOUNDS``, the domain of the bound its run calls: over the whole
-    input space the check must refuse exactly what the row refuses, and
-    every row must answer a bound or a domain error, never nan or a stray
-    exception."""
+    ``cli._BOUNDS``, the domain of the record its run evaluates: over the
+    whole input space the check must refuse exactly what the row (the
+    record's bound and influence) refuses, and every row must answer a
+    bound or a domain error, never nan or a stray exception."""
 
     LAWS = ["rademacher", "gaussian", "uniform", "cexp", "pareto:4",
             "pareto:2.5", "pareto:3.5"]
@@ -446,9 +462,19 @@ class TestBoundRowsAsValidator:
         except (ValueError, LindebergError) as exc:
             return None, type(exc)
 
+    @staticmethod
+    def _row(terms_of):
+        def row(inputs, n):
+            terms = terms_of(inputs, n)
+            return (core.evaluate_bound(terms, inputs.g), terms.lambda2,
+                    terms.lambda3)
+
+        return row
+
     def test_check_refuses_what_the_row_refuses(self):
         answered = refused = 0
-        for suite, (check, row) in cli._BOUNDS.items():
+        for suite, (check, terms_of) in cli._BOUNDS.items():
+            row = self._row(terms_of)
             for x, y, g, params in itertools.product(
                     self.LAWS, self.LAWS, self.TEST_FUNCTIONS,
                     self.GRIDS.get(suite, [{}])):

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from lindeberg_lab.core import (
+    BoundTerms,
     GapReport,
     InfiniteGammaError,
     SmoothFunction,
@@ -19,6 +20,7 @@ from lindeberg_lab.core import (
     clt_bound,
     clt_experiment,
     estimate_lambda,
+    evaluate_bound,
     fd_partial,
     mean_function,
     paired_functional_values,
@@ -31,6 +33,7 @@ from lindeberg_lab.distributions import (
     GAUSSIAN,
     RADEMACHER,
     UNIFORM,
+    make_vector_sampler,
     pareto,
     truncated_second_moment,
     truncated_third_moment,
@@ -38,7 +41,7 @@ from lindeberg_lab.distributions import (
 from lindeberg_lab.rng import RandomStream
 from lindeberg_lab import core, sk, smoothmax, wigner
 from lindeberg_lab.walks import walk_family
-from oracles import monomial, sample, sample_vector, softmax_partials, \
+from oracles import monomial, sample, softmax_partials, \
     telescoping_decomposition
 
 SIN = named_g("sin")
@@ -179,6 +182,33 @@ class TestBoundArithmetic:
             clt_bound(pareto(2.5), GAUSSIAN, 400, SIN)
         with pytest.raises(InfiniteGammaError):
             clt_bound(GAUSSIAN, pareto(3.0), 400, SIN)
+
+    def test_each_form_evaluates_with_its_function(self):
+        # the record changes no bit: each form runs its function's
+        # arithmetic on the record's fields
+        c1, c2 = c_constants(TANH)
+        fam = walk_family(50)
+        gamma, n = 1.5, 50
+        cases = [
+            (BoundTerms(form="swap", lambda2=0.3, lambda3=0.2, tail_sum=0.7,
+                        body_sum=11.0, truncation=2.0, gamma=gamma, n=n),
+             swap_bound(c1, c2, 0.3, 0.2, 0.7, 11.0)),
+            (BoundTerms(form="third_moment", lambda2=0.3, lambda3=0.2,
+                        tail_sum=0.0, body_sum=2.0 * gamma * n,
+                        truncation=math.inf, gamma=gamma, n=n),
+             third_moment_bound(c2, gamma, n, 0.2)),
+            (smoothmax.max_bound_terms(gamma, n, fam),
+             smoothmax.optimized_max_bound(TANH, gamma, n, fam)),
+        ]
+        for terms, expect in cases:
+            assert evaluate_bound(terms, TANH).hex() == expect.hex(), \
+                terms.form
+
+    def test_unknown_form_is_refused(self):
+        with pytest.raises(ValueError):
+            BoundTerms(form="fourth_moment", lambda2=0.0, lambda3=0.0,
+                       tail_sum=0.0, body_sum=0.0, truncation=math.inf,
+                       gamma=1.0, n=1)
 
 
 class TestFiniteDifferences:
@@ -425,34 +455,34 @@ class TestMcGap:
         # replicate r of each side is a pure function of its stream position,
         # whatever the engine drew into the reused buffers before it
         n, experiment = 24, "regen"
-        specs_x = [RADEMACHER, pareto(4.0)] * (n // 2)
         f = mean_function(n)
 
         def values(block):
             return np.array([f.value(row) for row in block])
 
-        vx, vy = paired_functional_values(values, values, specs_x, GAUSSIAN,
-                                          n, 300, 13, experiment, threads=3)
+        vx, vy = paired_functional_values(values, values, pareto(4.0),
+                                          GAUSSIAN, n, 300, 13, experiment,
+                                          threads=3)
         for r in (0, 137, 299):
             gx = RandomStream(13, experiment + "/x").replicate(r)
             gy = RandomStream(13, experiment + "/y").replicate(r)
-            assert vx[r] == f.value(sample_vector(specs_x, gx))
+            assert vx[r] == f.value(sample(pareto(4.0), gx, n))
             assert vy[r] == f.value(sample(GAUSSIAN, gy, n))
 
-    def test_per_coordinate_spec_lists(self):
-        specs = [RADEMACHER, GAUSSIAN, RADEMACHER, GAUSSIAN]
+    def test_a_list_of_differing_laws_is_refused(self):
+        # every coordinate of a side draws from one law
+        mixed = [RADEMACHER, GAUSSIAN] * 3
 
         def mean(block):
-            return block.sum(axis=1) / 2.0
+            return block.sum(axis=1)
 
-        vx, vy = paired_functional_values(mean, mean, specs, specs, 4, 400,
-                                          2, "spec-lists")
-        report = summarize_gap(SIN, vx, vy, experiment_id="spec-lists", n=4,
-                               theoretical_bound=0.0, seed=2)
-        assert report.mc_gap <= 4.0 * report.std_error + 1e-12
         with pytest.raises(ValueError):
-            paired_functional_values(mean, mean, specs, specs, 3, 400, 2,
+            make_vector_sampler(mixed)
+        with pytest.raises(ValueError):
+            paired_functional_values(mean, mean, mixed, GAUSSIAN, 6, 100, 2,
                                      "spec-lists")
+        with pytest.raises(ValueError):
+            wigner.pastur_term(mixed, 3, 0.5)
 
     @staticmethod
     def _diffs_summary(diffs):

@@ -416,17 +416,6 @@ class TestInPlaceTransforms:
                 assert same_bits(got[k],
                                  sample(spec, stream.replicate(r + k), 257))
 
-    def test_mixed_sampler_matches_per_coordinate_transforms(self):
-        specs = [ORACLE_SPECS[(3 * i) % len(ORACLE_SPECS)] for i in range(40)]
-        stream = RandomStream(29, "mixed")
-        draw = make_vector_sampler(specs)
-        buf = np.empty((1, len(specs)))
-        for r in range(3):
-            u = stream.replicate(r).random(len(specs))
-            expect = [where_oracle(s, u[i:i + 1])[0]
-                      for i, s in enumerate(specs)]
-            assert same_bits(draw(stream, r, buf)[0], expect)
-
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label)
     def test_scalar_sample(self, spec):
         stream = RandomStream(31, "scalar")

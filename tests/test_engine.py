@@ -164,10 +164,10 @@ class TestBlockContract:
 class TestEngineDeterminism:
     @staticmethod
     def _values(threads, n=24):
-        specs_x = [RADEMACHER, pareto(4.0)] * (n // 2)
         walk = walks.max_partial_sums
-        return paired_functional_values(walk, walk, specs_x, GAUSSIAN, n, 333,
-                                        21, "engine-threads", threads=threads)
+        return paired_functional_values(walk, walk, pareto(4.0), GAUSSIAN, n,
+                                        333, 21, "engine-threads",
+                                        threads=threads)
 
     def test_threads_and_block_sizes_give_the_same_bits(self, monkeypatch):
         # 333 replicates are no multiple of any block size below

@@ -505,16 +505,6 @@ class TestPasturTerm:
         assert heavy_vals[2] / heavy_vals[0] > gaussian_vals[2] / \
             gaussian_vals[0]
 
-    def test_per_coordinate_lists(self):
-        # eps sqrt(N) > 1, so the Rademacher coordinates contribute nothing
-        N = 10
-        n = N * (N + 1) // 2
-        mixed = [RADEMACHER] * (n // 2) + [GAUSSIAN] * (n - n // 2)
-        got = pastur_term(mixed, N, 0.5)
-        solo = pastur_term(GAUSSIAN, N, 0.5)
-        assert 0.0 < got < solo
-        assert got == pytest.approx(solo * (n - n // 2) / n, rel=1e-12)
-
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             pastur_term(GAUSSIAN, 10, 0.0)
