@@ -220,9 +220,12 @@ def _validate_suite_inputs(config: ExperimentConfig):
         if config.suite in ("sk_free_energy", "sk_ground_state"):
             check_enumerable(values["size"])
         if config.suite in ("wigner", "lambda_audit"):
-            # the suites that evaluate the transform call LAPACK: load it
-            # here, at set-up, and no other suite loads it at all
-            lapack()
+            # the suites that evaluate the transform call LAPACK: bind it
+            # here, at set-up, and no other suite binds it at all
+            try:
+                lapack()
+            except ImportError as exc:
+                raise ConfigError(str(exc)) from None
         if config.suite == "lambda_audit":
             # no bound function: probe the derivative bounds, which fall as
             # N grows, so order 1 covers every size

@@ -33,19 +33,17 @@ summing tail second moments at K = eps sqrt(N) yields the classical vanishing
 condition for semicircle convergence.
 
 Both decompositions call LAPACK (``dsytrd``, and ``zgetrf``/``zgetrs`` for
-the LU) through ``lapack()``, which loads the one compiled extension module
-that holds them on first use and nothing else of the package it ships in.
+the LU) through ``lapack()``, a ctypes binding to the LAPACK that numpy
+already holds: no other BLAS runtime is loaded, and each call runs outside
+the GIL.
 """
 
 from __future__ import annotations
 
 import cmath
+import ctypes
 import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -120,45 +118,126 @@ def build_matrix(layout: WignerLayout, x: np.ndarray) -> np.ndarray:
     return A + np.triu(A, 1).T
 
 
-_FLAPACK = "scipy.linalg._flapack"
+# numpy >= 2 wheels export the ILP64 LAPACK routines of their bundled
+# OpenBLAS as scipy_<routine>_64_, openblas64_ builds as <routine>_64_
+_SPELLINGS = ("scipy_{}_64_", "{}_64_")
+_INT = ctypes.c_int64
+_INT_P = ctypes.POINTER(_INT)
+_PTR = ctypes.c_void_p
+# Fortran passes each CHARACTER argument's length as a trailing hidden value
+_CHAR, _CHAR_LEN = ctypes.c_char_p, ctypes.c_size_t
+
+
+def _int(value: int):
+    return ctypes.byref(_INT(value))
+
+
+def _writable_fortran(a, dtype, overwrite: bool) -> np.ndarray:
+    """``a`` itself if ``overwrite`` is set and it already is a writable
+    Fortran-ordered 2-D array of ``dtype``, else such a copy of it."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError(f"LAPACK takes a 2-D array, not {a.ndim}-D")
+    if (overwrite and a.dtype == dtype and a.flags.f_contiguous
+            and a.flags.writeable):
+        return a
+    return np.array(a, dtype=dtype, order="F")
+
+
+def _square(a: np.ndarray) -> int:
+    n, m = a.shape
+    if n != m:
+        raise ValueError(f"LAPACK takes a square matrix, not {n} x {m}")
+    return n
+
+
+class NumpyLapack:
+    """``dsytrd``, ``zgetrf`` and ``zgetrs`` in numpy's own LAPACK, with the
+    call shapes and return tuples of scipy's f2py wrappers."""
+
+    def __init__(self, library: ctypes.CDLL):
+        def routine(name, *argtypes):
+            for spelling in _SPELLINGS:
+                try:
+                    function = getattr(library, spelling.format(name))
+                except AttributeError:
+                    continue
+                function.argtypes = argtypes
+                function.restype = None
+                return function
+            spellings = " or ".join(s.format(name) for s in _SPELLINGS)
+            raise ImportError(
+                f"LAPACK {name} not found in numpy's LAPACK as {spellings}; "
+                f"the Stieltjes transform needs a numpy whose LAPACK is "
+                f"ILP64 OpenBLAS, as numpy's wheels ship it")
+
+        self._dsytrd = routine("dsytrd", _CHAR, _INT_P, _PTR, _INT_P, _PTR,
+                               _PTR, _PTR, _PTR, _INT_P, _INT_P, _CHAR_LEN)
+        self._zgetrf = routine("zgetrf", _INT_P, _INT_P, _PTR, _INT_P, _PTR,
+                               _INT_P)
+        self._zgetrs = routine("zgetrs", _CHAR, _INT_P, _INT_P, _PTR, _INT_P,
+                               _PTR, _PTR, _INT_P, _INT_P, _CHAR_LEN)
+
+    def dsytrd(self, a, lower=0, overwrite_a=0):
+        """``(a, d, e, tau, info)``: Householder tridiagonal reduction of the
+        symmetric matrix held in the upper (or ``lower``) triangle of
+        ``a``, with scipy's default workspace of N, which keeps it
+        unblocked."""
+        a = _writable_fortran(a, np.float64, overwrite_a)
+        n = _square(a)
+        d, work = np.empty(n), np.empty(max(n, 1))
+        e, tau = np.empty(max(n - 1, 0)), np.empty(max(n - 1, 0))
+        info = _INT()
+        self._dsytrd(b"L" if lower else b"U", _int(n), a.ctypes.data,
+                     _int(max(n, 1)), d.ctypes.data, e.ctypes.data,
+                     tau.ctypes.data, work.ctypes.data, _int(len(work)),
+                     ctypes.byref(info), 1)
+        return a, d, e, tau, info.value
+
+    def zgetrf(self, a):
+        """``(lu, piv, info)``: pivoted LU of a copy of a complex matrix,
+        with 0-based pivots."""
+        lu = _writable_fortran(a, np.complex128, False)
+        m, n = lu.shape
+        piv = np.empty(min(m, n), dtype=np.int64)
+        info = _INT()
+        self._zgetrf(_int(m), _int(n), lu.ctypes.data, _int(max(m, 1)),
+                     piv.ctypes.data, ctypes.byref(info))
+        return lu, piv - 1, info.value
+
+    def zgetrs(self, lu, piv, b):
+        """``(x, info)``: the solution of ``a x = b`` from ``zgetrf(a)``,
+        in a copy of ``b``."""
+        lu = _writable_fortran(lu, np.complex128, True)
+        n = _square(lu)
+        piv = np.asarray(piv, dtype=np.int64) + 1
+        x = _writable_fortran(b, np.complex128, False)
+        if piv.shape != (n,) or x.shape[0] != n:
+            raise ValueError(f"zgetrs takes {n} pivots and {n} rows of b")
+        info = _INT()
+        self._zgetrs(b"N", _int(n), _int(x.shape[1]), lu.ctypes.data,
+                     _int(max(n, 1)), piv.ctypes.data, x.ctypes.data,
+                     _int(max(n, 1)), ctypes.byref(info), 1)
+        return x, info.value
 
 
 @functools.cache
-def lapack():
-    """scipy's compiled f2py LAPACK module ``scipy.linalg._flapack``, loaded
-    on first use without running ``scipy/linalg/__init__.py``.
+def lapack() -> NumpyLapack:
+    """The LAPACK routines the Wigner suites call, bound once with ctypes in
+    the LAPACK that ``numpy.linalg`` itself calls.
 
     Only the suites that evaluate a Stieltjes transform call LAPACK, and
-    they need only ``dsytrd``, ``zgetrf`` and ``zgetrs``; the package
-    import would add about 0.2 s and 20 MB of modules they never use.
-    ``find_spec("scipy")`` locates the installed package without importing
-    it.  The module is registered in ``sys.modules`` under its own name, so
-    a later ``import scipy.linalg`` binds this same extension, and one that
-    is already loaded is returned as it is.
+    they need only ``dsytrd``, ``zgetrf`` and ``zgetrs``.  The library is
+    opened by the file name of numpy's ``_umath_linalg`` extension, whose
+    symbol lookup also searches the OpenBLAS it links, so no second BLAS
+    runtime is loaded and no OpenBLAS file name is spelled out.  A ctypes
+    call releases the GIL, so worker threads run these routines
+    concurrently.  Raises ImportError naming the routine when numpy's
+    LAPACK holds none of its spellings.
     """
-    module = sys.modules.get(_FLAPACK)
-    if module is not None:
-        return module
-    scipy_spec = importlib.util.find_spec("scipy")
-    spec = None
-    if scipy_spec is not None:
-        finder = importlib.machinery.FileFinder(
-            os.path.join(scipy_spec.submodule_search_locations[0], "linalg"),
-            (importlib.machinery.ExtensionFileLoader,
-             importlib.machinery.EXTENSION_SUFFIXES))
-        spec = finder.find_spec(_FLAPACK)
-    if spec is None:
-        raise ImportError(f"the Wigner suites need scipy's compiled LAPACK "
-                          f"module {_FLAPACK}, which was not found; "
-                          f"install scipy", name=_FLAPACK)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_FLAPACK] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[_FLAPACK]
-        raise
-    return module
+    from numpy.linalg import _umath_linalg
+
+    return NumpyLapack(ctypes.CDLL(_umath_linalg.__file__))
 
 
 # ``resolvent`` calls LAPACK through these two module globals:

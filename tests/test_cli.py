@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import lindeberg_lab
-from lindeberg_lab import cli, core, sk, smoothmax
+from lindeberg_lab import cli, core, sk, smoothmax, wigner
 from lindeberg_lab.cli import ConfigError, build_config, main, run
 from lindeberg_lab.core import GapReport, LindebergError, swap_bound, \
     third_moment_bound
@@ -893,27 +893,40 @@ class TestMainExitCodes:
 
 
 # Runs the CLI in a fresh interpreter with ``cli.run`` wrapped, as the
-# benchmark wraps it, and lists the scipy modules and numpy.random loaded at
-# import, when the suite starts and when it returns.
+# benchmark wraps it, and lists the scipy modules and numpy.random loaded, and
+# whether the LAPACK binding is resolved, at import, when the suite starts and
+# when it returns.  Where /proc/self/maps exists it also lists the OpenBLAS
+# files the process maps.
 CLI_PROBE = (
-    "import json, sys\n"
+    "import json, os, sys\n"
     "def loaded():\n"
     "    return sorted(m for m in sys.modules if m == 'numpy.random'\n"
     "                  or m.partition('.')[0] == 'scipy')\n"
     "import lindeberg_lab\n"
-    "from lindeberg_lab import cli\n"
+    "from lindeberg_lab import cli, wigner\n"
+    "def bound():\n"
+    "    return wigner.lapack.cache_info().currsize > 0\n"
     "seen = {'imported': loaded()}\n"
+    "lapack = {'imported': bound()}\n"
     "run = cli.run\n"
     "def probed(config):\n"
     "    seen['entered'] = loaded()\n"
+    "    lapack['entered'] = bound()\n"
     "    result = run(config)\n"
     "    seen['returned'] = loaded()\n"
+    "    lapack['returned'] = bound()\n"
     "    return result\n"
     "cli.run = probed\n"
     "seen['status'] = cli.main(sys.argv[1:])\n"
+    "seen['lapack'] = lapack\n"
     "seen['stdlib'] = sorted(m for m in sys.modules if m in\n"
     "                        ('concurrent.futures', 'configparser',\n"
     "                         'logging'))\n"
+    "if os.path.exists('/proc/self/maps'):\n"
+    "    with open('/proc/self/maps') as maps:\n"
+    "        seen['openblas'] = sorted({os.path.basename(line.split()[-1])\n"
+    "                                   for line in maps\n"
+    "                                   if 'openblas' in line.lower()})\n"
     "print(json.dumps(seen))\n"
 )
 STAGES = ("imported", "entered", "returned")
@@ -929,7 +942,6 @@ SPECTRAL = [
     ["wigner", "--size", "4", "--replicates", "100"],
     ["lambda_audit", "--size", "2"],
 ]
-FLAPACK = "scipy.linalg._flapack"
 
 
 @functools.cache
@@ -947,21 +959,45 @@ def probe_cli(args: tuple[str, ...]) -> dict:
 
 
 class TestLapackLoading:
-    """Only the suites that evaluate a Stieltjes transform load LAPACK, at
-    set-up, and they load scipy's compiled LAPACK module and no other scipy
-    module: the ``scipy.linalg`` package never runs."""
+    """Only the suites that evaluate a Stieltjes transform bind LAPACK, at
+    set-up, in the LAPACK numpy already holds: they load no scipy module and
+    map no second OpenBLAS."""
 
     @pytest.mark.parametrize("args", OFF_SPECTRUM, ids=lambda args: args[0])
     def test_suites_off_the_spectrum_never_load_lapack(self, args):
         seen = probe_cli(tuple(args))
-        assert [FLAPACK in seen[stage] for stage in STAGES] == \
+        assert [seen["lapack"][stage] for stage in STAGES] == \
             [False, False, False]
 
     @pytest.mark.parametrize("args", SPECTRAL, ids=lambda args: args[0])
     def test_a_spectral_suite_loads_lapack_before_it_runs(self, args):
         seen = probe_cli(tuple(args))
+        assert [seen["lapack"][stage] for stage in STAGES] == \
+            [False, True, True]
         assert [[m for m in seen[stage] if m != "numpy.random"]
-                for stage in STAGES] == [[], [FLAPACK], [FLAPACK]]
+                for stage in STAGES] == [[], [], []]
+
+    @pytest.mark.parametrize("args", SPECTRAL, ids=lambda args: args[0])
+    def test_a_spectral_suite_maps_one_openblas(self, args):
+        seen = probe_cli(tuple(args))
+        if "openblas" not in seen:
+            pytest.skip("no /proc/self/maps to read")
+        assert len(seen["openblas"]) == 1, seen["openblas"]
+
+    @pytest.mark.parametrize("args", SPECTRAL, ids=lambda args: args[0])
+    def test_missing_lapack_is_a_config_error(self, args, monkeypatch,
+                                              capsys):
+        def refuse(config):
+            raise AssertionError("the run must not start")
+
+        monkeypatch.setattr(wigner, "_SPELLINGS", ("no_such_{}_",))
+        monkeypatch.setattr(cli, "run", refuse)
+        wigner.lapack.cache_clear()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: LAPACK dsytrd not found in "
+                              "numpy's LAPACK as no_such_dsytrd_;")
+        assert err.count("\n") == 1
 
 
 class TestScipyLoading:

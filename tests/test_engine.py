@@ -249,3 +249,15 @@ def test_blas_thread_count_leaves_output_bytes(argv, tmp_path):
         assert done.returncode == 0, done.stderr[-2000:]
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_worker_threads_leave_wigner_bytes(tmp_path):
+    # the LAPACK binding releases the GIL, so three workers, one per chunk
+    # of 1000 replicates in blocks of 156, run dsytrd concurrently
+    outputs = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"threads{threads}.csv"
+        assert main(["wigner", "--size", "20", "--replicates", "1000",
+                     "--threads", threads, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

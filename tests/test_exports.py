@@ -1,6 +1,7 @@
 """Every name a ``lindeberg_lab`` module lists in ``__all__`` exists on it,
-every name the package re-exports is in its module's ``__all__``, and no
-source, test or demo file imports a name it never reads.
+every name the package re-exports is in its module's ``__all__``, no
+source, test or demo file imports a name it never reads, and no source file
+loads scipy.
 
 A name left in ``__all__`` after a move or a deletion breaks only
 ``from module import *``, which no other test runs; an import left behind
@@ -96,3 +97,47 @@ def test_scanned_files_found():
                          ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_every_import_is_read(path):
     assert unread_imports(path) == []
+
+
+# calls that load a module named by their first argument
+LOADERS = {"find_spec", "import_module", "__import__"}
+
+
+def scipy_loads(path: Path) -> list[tuple[int, str]]:
+    """(line, module) of every import of a scipy module in ``path`` and of
+    every ``find_spec``, ``import_module`` or ``__import__`` call that names
+    one."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.Call) and node.args and isinstance(
+                node.args[0], ast.Constant) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) in LOADERS:
+            names = [str(node.args[0].value)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.partition(".")[0] == "scipy"]
+    return found
+
+
+def test_scipy_loads_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import importlib.util, scipy.linalg\n"
+                     "from scipy import special\n"
+                     "importlib.util.find_spec('scipy')\n"
+                     "__import__('scipy.linalg._flapack')\n"
+                     "import scipyx\n", encoding="utf-8")
+    assert scipy_loads(probe) == [(1, "scipy.linalg"), (2, "scipy"),
+                                  (3, "scipy"), (4, "scipy.linalg._flapack")]
+
+
+@pytest.mark.parametrize("path", [p for p in SCANNED
+                                  if p.is_relative_to(ROOT / "src")],
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_source_loads_no_scipy(path):
+    # the spectral suites call numpy's own LAPACK; scipy is a test oracle
+    assert scipy_loads(path) == []

@@ -1,7 +1,7 @@
 """Resolvent calculus, transform derivatives, semicircle reference, tail sums."""
 
 import cmath
-import importlib.util
+import ctypes
 import json
 import math
 import os
@@ -16,6 +16,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 from scipy.integrate import quad
 
 from lindeberg_lab import wigner
@@ -183,41 +184,65 @@ class TestStieltjes:
 
 
 ROOT = Path(__file__).resolve().parents[1]
-FLAPACK = "scipy.linalg._flapack"
-# Loads scipy's LAPACK extension through wigner.lapack() and through the
-# scipy.linalg package, in the order given, and reports whether both name one
-# extension object, with the transform value it gives.
+# Imports scipy.linalg before or after the first transform, in the order
+# given, and prints the transform value's bits.
 LOAD_ORDER_PROBE = (
     "import json, sys\n"
     "import numpy as np\n"
     "from lindeberg_lab import wigner\n"
-    "if sys.argv[1] == 'wigner-first':\n"
-    "    flapack = wigner.lapack()\n"
-    "    import scipy.linalg\n"
-    "else:\n"
-    "    import scipy.linalg\n"
-    "    flapack = wigner.lapack()\n"
     "layout = wigner.WignerLayout(9)\n"
     "x = np.random.default_rng(5).standard_normal(layout.coordinate_count)\n"
+    "if sys.argv[1] == 'scipy-first':\n"
+    "    import scipy.linalg\n"
     "m = wigner.stieltjes(layout, x, 0.4 + 1.3j)\n"
-    "print(json.dumps({\n"
-    "    'registered': sys.modules['scipy.linalg._flapack'] is flapack,\n"
-    "    'same_dsytrd': scipy.linalg.lapack.dsytrd is flapack.dsytrd,\n"
-    "    'm': [m.real.hex(), m.imag.hex()]}))\n"
+    "import scipy.linalg\n"
+    "again = wigner.stieltjes(layout, x, 0.4 + 1.3j)\n"
+    "print(json.dumps([[v.real.hex(), v.imag.hex()] for v in (m, again)]))\n"
 )
 
 
 class TestLapack:
-    """wigner calls LAPACK through scipy's compiled ``_flapack`` extension,
-    with the bits and the failures of scipy's public wrappers."""
+    """wigner calls LAPACK in numpy's own OpenBLAS through one ctypes
+    binding, with the bits and the failures of scipy's public wrappers."""
 
     SIZES = [1, 2, 7, 30, 100]
     POINTS = [2j, -0.3 + 0.8j, 1.5 - 1j, 0.05 + 0.4j]
 
-    def test_same_extension_as_scipy_linalg(self):
-        assert lapack().dsytrd is scipy.linalg.lapack.dsytrd
-        assert lapack().zgetrf is scipy.linalg.lapack.zgetrf
-        assert lapack().zgetrs is scipy.linalg.lapack.zgetrs
+    def test_binding_resolves_in_numpy_lapack(self):
+        numpy_lapack = ctypes.CDLL(_umath_linalg.__file__)
+        for name in ("dsytrd", "zgetrf", "zgetrs"):
+            bound = getattr(lapack(), f"_{name}")
+            assert bound.__name__ in [s.format(name)
+                                      for s in wigner._SPELLINGS]
+            address = ctypes.cast(bound, ctypes.c_void_p).value
+            assert address == ctypes.cast(
+                getattr(numpy_lapack, bound.__name__), ctypes.c_void_p).value
+
+    @pytest.mark.parametrize("N", SIZES)
+    def test_binding_matches_public_routines(self, N):
+        # oracle: scipy's f2py dsytrd and zgetrf, output for output
+        layout = WignerLayout(N)
+        for x in random_draws(f"binding{N}", layout, 2):
+            a = _upper_triangle(layout, x)
+            got = lapack().dsytrd(a.copy(order="F"), lower=0, overwrite_a=1)
+            want = scipy.linalg.lapack.dsytrd(a, lower=0)
+            assert [np.asarray(v).tobytes() for v in got] == \
+                [np.asarray(v).tobytes() for v in want]
+            shifted = build_matrix(layout, x) - 0.5j * np.eye(N)
+            lu, piv, info = lapack().zgetrf(shifted)
+            want_lu, want_piv, want_info = scipy.linalg.lapack.zgetrf(shifted)
+            assert lu.tobytes() == want_lu.tobytes()
+            assert piv.tolist() == want_piv.tolist()
+            assert info == want_info == 0
+
+    def test_overwrite_reuses_only_a_writable_fortran_array(self):
+        a = np.asfortranarray(np.diag([1.0, 2.0, 3.0]))
+        assert lapack().dsytrd(a, overwrite_a=1)[0] is a
+        assert lapack().dsytrd(a)[0] is not a
+        a.flags.writeable = False
+        assert lapack().dsytrd(a, overwrite_a=1)[0] is not a
+        with pytest.raises(ValueError, match="square"):
+            lapack().dsytrd(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("N", SIZES)
     def test_stieltjes_reduction_matches_public_dsytrd(self, N, monkeypatch):
@@ -255,7 +280,7 @@ class TestLapack:
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
 
-    def test_either_load_order_binds_one_extension(self):
+    def test_scipy_import_order_leaves_stieltjes_bits(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -265,10 +290,11 @@ class TestLapack:
                 [sys.executable, "-c", LOAD_ORDER_PROBE, order], env=env,
                 capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, done.stderr[-2000:]
-            seen.append(json.loads(done.stdout.splitlines()[-1]))
-        assert [(s["registered"], s["same_dsytrd"]) for s in seen] == \
-            [(True, True), (True, True)]
-        assert seen[0]["m"] == seen[1]["m"]
+            seen.extend(json.loads(done.stdout.splitlines()[-1]))
+        layout = WignerLayout(9)
+        x = np.random.default_rng(5).standard_normal(layout.coordinate_count)
+        m = stieltjes(layout, x, 0.4 + 1.3j)
+        assert seen == [[m.real.hex(), m.imag.hex()]] * 4
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_input_rejected(self, bad):
@@ -302,20 +328,13 @@ class TestLapack:
         with pytest.raises(ValueError, match=f"{routine} info = -1"):
             call()
 
-    @pytest.mark.parametrize("installed", [False, True],
-                             ids=["no-scipy", "no-extension"])
-    def test_missing_extension_names_it(self, installed, tmp_path,
-                                        monkeypatch):
-        # an installed scipy whose linalg folder holds no _flapack, or none
-        (tmp_path / "linalg").mkdir()
-        spec = (SimpleNamespace(submodule_search_locations=[str(tmp_path)])
-                if installed else None)
-        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
-        monkeypatch.delitem(sys.modules, FLAPACK)
+    def test_failed_lookup_names_the_routine(self, monkeypatch):
+        monkeypatch.setattr(wigner, "_SPELLINGS", ("no_such_{}_",))
         lapack.cache_clear()
-        with pytest.raises(ImportError, match=r"scipy.*_flapack"):
+        with pytest.raises(ImportError, match=r"^LAPACK dsytrd not found in "
+                           r"numpy's LAPACK as no_such_dsytrd_;"):
             lapack()
-        assert FLAPACK not in sys.modules
+        assert lapack.cache_info().currsize == 0
 
 
 class TestPartials:
