@@ -328,14 +328,28 @@ class TestLapack:
         with pytest.raises(ValueError, match=f"{routine} info = -1"):
             call()
 
-    def test_failed_lookup_names_the_routine(self, monkeypatch):
+    @pytest.mark.parametrize("hide_scipy", [True, False],
+                             ids=["no-scipy", "no-extension"])
+    def test_missing_extension_names_it(self, hide_scipy, monkeypatch):
+        # numpy's LAPACK holding none of the spellings fails naming the
+        # routine and caches nothing; with scipy unimportable the binding
+        # fails and succeeds exactly as with it
+        if hide_scipy:
+            for name in [m for m in sys.modules
+                         if m == "scipy" or m.startswith("scipy.")]:
+                monkeypatch.delitem(sys.modules, name)
+            monkeypatch.setitem(sys.modules, "scipy", None)
+        spellings = wigner._SPELLINGS
         monkeypatch.setattr(wigner, "_SPELLINGS", ("no_such_{}_",))
         lapack.cache_clear()
         with pytest.raises(ImportError, match=r"^LAPACK dsytrd not found in "
                            r"numpy's LAPACK as no_such_dsytrd_;"):
             lapack()
         assert lapack.cache_info().currsize == 0
-
+        monkeypatch.setattr(wigner, "_SPELLINGS", spellings)
+        a = np.asfortranarray(np.diag([1.0, 2.0, 3.0]))
+        assert lapack().dsytrd(a)[4] == 0
+        assert (sys.modules.get("scipy") is None) == hide_scipy
 
 class TestPartials:
     def test_zero_matrix_diagonal_coordinate(self):
