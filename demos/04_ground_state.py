@@ -15,11 +15,12 @@ from lindeberg_lab import (
     RADEMACHER,
     CouplingLayout,
     SKParams,
+    evaluate_bound,
     ground_state,
-    sk_bound,
     sk_experiment,
     test_function,
 )
+from lindeberg_lab.sk import sk_terms
 
 N = 12
 layout = CouplingLayout(N)
@@ -31,11 +32,12 @@ print(f"N={N}: ground-state energy {value:.6f} at configuration "
 print(f"      normalized N^(-3/2) S = {N**-1.5 * value:.6f}")
 
 g = test_function("tanh")
-print("\nalpha-optimized bound (sk_bound) at beta = 1, h = 0, Gaussian vs")
-print("Rademacher couplings:")
+print("\nalpha-optimized bound (the max form of sk_terms) at beta = 1, "
+      "h = 0,")
+print("Gaussian vs Rademacher couplings:")
 for size in (8, 12, 16, 24):
-    bound = sk_bound("ground_state", GAUSSIAN, RADEMACHER, SKParams(), size,
-                     g)
+    bound = evaluate_bound(sk_terms("ground_state", GAUSSIAN, RADEMACHER,
+                                    SKParams(), size), g)
     print(f"  N={size:>2}: {bound:.4f}")
 
 print("\npaired experiment, Gaussian vs Rademacher couplings:")

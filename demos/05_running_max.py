@@ -14,12 +14,13 @@ half-normal reference is printed as a sanity diagnostic.
 from lindeberg_lab import (
     GAUSSIAN,
     RADEMACHER,
-    erdos_kac_bound,
     erdos_kac_experiment,
+    evaluate_bound,
     half_normal_reference,
     max_partial_sums,
     test_function,
 )
+from lindeberg_lab.walks import erdos_kac_terms
 
 import numpy as np
 
@@ -45,5 +46,5 @@ for t in (0.5, 1.0, 2.0):
 
 print("\nbound decay on a size grid (rademacher vs gaussian, gamma = 1.596):")
 for n in (10**2, 10**3, 10**4, 10**5):
-    bound = erdos_kac_bound(RADEMACHER, GAUSSIAN, n, g)
+    bound = evaluate_bound(erdos_kac_terms(RADEMACHER, GAUSSIAN, n), g)
     print(f"  n = {n:>6d}   bound = {bound:.4f}")

@@ -19,7 +19,6 @@ from .core import (
     SmoothFunction,
     TestFunction,
     c_constants,
-    clt_bound,
     clt_experiment,
     estimate_lambda,
     evaluate_bound,
@@ -45,12 +44,10 @@ from .distributions import (
 from .rng import RandomStream, experiment_code
 from .sk import (
     CouplingLayout,
-    SKKind,
     SKParams,
     free_energy,
     free_energy_lambda,
     ground_state,
-    sk_bound,
     sk_experiment,
     sk_family,
 )
@@ -64,7 +61,6 @@ from .smoothmax import (
     softmax_state,
 )
 from .walks import (
-    erdos_kac_bound,
     erdos_kac_experiment,
     half_normal_reference,
     max_partial_sums,

@@ -235,7 +235,7 @@ def _validate_suite_inputs(config: ExperimentConfig):
         table = config.suite == "bound_table"
         for n in values["sizes"] if table else (values["size"],):
             for suite in _BOUNDS if table else (config.suite,):
-                _BOUNDS[suite][0](inputs, n)
+                _check_bound(suite, inputs, n)
         return inputs
     except (ValueError, LindebergError) as exc:
         raise ConfigError(str(exc)) from None
@@ -293,13 +293,15 @@ def _json_cell(v):
 # suites
 # ---------------------------------------------------------------------------
 
-def _report_table(config, report):
-    """One suite report as a runner result: (columns, rows, ok, reports).
+def _report_table(config, a):
+    """A Monte Carlo suite's run: its ``_EXPERIMENTS`` call on the config
+    and the inputs its check built, as (columns, rows, ok, reports).
 
     Each gap report gives one row: the suite's labels (its declared keys
     less ``_RUN_KEYS``), then ``GapReport.CSV_COLUMNS``, then the report's
     diagnostics (its other fields; a complex one as ``_re``, ``_im``).
     """
+    report = _EXPERIMENTS[config.suite](config, a)
     labels = [key for key in _SUITE_DEFAULTS[config.suite]
               if key not in _RUN_KEYS]
     fields = ({"report": report} if isinstance(report, GapReport)
@@ -318,35 +320,6 @@ def _report_table(config, report):
     rows = [(*head, *gap.csv_row(), *cells) for gap in gaps]
     return ((*labels, *GapReport.CSV_COLUMNS, *names), rows, report.passed,
             [report])
-
-
-# a runner takes the config and the inputs its check built
-def _run_clt(config, a):
-    return _report_table(config, clt_experiment(
-        a.spec_x, a.spec_y, config.size, a.g, config.replicates, config.seed,
-        threads=config.threads,
-    ))
-
-
-def _run_wigner(config, a):
-    return _report_table(config, semicircle_experiment(
-        a.spec_x, a.spec_y, config.size, a.z, a.g, config.replicates,
-        config.seed, epsilon=a.epsilon, threads=config.threads,
-    ))
-
-
-def _run_sk(config, a, kind: str, params: SKParams):
-    return _report_table(config, sk_experiment(
-        kind, a.spec_x, a.spec_y, params, config.size, config.replicates,
-        a.g, config.seed, threads=config.threads,
-    ))
-
-
-def _run_erdos_kac(config, a):
-    return _report_table(config, erdos_kac_experiment(
-        a.spec_x, a.spec_y, config.size, a.g, config.replicates, config.seed,
-        threads=config.threads,
-    ))
 
 
 def _audit_points(seed: int, label: str, n: int, count: int = 5):
@@ -417,33 +390,50 @@ def _bound_inputs(values) -> SimpleNamespace:
 _GROUND_STATE = SKParams()
 
 
-def _terms_entry(terms, check=None):
-    """A ``_BOUNDS`` entry: (check, terms); a terms function that calls no
-    name perfbench traces is its own check."""
-    return check or terms, terms
-
-
-# suite -> (check, terms) at size n: ``terms`` builds the suite's
-# ``BoundTerms``, the record its run evaluates; ``check`` raises where
-# ``terms`` does and calls no traced name (erdos_kac's terms function reads
-# ``walk_family``, so its check is ``erdos_kac_domain``), so checking a
-# config leaves all of a process's bound arithmetic inside ``run``.
-# bound_table writes every suite's row, in this order.
-_BOUNDS = {
-    "clt": _terms_entry(lambda a, n: clt_swap_terms(a.spec_x, a.spec_y, n)),
-    "erdos_kac": _terms_entry(
-        lambda a, n: erdos_kac_terms(a.spec_x, a.spec_y, n),
-        check=lambda a, n: erdos_kac_domain(a.spec_x, a.spec_y, n)),
-    "sk_free_energy": _terms_entry(
-        lambda a, n: sk_terms("free_energy", a.spec_x, a.spec_y, a.params,
-                              n)),
-    "sk_ground_state": _terms_entry(
-        lambda a, n: sk_terms("ground_state", a.spec_x, a.spec_y,
-                              _GROUND_STATE, n)),
-    "wigner": _terms_entry(
-        lambda a, n: semicircle_swap_terms(a.spec_x, a.spec_y, n, a.z,
-                                           a.epsilon)),
+# suite -> its experiment, called with the config and the inputs its check
+# built
+_EXPERIMENTS = {
+    "clt": lambda c, a: clt_experiment(
+        a.spec_x, a.spec_y, c.size, a.g, c.replicates, c.seed,
+        threads=c.threads),
+    "wigner": lambda c, a: semicircle_experiment(
+        a.spec_x, a.spec_y, c.size, a.z, a.g, c.replicates, c.seed,
+        epsilon=a.epsilon, threads=c.threads),
+    "sk_free_energy": lambda c, a: sk_experiment(
+        "free_energy", a.spec_x, a.spec_y, a.params, c.size, c.replicates,
+        a.g, c.seed, threads=c.threads),
+    "sk_ground_state": lambda c, a: sk_experiment(
+        "ground_state", a.spec_x, a.spec_y, _GROUND_STATE, c.size,
+        c.replicates, a.g, c.seed, threads=c.threads),
+    "erdos_kac": lambda c, a: erdos_kac_experiment(
+        a.spec_x, a.spec_y, c.size, a.g, c.replicates, c.seed,
+        threads=c.threads),
 }
+
+# suite -> its terms function at size n, which builds the ``BoundTerms``
+# record its run evaluates; bound_table writes every suite's row, in this
+# order
+_BOUNDS = {
+    "clt": lambda a, n: clt_swap_terms(a.spec_x, a.spec_y, n),
+    "erdos_kac": lambda a, n: erdos_kac_terms(a.spec_x, a.spec_y, n),
+    "sk_free_energy": lambda a, n: sk_terms(
+        "free_energy", a.spec_x, a.spec_y, a.params, n),
+    "sk_ground_state": lambda a, n: sk_terms(
+        "ground_state", a.spec_x, a.spec_y, _GROUND_STATE, n),
+    "wigner": lambda a, n: semicircle_swap_terms(a.spec_x, a.spec_y, n, a.z,
+                                                 a.epsilon),
+}
+
+
+def _check_bound(suite: str, a, n: int) -> None:
+    """Raise where ``_BOUNDS[suite]`` raises at size n, calling no name
+    perfbench traces, so checking a config leaves all of a process's bound
+    arithmetic inside ``run``: erdos_kac's terms function reads
+    ``walk_family``, so its check is ``erdos_kac_domain``."""
+    if suite == "erdos_kac":
+        erdos_kac_domain(a.spec_x, a.spec_y, n)
+    else:
+        _BOUNDS[suite](a, n)
 
 
 def _run_bound_table(config, a):
@@ -451,23 +441,17 @@ def _run_bound_table(config, a):
     pure arithmetic."""
     rows = []
     for n in config.sizes:
-        for suite, (_, terms_of) in _BOUNDS.items():
+        for suite, terms_of in _BOUNDS.items():
             terms = terms_of(a, n)
             rows.append((suite, n, evaluate_bound(terms, a.g), terms.lambda2,
                          terms.lambda3))
     return (("setup", "size", "bound", "lambda2", "lambda3"), rows, True, [])
 
 
-_RUNNERS = {
-    "clt": _run_clt,
-    "wigner": _run_wigner,
-    "sk_free_energy": lambda c, a: _run_sk(c, a, "free_energy", a.params),
-    "sk_ground_state": lambda c, a: _run_sk(c, a, "ground_state",
-                                            _GROUND_STATE),
-    "erdos_kac": _run_erdos_kac,
-    "lambda_audit": _run_lambda_audit,
-    "bound_table": _run_bound_table,
-}
+# a runner takes the config and the inputs its check built
+_RUNNERS = {**dict.fromkeys(_EXPERIMENTS, _report_table),
+            "lambda_audit": _run_lambda_audit,
+            "bound_table": _run_bound_table}
 
 
 def run(config: ExperimentConfig) -> RunResult:

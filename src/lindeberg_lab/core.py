@@ -65,7 +65,6 @@ __all__ = [
     "BoundTerms",
     "evaluate_bound",
     "clt_swap_terms",
-    "clt_bound",
     "fd_partial",
     "estimate_lambda",
     "paired_functional_values",
@@ -419,12 +418,6 @@ def clt_swap_terms(spec_x: DistributionSpec, spec_y: DistributionSpec,
                       truncation=math.inf, gamma=max(gx, gy), n=n)
 
 
-def clt_bound(spec_x: DistributionSpec, spec_y: DistributionSpec, n: int,
-              g: TestFunction) -> float:
-    """Bound of the normalized-sum gap, C2 (g_x + g_y) / sqrt(n)."""
-    return evaluate_bound(clt_swap_terms(spec_x, spec_y, n), g)
-
-
 # ---------------------------------------------------------------------------
 # finite differences (validation oracle for analytic partials)
 # ---------------------------------------------------------------------------
@@ -656,7 +649,9 @@ def clt_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec, n: int,
     """Normalized-sum gap vs the bound of ``clt_swap_terms``,
     C2 (g_x + g_y)/sqrt(n).
 
-    The functional is ``mean_function(n)`` applied to a whole block at once.
+    The functional is n^(-1/2) times each row sum of a replicate block, the
+    value ``mean_function(n)`` gives one vector, computed for the whole
+    block at once.
     """
     bound = evaluate_bound(clt_swap_terms(spec_x, spec_y, n), g)
     root = 1.0 / math.sqrt(n)

@@ -24,10 +24,8 @@ _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 
 
-def experiment_code(experiment: str | int) -> int:
+def experiment_code(experiment: str) -> int:
     """Stable 64-bit code for an experiment label (hash-salt independent)."""
-    if isinstance(experiment, int):
-        return experiment & _MASK64
     digest = hashlib.blake2b(experiment.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
@@ -40,7 +38,7 @@ class RandomStream:
     replicate ``r``, shared and invalidated by the next ``replicate`` call.
     """
 
-    def __init__(self, master_seed: int, experiment: str | int = 0):
+    def __init__(self, master_seed: int, experiment: str):
         if not 0 <= master_seed <= _MASK64:
             raise ValueError("master_seed must lie in 0..2**64 - 1")
         self.master_seed = master_seed

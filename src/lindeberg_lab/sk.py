@@ -52,7 +52,6 @@ cached flat offsets of the upper triangle.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -84,7 +83,6 @@ from .smoothmax import (
 __all__ = [
     "CouplingLayout",
     "SKParams",
-    "SKKind",
     "sk_family",
     "free_energy",
     "free_energy_function",
@@ -93,7 +91,6 @@ __all__ = [
     "check_enumerable",
     "SKReport",
     "sk_terms",
-    "sk_bound",
     "sk_experiment",
 ]
 
@@ -155,11 +152,6 @@ class SKParams:
                              "with a finite cube")
         if not math.isfinite(self.h):
             raise ValueError("external field h must be finite")
-
-
-class SKKind(enum.Enum):
-    FREE_ENERGY = "free_energy"
-    GROUND_STATE = "ground_state"
 
 
 def check_enumerable(N: int) -> None:
@@ -448,58 +440,53 @@ class SKReport(SuiteReport):
     report: GapReport
 
 
-def sk_terms(kind: SKKind | str, spec_x: DistributionSpec,
-             spec_y: DistributionSpec, params: SKParams,
-             N: int) -> BoundTerms:
+def sk_terms(kind: str, spec_x: DistributionSpec, spec_y: DistributionSpec,
+             params: SKParams, N: int) -> BoundTerms:
     """The record of ``sk_experiment``'s bound over the n = N(N-1)/2
     couplings, gamma the larger third absolute moment.
 
-    Free energy: the third-moment form with the smoothed influence of
-    ``free_energy_lambda``, 13 beta^3 N^(-5/2).  Ground state: the max form
-    of ``sk_family``.  Raises outside its domain and does no bound
-    arithmetic; nothing is enumerated.
+    ``kind`` "free_energy": the third-moment form with the smoothed
+    influence of ``free_energy_lambda``, 13 beta^3 N^(-5/2).
+    "ground_state": the max form of ``sk_family``.  Raises outside its
+    domain and does no bound arithmetic; nothing is enumerated.
     """
-    kind = SKKind(kind)
+    if kind not in ("free_energy", "ground_state"):
+        raise ValueError(f"unknown SK kind {kind!r}; choose free_energy or "
+                         f"ground_state")
     layout = CouplingLayout(N)
     n = layout.coordinate_count
     gamma = max(third_abs_moment(spec_x), third_abs_moment(spec_y))
     if math.isinf(gamma):
         raise InfiniteGammaError("the SK bounds need finite third moments")
-    if kind is SKKind.GROUND_STATE:
+    if kind == "ground_state":
         if params.beta != 1.0 or params.h != 0.0:
             raise ValueError(
                 "the ground-state experiment is defined at beta = 1, h = 0"
             )
         return max_bound_terms(gamma, n, sk_family(layout, params))
-    # the field energy beta h sum_i s_i reaches beta |h| N
-    if not math.isfinite(params.beta * abs(params.h) * N):
-        raise ValueError("beta |h| N must be finite: the field energy "
-                         "overflows")
+    # the field energy beta h sum_i s_i spans [-beta |h| N, beta |h| N], and
+    # the log-sum-exp subtracts energies across that span
+    if not math.isfinite(2.0 * params.beta * abs(params.h) * N):
+        raise ValueError("2 beta |h| N must be finite: the span of the field "
+                         "energies overflows")
     lambda2, lambda3 = free_energy_lambda(params, N)
     return BoundTerms(form="third_moment", lambda2=lambda2, lambda3=lambda3,
                       tail_sum=0.0, body_sum=2.0 * gamma * n,
                       truncation=math.inf, gamma=gamma, n=n)
 
 
-def sk_bound(kind: SKKind | str, spec_x: DistributionSpec,
-             spec_y: DistributionSpec, params: SKParams, N: int,
-             g: TestFunction) -> float:
-    """Bound of the coupling-universality gap of ``sk_experiment``."""
-    return evaluate_bound(sk_terms(kind, spec_x, spec_y, params, N), g)
-
-
-def sk_experiment(kind: SKKind | str, spec_x: DistributionSpec,
+def sk_experiment(kind: str, spec_x: DistributionSpec,
                   spec_y: DistributionSpec, params: SKParams, N: int,
                   replicates: int, g: TestFunction, master_seed: int,
                   threads: int = 1) -> SKReport:
-    """Paired coupling-universality gap against the bound of ``sk_terms``."""
-    kind = SKKind(kind)
+    """Paired coupling-universality gap of the ``kind`` of ``sk_terms``
+    against its bound."""
     layout = CouplingLayout(N)
     check_enumerable(N)
     n = layout.coordinate_count
     bound = evaluate_bound(sk_terms(kind, spec_x, spec_y, params, N), g)
 
-    if kind is SKKind.FREE_ENERGY:
+    if kind == "free_energy":
         def evaluate(block):
             return free_energy(layout, params, block)
 
@@ -509,7 +496,7 @@ def sk_experiment(kind: SKKind | str, spec_x: DistributionSpec,
         def evaluate(block):
             return scale * ground_state(layout, block)[0]
 
-    experiment = (f"sk-{kind.value}/{spec_x.label}-vs-{spec_y.label}/N{N}/"
+    experiment = (f"sk-{kind}/{spec_x.label}-vs-{spec_y.label}/N{N}/"
                   f"beta{params.beta:g}/h{params.h:g}")
     vx, vy = paired_functional_values(
         evaluate, evaluate, spec_x, spec_y, n, replicates, master_seed,

@@ -40,7 +40,6 @@ __all__ = [
     "max_partial_sums",
     "erdos_kac_domain",
     "erdos_kac_terms",
-    "erdos_kac_bound",
     "half_normal_reference",
     "ks_to_half_normal",
     "WalkReport",
@@ -104,13 +103,6 @@ def erdos_kac_terms(spec_x: DistributionSpec, spec_y: DistributionSpec,
     with gamma of ``erdos_kac_domain``, which it calls first."""
     gamma = erdos_kac_domain(spec_x, spec_y, n)
     return max_bound_terms(gamma, n, walk_family(n))
-
-
-def erdos_kac_bound(spec_x: DistributionSpec, spec_y: DistributionSpec,
-                    n: int, g: TestFunction) -> float:
-    """K(g) [ gamma^(1/3) n^(-1/6) (log n)^(2/3) + gamma n^(-1/2) ] with
-    gamma = max(E|X|^3, E|Y|^3)."""
-    return evaluate_bound(erdos_kac_terms(spec_x, spec_y, n), g)
 
 
 def half_normal_reference(t):

@@ -77,7 +77,6 @@ __all__ = [
     "semicircle_stieltjes",
     "pastur_term",
     "semicircle_swap_terms",
-    "semicircle_bound",
     "SemicircleReport",
     "semicircle_experiment",
 ]
@@ -96,9 +95,6 @@ class WignerLayout:
     @property
     def coordinate_count(self) -> int:
         return self.size * (self.size + 1) // 2
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.size) for j in range(i, self.size)]
 
 
 def _upper_triangle(layout: WignerLayout, x: np.ndarray) -> np.ndarray:
@@ -178,17 +174,16 @@ class NumpyLapack:
         self._zgetrs = routine("zgetrs", _CHAR, _INT_P, _INT_P, _PTR, _INT_P,
                                _PTR, _PTR, _INT_P, _INT_P, _CHAR_LEN)
 
-    def dsytrd(self, a, lower=0, overwrite_a=0):
+    def dsytrd(self, a, overwrite_a=0):
         """``(a, d, e, tau, info)``: Householder tridiagonal reduction of the
-        symmetric matrix held in the upper (or ``lower``) triangle of
-        ``a``, with scipy's default workspace of N, which keeps it
-        unblocked."""
+        symmetric matrix held in the upper triangle of ``a``, with scipy's
+        default workspace of N, which keeps it unblocked."""
         a = _writable_fortran(a, np.float64, overwrite_a)
         n = _square(a)
         d, work = np.empty(n), np.empty(max(n, 1))
         e, tau = np.empty(max(n - 1, 0)), np.empty(max(n - 1, 0))
         info = _INT()
-        self._dsytrd(b"L" if lower else b"U", _int(n), a.ctypes.data,
+        self._dsytrd(b"U", _int(n), a.ctypes.data,
                      _int(max(n, 1)), d.ctypes.data, e.ctypes.data,
                      tau.ctypes.data, work.ctypes.data, _int(len(work)),
                      ctypes.byref(info), 1)
@@ -290,7 +285,7 @@ def stieltjes(layout: WignerLayout, x: np.ndarray, z: complex) -> complex:
     """
     z = _check_z(z)
     _, d, e, _, info = lapack().dsytrd(_upper_triangle(layout, x),
-                                       lower=0, overwrite_a=1)
+                                       overwrite_a=1)
     if info != 0:
         raise ValueError(f"tridiagonal reduction failed "
                          f"(dsytrd info = {info})")
@@ -440,14 +435,6 @@ def semicircle_swap_terms(spec_x: DistributionSpec, spec_y: DistributionSpec,
                       body_sum=body_sum, truncation=K,
                       gamma=max(third_abs_moment(spec_x),
                                 third_abs_moment(spec_y)), n=n)
-
-
-def semicircle_bound(spec_x: DistributionSpec, spec_y: DistributionSpec,
-                     N: int, z: complex, g: TestFunction,
-                     epsilon: float) -> float:
-    """Swap bound for Re/Im of the transform at truncation K = eps sqrt(N)."""
-    return evaluate_bound(semicircle_swap_terms(spec_x, spec_y, N, z, epsilon),
-                          g)
 
 
 def semicircle_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,

@@ -114,10 +114,18 @@ def normal_quantile(p) -> np.ndarray:
     return np.where(np.abs(q) <= 0.425, central, tail)
 
 
+def layout_pairs(layout) -> list[tuple[int, int]]:
+    """The pairs of a layout in flat coordinate order, row by row: i < j of
+    a ``CouplingLayout``, i <= j of a ``WignerLayout``."""
+    d = 0 if isinstance(layout, WignerLayout) else 1
+    N = layout.size
+    return [(i, j) for i in range(N) for j in range(i + d, N)]
+
+
 def pair_index(layout, i: int, j: int) -> int:
     """Flat coordinate of the pair (i, j), in either order, in closed form:
     pairs i < j of a ``CouplingLayout``, i <= j of a ``WignerLayout``, row
-    by row as ``layout.pairs()`` lists them."""
+    by row as ``layout_pairs(layout)`` lists them."""
     i, j = min(i, j), max(i, j)
     d = 0 if isinstance(layout, WignerLayout) else 1
     # row r holds the N - r - d pairs (r, r + d), ..., (r, N - 1)

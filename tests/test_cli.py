@@ -25,7 +25,7 @@ from lindeberg_lab.distributions import parse_spec, third_abs_moment
 from lindeberg_lab.sk import CouplingLayout, SKParams, free_energy_lambda, \
     sk_family
 from lindeberg_lab.smoothmax import k_constant
-from lindeberg_lab.walks import erdos_kac_bound
+from lindeberg_lab.walks import erdos_kac_terms
 from lindeberg_lab.wigner import SemicircleReport
 
 
@@ -315,8 +315,9 @@ class TestBoundTable:
             swap_bound(c1, c2, 1 / n, n**-1.5, 0.0, n * (gx + gy)),
             rel=1e-14)
         assert table["erdos_kac"][2] == pytest.approx(
-            erdos_kac_bound(parse_spec(cfg.dist_x), parse_spec(cfg.dist_y), n,
-                            g), rel=1e-14)
+            core.evaluate_bound(erdos_kac_terms(parse_spec(cfg.dist_x),
+                                                parse_spec(cfg.dist_y), n),
+                                g), rel=1e-14)
 
     def test_sk_rows_reproduce_influence_bounds(self):
         result = run(build_config("bound_table", None, {"sizes": "12"}))
@@ -375,8 +376,9 @@ class TestBoundTable:
             rel=1e-14)
         assert table["sk_ground_state"][3:] == (fam.lambda2, fam.lambda3)
         assert table["erdos_kac"][2] == pytest.approx(
-            erdos_kac_bound(parse_spec(cfg.dist_x), parse_spec(cfg.dist_y), n,
-                            g), rel=1e-14)
+            core.evaluate_bound(erdos_kac_terms(parse_spec(cfg.dist_x),
+                                                parse_spec(cfg.dist_y), n),
+                                g), rel=1e-14)
 
     def test_largest_size_is_arithmetic_only(self):
         # 2^53 is the largest size whose n and n - 1 are distinct floats
@@ -435,8 +437,8 @@ class TestOneBoundPerSuite:
 
 
 class TestBoundRowsAsValidator:
-    """A config is checked by calling its suite's check in
-    ``cli._BOUNDS``, the domain of the record its run evaluates: over the
+    """A config is checked by ``cli._check_bound``, the domain of the
+    record of ``cli._BOUNDS`` that its run evaluates: over the
     whole input space the check must refuse exactly what the row (the
     record's bound and influence) refuses, and every row must answer a
     bound or a domain error, never nan or a stray exception."""
@@ -473,7 +475,8 @@ class TestBoundRowsAsValidator:
 
     def test_check_refuses_what_the_row_refuses(self):
         answered = refused = 0
-        for suite, (check, terms_of) in cli._BOUNDS.items():
+        for suite, terms_of in cli._BOUNDS.items():
+            check = functools.partial(cli._check_bound, suite)
             row = self._row(terms_of)
             for x, y, g, params in itertools.product(
                     self.LAWS, self.LAWS, self.TEST_FUNCTIONS,
@@ -752,10 +755,24 @@ class TestMainExitCodes:
         ["clt", "--size", "abc"],
         ["wigner", "--z-im", "2i"],
         ["clt", "--format", "xml"],
+        # the log-sum-exp subtracts field energies up to 2 beta |h| N apart:
+        # that span overflows here, though beta |h| N = 1.2e308 does not
+        ["sk_free_energy", "--h", "1e307", "--size", "12"],
     ])
     def test_out_of_domain_input_exits_2(self, argv, capsys):
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_negative_exponent_values_in_the_equals_form(self, tmp_path,
+                                                         capsys):
+        # argparse reads a value such as -5e-1 after a space as a flag; the
+        # --key=value form hands it over as a value
+        out = tmp_path / "r.csv"
+        assert main(["sk_free_energy", "--size", "4", "--replicates", "100",
+                     "--h=-1e-1", "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert float(row.split(",")[header.split(",").index("h")]) == -0.1
+        assert main(["bound_table", "--sizes", "8", "--z-re=-5e-1"]) == 0
 
     def test_removed_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -767,10 +784,13 @@ class TestMainExitCodes:
                      "--size", "6", "--replicates", "100"]) == 0
 
     @pytest.mark.parametrize("argv", [
-        # the largest field energy beta |h| N = 1.6e308 is still finite
-        ["sk_free_energy", "--h", "8e307", "--size", "2"],
+        # the field energies span 2 beta |h| N = 1.6e308, still finite
+        ["sk_free_energy", "--h", "4e307", "--size", "2"],
         # z * z overflows, the semicircle transform must not
         ["wigner", "--z-re", "1e308", "--size", "4"],
+        # a span of 1.68e308 at N = 12, where the row blocks of the
+        # log-sum-exp hold energies of both signs
+        ["sk_free_energy", "--h", "7e306", "--size", "12"],
     ])
     def test_edge_of_the_domain_runs(self, argv, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -17,8 +17,8 @@ from lindeberg_lab.core import (
     InfiniteGammaError,
     SmoothFunction,
     c_constants,
-    clt_bound,
     clt_experiment,
+    clt_swap_terms,
     estimate_lambda,
     evaluate_bound,
     fd_partial,
@@ -177,11 +177,11 @@ class TestBoundArithmetic:
 
     def test_clt_bound_domain(self):
         with pytest.raises(ValueError):
-            clt_bound(RADEMACHER, GAUSSIAN, 0, SIN)
+            clt_swap_terms(RADEMACHER, GAUSSIAN, 0)
         with pytest.raises(InfiniteGammaError):
-            clt_bound(pareto(2.5), GAUSSIAN, 400, SIN)
+            clt_swap_terms(pareto(2.5), GAUSSIAN, 400)
         with pytest.raises(InfiniteGammaError):
-            clt_bound(GAUSSIAN, pareto(3.0), 400, SIN)
+            clt_swap_terms(GAUSSIAN, pareto(3.0), 400)
 
     def test_each_form_evaluates_with_its_function(self):
         # the record changes no bit: each form runs its function's

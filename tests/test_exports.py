@@ -1,7 +1,7 @@
-"""Every name a ``lindeberg_lab`` module lists in ``__all__`` exists on it,
-every name the package re-exports is in its module's ``__all__``, no
-source, test or demo file imports a name it never reads, and no source file
-loads scipy.
+"""Every name a ``lindeberg_lab`` module lists in ``__all__`` exists on it
+and is read outside the unit tests, every name the package re-exports is in
+its module's ``__all__``, no source, test or demo file imports a name it
+never reads, and no source file loads scipy.
 
 A name left in ``__all__`` after a move or a deletion breaks only
 ``from module import *``, which no other test runs; an import left behind
@@ -141,3 +141,43 @@ def test_scipy_loads_found(tmp_path):
 def test_source_loads_no_scipy(path):
     # the spectral suites call numpy's own LAPACK; scipy is a test oracle
     assert scipy_loads(path) == []
+
+
+# the files that count as callers of an exported name: the package, the
+# demos, the claims gate and the benchmark, but no unit test
+OUTSIDE_UNIT_TESTS = sorted(
+    path for path in (*(ROOT / "src").rglob("*.py"),
+                      *(ROOT / "demos").rglob("*.py"),
+                      ROOT / "tests" / "test_acceptance.py",
+                      *(ROOT / "perfbench").rglob("*.py")))
+# (module, name) exported though nothing outside the unit tests reads it:
+# the swap bound of a smoothed max at a given alpha, kept for the bounds
+# that minimise over alpha (ROADMAP item 1)
+UNREAD_EXPORTS = [("lindeberg_lab.smoothmax", "max_swap_bound")]
+
+
+def names_read(path: Path) -> set[str]:
+    """Every name ``path`` reads, as a variable or as an attribute; an
+    import binds a name, so only its use counts."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def test_names_read_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from m import a, b\nimport c\n\n\ndef d():\n"
+                     "    e = a(c.f)\n", encoding="utf-8")
+    assert names_read(probe) == {"a", "c", "f"}
+    assert ROOT / "tests" / "test_acceptance.py" in OUTSIDE_UNIT_TESTS
+
+
+def test_every_export_is_read_outside_the_unit_tests():
+    # an exported name that only unit tests read is surface with no caller
+    read = set().union(*map(names_read, OUTSIDE_UNIT_TESTS))
+    unread = [(name, attr) for name in MODULES
+              for attr in getattr(importlib.import_module(name), "__all__",
+                                  []) if attr not in read]
+    assert unread == UNREAD_EXPORTS

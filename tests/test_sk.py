@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
 from lindeberg_lab import sk
 from lindeberg_lab.cli import build_config, run
@@ -17,7 +18,6 @@ from lindeberg_lab.distributions import GAUSSIAN, RADEMACHER, \
 from lindeberg_lab.rng import RandomStream
 from lindeberg_lab.sk import (
     CouplingLayout,
-    SKKind,
     SKParams,
     free_energy,
     free_energy_lambda,
@@ -31,7 +31,8 @@ from lindeberg_lab.smoothmax import (
     optimized_max_bound,
     softmax_state,
 )
-from oracles import family_member, free_energy_gray, pair_index
+from oracles import family_member, free_energy_gray, layout_pairs, \
+    pair_index
 
 TANH = named_g("tanh")
 
@@ -62,6 +63,7 @@ class TestLayout:
     def test_bijection(self):
         layout = CouplingLayout(5)
         pairs = layout.pairs()
+        assert pairs == layout_pairs(layout)
         assert len(pairs) == layout.coordinate_count == 10
         for c, (i, j) in enumerate(pairs):
             assert pair_index(layout, i, j) == c
@@ -569,9 +571,25 @@ class TestSkExperiment:
         assert report.report.mc_gap <= 3.0 * report.report.std_error
         assert report.passed
 
+    def test_free_energy_gap_matches_the_exact_gap(self):
+        # exact oracle at N = 2, beta = 1, h = 0: the one coupling x gives
+        # F(x) = (log 4 + log cosh(x / sqrt 2)) / 2, whose mean is a sum
+        # over both signs for rademacher and a Gauss-Hermite rule for
+        # gaussian
+        def h(x):
+            return np.tanh(0.5 * (math.log(4.0)
+                                  + np.log(np.cosh(x / math.sqrt(2.0)))))
+
+        nodes, weights = hermegauss(40)
+        exact = (h(1.0) + h(-1.0)) / 2.0 - weights @ h(nodes) / weights.sum()
+        assert exact == pytest.approx(0.0119937563, abs=1e-10)
+        gap = sk_experiment("free_energy", RADEMACHER, GAUSSIAN, SKParams(),
+                            2, 20_000, TANH, 20240).report
+        assert abs(gap.mean_gap - exact) <= 3.0 * gap.std_error
+
     def test_free_energy_bound_value(self):
         N = 8
-        report = sk_experiment(SKKind.FREE_ENERGY, GAUSSIAN, RADEMACHER,
+        report = sk_experiment("free_energy", GAUSSIAN, RADEMACHER,
                                SKParams(beta=1.0, h=0.0), N, 150, TANH, 72)
         from lindeberg_lab.distributions import third_abs_moment
 

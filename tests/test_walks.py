@@ -9,15 +9,15 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from lindeberg_lab.core import test_function as named_g
-from lindeberg_lab.core import InfiniteGammaError
+from lindeberg_lab.core import InfiniteGammaError, evaluate_bound
 from lindeberg_lab.distributions import GAUSSIAN, RADEMACHER, UNIFORM, \
     pareto, third_abs_moment
 from lindeberg_lab.rng import RandomStream
 from lindeberg_lab.smoothmax import estimate_family_lambda, k_constant, \
     optimized_max_bound
 from lindeberg_lab.walks import (
-    erdos_kac_bound,
     erdos_kac_experiment,
+    erdos_kac_terms,
     half_normal_reference,
     ks_to_half_normal,
     max_partial_sums,
@@ -79,7 +79,7 @@ class TestWalkFamily:
         n = 10**7
         start = time.perf_counter()
         fam = walk_family(n)
-        bound = erdos_kac_bound(RADEMACHER, GAUSSIAN, n, SIN)
+        bound = evaluate_bound(erdos_kac_terms(RADEMACHER, GAUSSIAN, n), SIN)
         assert time.perf_counter() - start < 1.0
         assert fam.lambda3 == pytest.approx(n**-1.5, rel=1e-14)
         assert fam.log_size == pytest.approx(math.log(n), rel=1e-15)
@@ -121,7 +121,8 @@ class TestBound:
             for laws in ((RADEMACHER, RADEMACHER), (RADEMACHER, GAUSSIAN),
                          (GAUSSIAN, RADEMACHER)):
                 gamma = max(map(third_abs_moment, laws))
-                assert erdos_kac_bound(*laws, n, SIN) == pytest.approx(
+                bound = evaluate_bound(erdos_kac_terms(*laws, n), SIN)
+                assert bound == pytest.approx(
                     optimized_max_bound(SIN, gamma, n, walk_family(n)),
                     rel=1e-12)
 
@@ -129,20 +130,20 @@ class TestBound:
         # K(sin) = 19/3 + 13 + 13/3 = 71/3; the two channels in brackets;
         # rademacher steps have gamma = 1
         n = 400
-        got = erdos_kac_bound(RADEMACHER, RADEMACHER, n, SIN)
+        got = evaluate_bound(erdos_kac_terms(RADEMACHER, RADEMACHER, n), SIN)
         expect = (71.0 / 3.0) * (
             n**(-1.0 / 6.0) * math.log(n) ** (2.0 / 3.0) + n**-0.5)
         assert got == pytest.approx(expect, rel=1e-13)
         assert k_constant(SIN) == pytest.approx(71.0 / 3.0)
 
     def test_decreasing_in_n(self):
-        vals = [erdos_kac_bound(UNIFORM, UNIFORM, n, SIN)
+        vals = [evaluate_bound(erdos_kac_terms(UNIFORM, UNIFORM, n), SIN)
                 for n in (50, 200, 800, 3200)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_refuses_infinite_gamma(self):
         with pytest.raises(InfiniteGammaError):
-            erdos_kac_bound(pareto(2.5), GAUSSIAN, 100, SIN)
+            erdos_kac_terms(pareto(2.5), GAUSSIAN, 100)
 
 
 class TestHalfNormalReference:
@@ -215,7 +216,8 @@ class TestExperiment:
                                       replicates=400, master_seed=6)
         assert report.passed
         assert report.report.theoretical_bound == pytest.approx(
-            erdos_kac_bound(RADEMACHER, GAUSSIAN, 64, SIN), rel=1e-13)
+            evaluate_bound(erdos_kac_terms(RADEMACHER, GAUSSIAN, 64), SIN),
+            rel=1e-13)
         assert 0.0 < report.ks_distance < 0.25
 
     def test_deterministic(self):

@@ -2,6 +2,7 @@
 
 import cmath
 import ctypes
+import itertools
 import json
 import math
 import os
@@ -17,11 +18,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
 
 from lindeberg_lab import wigner
 from lindeberg_lab.core import InfiniteGammaError, estimate_lambda, \
-    fd_partial
+    evaluate_bound, fd_partial
 from lindeberg_lab.core import test_function as named_g
 from lindeberg_lab.distributions import GAUSSIAN, RADEMACHER, pareto
 from lindeberg_lab.rng import RandomStream
@@ -35,14 +37,14 @@ from lindeberg_lab.wigner import (
     lu_solve,
     pastur_term,
     resolvent,
-    semicircle_bound,
     semicircle_experiment,
     semicircle_stieltjes,
+    semicircle_swap_terms,
     stieltjes,
     stieltjes_function,
     stieltjes_partials_all,
 )
-from oracles import mc_gap, pair_index, stieltjes_partials
+from oracles import layout_pairs, mc_gap, pair_index, stieltjes_partials
 
 IDENTITY = named_g("identity")
 
@@ -59,7 +61,7 @@ def random_draws(label, layout, count, law="gaussian"):
 class TestLayout:
     def test_bijection(self):
         layout = WignerLayout(5)
-        pairs = layout.pairs()
+        pairs = layout_pairs(layout)
         assert len(pairs) == layout.coordinate_count == 15
         for c, (i, j) in enumerate(pairs):
             assert pair_index(layout, i, j) == c
@@ -67,7 +69,7 @@ class TestLayout:
 
     def test_pair_order_matches_flat_order(self):
         layout = WignerLayout(2)
-        assert layout.pairs() == [(0, 0), (0, 1), (1, 1)]
+        assert layout_pairs(layout) == [(0, 0), (0, 1), (1, 1)]
 
 
 class TestBuildMatrix:
@@ -89,7 +91,7 @@ class TestBuildMatrix:
         x = gen.standard_normal(layout.coordinate_count)
         A = build_matrix(layout, x)
         root = math.sqrt(6.0)
-        back = np.array([A[i, j] * root for i, j in layout.pairs()])
+        back = np.array([A[i, j] * root for i, j in layout_pairs(layout)])
         assert back == pytest.approx(x, rel=1e-15)
 
     def test_length_mismatch(self):
@@ -224,7 +226,7 @@ class TestLapack:
         layout = WignerLayout(N)
         for x in random_draws(f"binding{N}", layout, 2):
             a = _upper_triangle(layout, x)
-            got = lapack().dsytrd(a.copy(order="F"), lower=0, overwrite_a=1)
+            got = lapack().dsytrd(a.copy(order="F"), overwrite_a=1)
             want = scipy.linalg.lapack.dsytrd(a, lower=0)
             assert [np.asarray(v).tobytes() for v in got] == \
                 [np.asarray(v).tobytes() for v in want]
@@ -378,7 +380,7 @@ class TestPartials:
                 G = resolvent(layout, x, z)
                 G2 = G @ G
                 got = stieltjes_partials_all(layout, x, z)
-                for c, (i, j) in enumerate(layout.pairs()):
+                for c, (i, j) in enumerate(layout_pairs(layout)):
                     E = np.zeros((N, N))
                     E[i, j] = E[j, i] = N**-0.5
                     d1 = -np.trace(E @ G2) / N
@@ -548,12 +550,10 @@ class TestSemicircleBound:
         # at K = eps sqrt(N) = inf the body moment of pareto:a is E|X|^3,
         # infinite for a <= 3 and finite above
         with pytest.raises(InfiniteGammaError):
-            semicircle_bound(pareto(2.5), GAUSSIAN, 10, 2j, IDENTITY,
-                             math.inf)
-        assert math.isfinite(semicircle_bound(pareto(4.0), GAUSSIAN, 10, 2j,
-                                              IDENTITY, math.inf))
-        assert math.isfinite(semicircle_bound(pareto(2.5), GAUSSIAN, 10, 2j,
-                                              IDENTITY, 0.2))
+            semicircle_swap_terms(pareto(2.5), GAUSSIAN, 10, 2j, math.inf)
+        for law, epsilon in ((pareto(4.0), math.inf), (pareto(2.5), 0.2)):
+            terms = semicircle_swap_terms(law, GAUSSIAN, 10, 2j, epsilon)
+            assert math.isfinite(evaluate_bound(terms, IDENTITY))
 
 
 class TestSemicircleExperiment:
@@ -584,6 +584,27 @@ class TestSemicircleExperiment:
                                        replicates=2000, master_seed=20240)
         gap = report.report_re
         assert abs(gap.mean_gap) <= 3.0 * gap.std_error
+
+    def test_im_gap_matches_the_exact_gap(self):
+        # exact oracle at N = 2, z = 2i: with A = [[a, b], [b, c]] / sqrt 2,
+        # m = (tr A - 2z) / (2 det(A - z)); its mean is a sum over the 8
+        # sign vectors for rademacher and a 20^3 Gauss-Hermite tensor rule
+        # for gaussian (a 40^3 rule agrees to 4e-10)
+        def im_m(a, b, c):
+            a, b, c = (v / math.sqrt(2.0) for v in (a, b, c))
+            return ((a + c - 4j) / (2.0 * ((a - 2j) * (c - 2j) - b * b))).imag
+
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=3))).T
+        nodes, weights = hermegauss(20)
+        weights = weights / weights.sum()
+        grid = np.meshgrid(nodes, nodes, nodes, indexing="ij")
+        tensor = np.einsum("i,j,k->ijk", weights, weights, weights)
+        exact = im_m(*signs).mean() - np.sum(tensor * im_m(*grid))
+        assert exact == pytest.approx(-0.0093598120, abs=1e-9)
+        gap = semicircle_experiment(RADEMACHER, GAUSSIAN, 2, 2j, IDENTITY,
+                                    replicates=20_000,
+                                    master_seed=20240).report_im
+        assert abs(gap.mean_gap - exact) <= 3.0 * gap.std_error
 
     def test_identical_laws_within_noise(self):
         report = semicircle_experiment(GAUSSIAN, GAUSSIAN, 12, 1j, IDENTITY,
