@@ -322,9 +322,9 @@ def _report_table(config, a):
             [report])
 
 
-def _audit_points(seed: int, label: str, n: int, count: int = 5):
+def _audit_points(seed: int, label: str, n: int):
     gen = RandomStream(seed, f"lambda-audit/{label}").replicate(0)
-    return [gen.standard_normal(n) for _ in range(count)]
+    return [gen.standard_normal(n) for _ in range(5)]
 
 
 def _run_lambda_audit(config, _):

@@ -105,28 +105,17 @@ def triangle_offsets(N: int, k: int, order: str) -> np.ndarray:
 # function containers
 # ---------------------------------------------------------------------------
 
-FULL_LINE = (-math.inf, math.inf)
-
-
 @dataclass(frozen=True)
 class SmoothFunction:
-    """A map on I^n, thrice differentiable in each coordinate.
+    """A map on R^n, thrice differentiable in each coordinate.
 
     ``value(x)`` may return a real or complex scalar; ``partial(i, p, x)``
-    is the p-th partial in coordinate i (p in {1, 2, 3}).  ``domain`` is an
-    open interval containing 0, shared by all coordinates.
+    is the p-th partial in coordinate i (p in {1, 2, 3}).
     """
 
     n: int
     value: Callable[[np.ndarray], complex]
     partial: Callable[[int, int, np.ndarray], complex]
-    domain: tuple[float, float] = FULL_LINE
-    name: str = ""
-
-    def __post_init__(self):
-        lo, hi = self.domain
-        if not (lo < 0.0 < hi):
-            raise ValueError("domain must be an open interval containing 0")
 
 
 def partials_at_point(table: Callable[[np.ndarray], np.ndarray]
@@ -153,7 +142,6 @@ def partials_at_point(table: Callable[[np.ndarray], np.ndarray]
 class TestFunction:
     """A scalar g with certified sup norms of its first three derivatives."""
 
-    name: str
     value: Callable[[float], float]
     d1: Callable[[float], float]
     d2: Callable[[float], float]
@@ -173,7 +161,7 @@ def mean_function(n: int) -> SmoothFunction:
     def partial(i, p, x):
         return root if p == 1 else 0.0
 
-    return SmoothFunction(n=n, value=value, partial=partial, name=f"mean[{n}]")
+    return SmoothFunction(n=n, value=value, partial=partial)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +179,12 @@ def _tanh_d3(x: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _clipped_square(clip: float = 10.0, width: float = 5.0) -> TestFunction:
-    # g(x) = x^2 exactly on [-clip, clip], spliced by a degree-6 polynomial on
-    # [clip, clip+width] matching value and first three derivatives at both
-    # ends, constant beyond.  Even in x, C^3 everywhere, bounded derivatives.
-    c, w = float(clip), float(width)
+def _clipped_square() -> TestFunction:
+    # g(x) = x^2 exactly on [-c, c], c = 10, spliced by a degree-6 polynomial
+    # on [c, c + w], w = 5, matching value and first three derivatives at
+    # both ends, constant beyond.  Even in x, C^3 everywhere, bounded
+    # derivatives.
+    c, w = 10.0, 5.0
     mat = np.array(
         [
             [4 * w**3, 5 * w**4, 6 * w**5],
@@ -233,7 +222,6 @@ def _clipped_square(clip: float = 10.0, width: float = 5.0) -> TestFunction:
     n2 = max(2.0, float(np.max(np.abs(q(ss, 2))))) * safety
     n3 = float(np.max(np.abs(q(ss, 3)))) * safety
     return TestFunction(
-        name="clipped_square",
         value=lambda x: deriv(x, 0),
         d1=lambda x: deriv(x, 1),
         d2=lambda x: deriv(x, 2),
@@ -249,7 +237,6 @@ def _clipped_square(clip: float = 10.0, width: float = 5.0) -> TestFunction:
 _TEST_FUNCTIONS: dict[str, Callable[[], TestFunction]] = {
     "sin": functools.partial(
         TestFunction,
-        name="sin",
         value=math.sin,
         d1=math.cos,
         d2=lambda x: -math.sin(x),
@@ -262,7 +249,6 @@ _TEST_FUNCTIONS: dict[str, Callable[[], TestFunction]] = {
     # it has a closed form, E cos(S_n / sqrt(n)) against E cos Z = e^(-1/2)
     "cos": functools.partial(
         TestFunction,
-        name="cos",
         value=math.cos,
         d1=lambda x: -math.sin(x),
         d2=lambda x: -math.cos(x),
@@ -273,7 +259,6 @@ _TEST_FUNCTIONS: dict[str, Callable[[], TestFunction]] = {
     ),
     "tanh": functools.partial(
         TestFunction,
-        name="tanh",
         value=math.tanh,
         d1=lambda x: 1.0 - math.tanh(x) ** 2,
         d2=_tanh_d2,
@@ -284,7 +269,6 @@ _TEST_FUNCTIONS: dict[str, Callable[[], TestFunction]] = {
     ),
     "identity": functools.partial(
         TestFunction,
-        name="identity",
         value=lambda x: x,
         d1=lambda x: 1.0,
         d2=lambda x: 0.0,
@@ -393,7 +377,7 @@ def evaluate_bound(terms: BoundTerms, g: TestFunction) -> float:
         # smoothmax imports this module, so its bound is looked up per call
         from .smoothmax import optimized_max_bound
 
-        return optimized_max_bound(g, terms.gamma, terms.n, terms)
+        return optimized_max_bound(g, terms)
     c1, c2 = c_constants(g)
     if terms.form == "third_moment":
         return third_moment_bound(c2, terms.gamma, terms.n, terms.lambda3)
@@ -437,18 +421,13 @@ def fd_step(p: int, xi: float) -> float:
 
 
 def fd_partial(value: Callable[[np.ndarray], complex], i: int, p: int,
-               x: np.ndarray, step: float | None = None,
-               domain: tuple[float, float] = FULL_LINE) -> complex:
+               x: np.ndarray) -> complex:
     """Central finite difference: 5-point stencil for p <= 2, 7-point for p = 3."""
     if p not in (1, 2, 3):
         raise ValueError("derivative order must be 1, 2 or 3")
     x = np.asarray(x, dtype=float)
-    h = fd_step(p, x[i]) if step is None else float(step)
+    h = fd_step(p, x[i])
     offsets, weights, denom = _STENCILS[p]
-    lo, hi = domain
-    reach = max(abs(o) for o in offsets) * h
-    if not (lo < x[i] - reach and x[i] + reach < hi):
-        raise ValueError("finite-difference stencil escapes the domain")
     acc = 0.0
     for o, wgt in zip(offsets, weights):
         xo = x.copy()
@@ -463,19 +442,14 @@ def fd_partial(value: Callable[[np.ndarray], complex], i: int, p: int,
 
 @dataclass(frozen=True)
 class LambdaEstimate:
-    lambda1: float
     lambda2: float
     lambda3: float
-    per_order_sup: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
 def estimate_lambda(f: SmoothFunction,
                     points: Sequence[np.ndarray]) -> LambdaEstimate:
-    """Empirical sup of |d_i^p f(x)|^(r/p) over the given points.
-
-    A lower bound on the true influence; the per-order sups are retained so
-    the definitional scaling identity can be re-derived from them.
-    """
+    """Empirical sup of |d_i^p f(x)|^(r/p) over the given points, for
+    r = 2, 3: a lower bound on the true influence."""
     points = [np.asarray(pt, dtype=float) for pt in points]
     if not points:
         raise ValueError("estimate_lambda needs at least one point")
@@ -493,10 +467,9 @@ def estimate_lambda(f: SmoothFunction,
 
 def _lambda_from_sups(sups) -> LambdaEstimate:
     """lambda_r = max_{p <= r} sup_p^(r/p) from the per-order sups."""
-    sups = tuple(sups)
     lam = [max(sups[p - 1] ** (r / p) for p in range(1, r + 1))
-           for r in (1, 2, 3)]
-    return LambdaEstimate(*lam, per_order_sup=sups)
+           for r in (2, 3)]
+    return LambdaEstimate(*lam)
 
 
 # ---------------------------------------------------------------------------

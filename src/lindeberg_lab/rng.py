@@ -41,8 +41,6 @@ class RandomStream:
     def __init__(self, master_seed: int, experiment: str):
         if not 0 <= master_seed <= _MASK64:
             raise ValueError("master_seed must lie in 0..2**64 - 1")
-        self.master_seed = master_seed
-        self.experiment = experiment
         self._key = np.array(
             [master_seed, experiment_code(experiment)], dtype=_U64
         )

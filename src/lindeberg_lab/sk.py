@@ -313,7 +313,6 @@ def sk_family(layout: CouplingLayout, params: SKParams) -> FunctionFamily:
         c2=0.0,
         c3=0.0,
         log_size=N * math.log(2.0),
-        name=f"sk[N={N},beta={params.beta:g},h={params.h:g}]",
     )
 
 
@@ -391,8 +390,7 @@ def free_energy_function(layout: CouplingLayout,
     N = layout.size
     return replace(
         softmax_function(sk_family(layout, params), N),
-        value=lambda x: free_energy(layout, params, x),
-        name=f"sk-free-energy[N={N}]")
+        value=lambda x: free_energy(layout, params, x))
 
 
 def free_energy_lambda(params: SKParams, N: int) -> tuple[float, float]:

@@ -89,7 +89,6 @@ class FunctionFamily:
     c2: float
     c3: float
     log_size: float
-    name: str = ""
 
     def __post_init__(self):
         if not self.log_size >= 0.0:
@@ -151,12 +150,10 @@ def softmax_state(family: FunctionFamily, alpha: float,
 
 @dataclass(frozen=True)
 class SoftMaxChain:
-    """Per-coordinate derivative chain of F_alpha, one link per recursion step."""
+    """Per-coordinate derivative chain of F_alpha, one link per recursion
+    step, in the member scores a = alpha d_i f, da = alpha d_i^2 f and
+    d2a = alpha d_i^3 f."""
 
-    i: int
-    a: np.ndarray     # alpha d_i f, per member
-    da: np.ndarray    # alpha d_i^2 f
-    d2a: np.ndarray   # alpha d_i^3 f
     e: float          # sum a p
     dp: np.ndarray    # (a - e) p
     de: float         # sum (p da + a dp)
@@ -169,7 +166,8 @@ class SoftMaxChain:
 
 def coordinate_chain(family: FunctionFamily, state: SoftMaxState,
                      i: int) -> SoftMaxChain:
-    """The derivative recursion at coordinate i with per-member arrays exposed."""
+    """The derivative recursion at coordinate i, with the per-member weight
+    derivatives dp and d2p exposed."""
     p = state.weights
     a, da, d2a = state.alpha * family.partials(i, state.point)
     e = float(np.dot(a, p))
@@ -177,8 +175,7 @@ def coordinate_chain(family: FunctionFamily, state: SoftMaxState,
     de = float(np.sum(p * da + a * dp))
     d2p = (da - de) * p + (a - e) ** 2 * p
     d2e = float(np.sum(p * d2a + 2.0 * da * dp + a * d2p))
-    return SoftMaxChain(i=i, a=a, da=da, d2a=d2a, e=e, dp=dp, de=de,
-                        d2p=d2p, d2e=d2e)
+    return SoftMaxChain(e=e, dp=dp, de=de, d2p=d2p, d2e=d2e)
 
 
 def softmax_function(family: FunctionFamily, alpha: float) -> SmoothFunction:
@@ -195,8 +192,7 @@ def softmax_function(family: FunctionFamily, alpha: float) -> SmoothFunction:
                          for i in range(family.n)])
 
     return SmoothFunction(n=family.n, value=value,
-                          partial=partials_at_point(table),
-                          name=f"softmax[{family.name or 'family'},a={alpha:g}]")
+                          partial=partials_at_point(table))
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +225,23 @@ def k_constant(g: TestFunction) -> float:
     return 19.0 / 3.0 * g.norm1 + 13.0 * g.norm2 + 13.0 / 3.0 * g.norm3
 
 
-def optimized_max_bound(g: TestFunction, gamma: float, n: int,
-                        family: FunctionFamily | BoundTerms) -> float:
-    """Alpha-optimized max bound K(g) [ (g n l3)^(1/3) (log|F|)^(2/3) + g n l3 ].
+def optimized_max_bound(g: TestFunction, terms: BoundTerms) -> float:
+    """Alpha-optimized max bound K(g) [ (g n l3)^(1/3) (log|F|)^(2/3) + g n l3 ]
+    of a ``max_bound_terms`` record.
 
     It dominates ``max_swap_bound`` at K = oo, body sum 2 gamma n, and the
-    level alpha = [ (g n l3)^(-2/3) (log|F|)^(2/3) + 1 ]^(1/2).  Of
-    ``family`` it reads only ``lambda3`` and ``log_size``, which the
-    family's ``max_bound_terms`` record holds as well.
+    level alpha = [ (g n l3)^(-2/3) (log|F|)^(2/3) + 1 ]^(1/2).  Of the
+    record it reads gamma, n, lambda3 and log_size.
     """
+    gamma, n = terms.gamma, terms.n
     if math.isinf(gamma):
         raise InfiniteGammaError(
             "optimized max bound needs a finite third absolute moment"
         )
     if gamma < 0.0 or n < 1:
         raise ValueError("gamma must be nonnegative and n positive")
-    gnl = gamma * n * family.lambda3
-    return k_constant(g) * (gnl ** (1.0 / 3.0) * family.log_size ** (2.0 / 3.0)
+    gnl = gamma * n * terms.lambda3
+    return k_constant(g) * (gnl ** (1.0 / 3.0) * terms.log_size ** (2.0 / 3.0)
                             + gnl)
 
 

@@ -339,8 +339,7 @@ def stieltjes_function(layout: WignerLayout, z: complex) -> SmoothFunction:
         return stieltjes_partials_all(layout, x, z)
 
     return SmoothFunction(n=layout.coordinate_count, value=value,
-                          partial=partials_at_point(table),
-                          name=f"stieltjes[N={layout.size},z={z}]")
+                          partial=partials_at_point(table))
 
 
 @dataclass(frozen=True)

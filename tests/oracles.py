@@ -10,8 +10,8 @@ import numpy as np
 
 from lindeberg_lab import core
 from lindeberg_lab import distributions as dist
-from lindeberg_lab.core import FULL_LINE, GapReport, SmoothFunction, \
-    TestFunction, summarize_gap, triangle_indices
+from lindeberg_lab.core import GapReport, SmoothFunction, TestFunction, \
+    summarize_gap, triangle_indices
 from lindeberg_lab.distributions import DistributionSpec
 from lindeberg_lab.sk import CouplingLayout, SKParams
 from lindeberg_lab.smoothmax import FunctionFamily, coordinate_chain, \
@@ -19,8 +19,7 @@ from lindeberg_lab.smoothmax import FunctionFamily, coordinate_chain, \
 from lindeberg_lab.wigner import WignerLayout, stieltjes_partials_all
 
 
-def monomial(n: int, power: int, coordinate: int = 0,
-             domain: tuple[float, float] = FULL_LINE) -> SmoothFunction:
+def monomial(n: int, power: int, coordinate: int = 0) -> SmoothFunction:
     """f(x) = x_c ** power, handy for hand-checkable influence values."""
 
     def value(x):
@@ -34,8 +33,7 @@ def monomial(n: int, power: int, coordinate: int = 0,
             coef *= power - k
         return coef * float(x[coordinate]) ** (power - p)
 
-    return SmoothFunction(n=n, value=value, partial=partial, domain=domain,
-                          name=f"x{coordinate}^{power}")
+    return SmoothFunction(n=n, value=value, partial=partial)
 
 
 def telescoping_decomposition(f: SmoothFunction, g: TestFunction,

@@ -328,7 +328,7 @@ class TestBoundTable:
 
     def test_rows_print_the_lambda_their_bound_read(self, monkeypatch):
         # record the influence each bound's arithmetic receives, where
-        # core.evaluate_bound looks it up: the family record of
+        # core.evaluate_bound looks it up: the record of
         # optimized_max_bound, the lambdas of swap_bound and the lambda3 of
         # third_moment_bound; a row must print those very floats
         read = []
@@ -343,7 +343,7 @@ class TestBoundTable:
             monkeypatch.setattr(module, name, wrapped)
 
         spy(smoothmax, "optimized_max_bound",
-            lambda g, gamma, n, fam: (fam.lambda2, fam.lambda3))
+            lambda g, terms: (terms.lambda2, terms.lambda3))
         spy(core, "swap_bound", lambda c1, c2, l2, l3, *sums: (l2, l3))
         spy(core, "third_moment_bound", lambda c2, gamma, n, l3: (None, l3))
         sizes = ",".join(map(str, range(2, 41)))

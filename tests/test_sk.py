@@ -27,6 +27,7 @@ from lindeberg_lab.sk import (
 )
 from lindeberg_lab.smoothmax import (
     estimate_family_lambda,
+    max_bound_terms,
     max_swap_bound,
     optimized_max_bound,
     softmax_state,
@@ -560,7 +561,8 @@ class TestGroundStateBound:
     def test_optimized_bound_decreases_in_size(self):
         fams = [sk_family(CouplingLayout(N), SKParams(beta=1.0, h=0.0))
                 for N in (8, 12, 16)]
-        vals = [optimized_max_bound(TANH, 1.0, f.n, f) for f in fams]
+        vals = [optimized_max_bound(TANH, max_bound_terms(1.0, f.n, f))
+                for f in fams]
         assert vals[0] > vals[1] > vals[2]
 
 

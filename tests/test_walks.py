@@ -14,7 +14,7 @@ from lindeberg_lab.distributions import GAUSSIAN, RADEMACHER, UNIFORM, \
     pareto, third_abs_moment
 from lindeberg_lab.rng import RandomStream
 from lindeberg_lab.smoothmax import estimate_family_lambda, k_constant, \
-    optimized_max_bound
+    max_bound_terms, optimized_max_bound
 from lindeberg_lab.walks import (
     erdos_kac_experiment,
     erdos_kac_terms,
@@ -123,7 +123,8 @@ class TestBound:
                 gamma = max(map(third_abs_moment, laws))
                 bound = evaluate_bound(erdos_kac_terms(*laws, n), SIN)
                 assert bound == pytest.approx(
-                    optimized_max_bound(SIN, gamma, n, walk_family(n)),
+                    optimized_max_bound(
+                        SIN, max_bound_terms(gamma, n, walk_family(n))),
                     rel=1e-12)
 
     def test_closed_form_at_sin(self):
