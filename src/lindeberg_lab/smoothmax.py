@@ -136,6 +136,8 @@ def softmax_state(family: FunctionFamily, alpha: float,
     alpha = _check_alpha(alpha)
     _check_materializable(family)
     x = np.asarray(x, dtype=float)
+    if x.shape != (family.n,):
+        raise ValueError("point dimension mismatch")
     scaled = alpha * family.values(x)
     shift = float(scaled.max())
     w = np.exp(scaled - shift)

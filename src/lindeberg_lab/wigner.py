@@ -32,10 +32,11 @@ with v = Im z, which yields the influence values used by the swap bound, and
 summing tail second moments at K = eps sqrt(N) yields the classical vanishing
 condition for semicircle convergence.
 
-Both decompositions call LAPACK (``dsytrd``, and ``zgetrf``/``zgetrs`` for
-the LU) through ``lapack()``, a ctypes binding to the LAPACK that numpy
-already holds: no other BLAS runtime is loaded, and each call runs outside
-the GIL.
+Both decompositions call LAPACK through ``lapack()``, a ctypes binding of
+``dsytrd``, ``zgetrf`` and ``zgetrs`` in the LAPACK that numpy already
+holds: no other BLAS runtime is loaded, and each call runs outside the GIL.
+Each routine has one caller, ``_tridiagonal``, ``lu_factor`` or
+``lu_solve``, which checks the inputs the Fortran does not.
 """
 
 from __future__ import annotations
@@ -128,130 +129,109 @@ def _int(value: int):
     return ctypes.byref(_INT(value))
 
 
-def _writable_fortran(a, dtype, overwrite: bool) -> np.ndarray:
-    """``a`` itself if ``overwrite`` is set and it already is a writable
-    Fortran-ordered 2-D array of ``dtype``, else such a copy of it."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"LAPACK takes a 2-D array, not {a.ndim}-D")
-    if (overwrite and a.dtype == dtype and a.flags.f_contiguous
-            and a.flags.writeable):
-        return a
-    return np.array(a, dtype=dtype, order="F")
-
-
-def _square(a: np.ndarray) -> int:
-    n, m = a.shape
-    if n != m:
-        raise ValueError(f"LAPACK takes a square matrix, not {n} x {m}")
-    return n
-
-
-class NumpyLapack:
-    """``dsytrd``, ``zgetrf`` and ``zgetrs`` in numpy's own LAPACK, with the
-    call shapes and return tuples of scipy's f2py wrappers."""
-
-    def __init__(self, library: ctypes.CDLL):
-        def routine(name, *argtypes):
-            for spelling in _SPELLINGS:
-                try:
-                    function = getattr(library, spelling.format(name))
-                except AttributeError:
-                    continue
-                function.argtypes = argtypes
-                function.restype = None
-                return function
-            spellings = " or ".join(s.format(name) for s in _SPELLINGS)
-            raise ImportError(
-                f"LAPACK {name} not found in numpy's LAPACK as {spellings}; "
-                f"the Stieltjes transform needs a numpy whose LAPACK is "
-                f"ILP64 OpenBLAS, as numpy's wheels ship it")
-
-        self._dsytrd = routine("dsytrd", _CHAR, _INT_P, _PTR, _INT_P, _PTR,
-                               _PTR, _PTR, _PTR, _INT_P, _INT_P, _CHAR_LEN)
-        self._zgetrf = routine("zgetrf", _INT_P, _INT_P, _PTR, _INT_P, _PTR,
-                               _INT_P)
-        self._zgetrs = routine("zgetrs", _CHAR, _INT_P, _INT_P, _PTR, _INT_P,
-                               _PTR, _PTR, _INT_P, _INT_P, _CHAR_LEN)
-
-    def dsytrd(self, a, overwrite_a=0):
-        """``(a, d, e, tau, info)``: Householder tridiagonal reduction of the
-        symmetric matrix held in the upper triangle of ``a``, with scipy's
-        default workspace of N, which keeps it unblocked."""
-        a = _writable_fortran(a, np.float64, overwrite_a)
-        n = _square(a)
-        d, work = np.empty(n), np.empty(max(n, 1))
-        e, tau = np.empty(max(n - 1, 0)), np.empty(max(n - 1, 0))
-        info = _INT()
-        self._dsytrd(b"U", _int(n), a.ctypes.data,
-                     _int(max(n, 1)), d.ctypes.data, e.ctypes.data,
-                     tau.ctypes.data, work.ctypes.data, _int(len(work)),
-                     ctypes.byref(info), 1)
-        return a, d, e, tau, info.value
-
-    def zgetrf(self, a):
-        """``(lu, piv, info)``: pivoted LU of a copy of a complex matrix,
-        with 0-based pivots."""
-        lu = _writable_fortran(a, np.complex128, False)
-        m, n = lu.shape
-        piv = np.empty(min(m, n), dtype=np.int64)
-        info = _INT()
-        self._zgetrf(_int(m), _int(n), lu.ctypes.data, _int(max(m, 1)),
-                     piv.ctypes.data, ctypes.byref(info))
-        return lu, piv - 1, info.value
-
-    def zgetrs(self, lu, piv, b):
-        """``(x, info)``: the solution of ``a x = b`` from ``zgetrf(a)``,
-        in a copy of ``b``."""
-        lu = _writable_fortran(lu, np.complex128, True)
-        n = _square(lu)
-        piv = np.asarray(piv, dtype=np.int64) + 1
-        x = _writable_fortran(b, np.complex128, False)
-        if piv.shape != (n,) or x.shape[0] != n:
-            raise ValueError(f"zgetrs takes {n} pivots and {n} rows of b")
-        info = _INT()
-        self._zgetrs(b"N", _int(n), _int(x.shape[1]), lu.ctypes.data,
-                     _int(max(n, 1)), piv.ctypes.data, x.ctypes.data,
-                     _int(max(n, 1)), ctypes.byref(info), 1)
-        return x, info.value
+def _routine(library: ctypes.CDLL, name: str, *argtypes):
+    for spelling in _SPELLINGS:
+        try:
+            function = getattr(library, spelling.format(name))
+        except AttributeError:
+            continue
+        function.argtypes = argtypes
+        function.restype = None
+        return function
+    spellings = " or ".join(s.format(name) for s in _SPELLINGS)
+    raise ImportError(
+        f"LAPACK {name} not found in numpy's LAPACK as {spellings}; "
+        f"the Stieltjes transform needs a numpy whose LAPACK is "
+        f"ILP64 OpenBLAS, as numpy's wheels ship it")
 
 
 @functools.cache
-def lapack() -> NumpyLapack:
-    """The LAPACK routines the Wigner suites call, bound once with ctypes in
-    the LAPACK that ``numpy.linalg`` itself calls.
+def lapack() -> dict:
+    """``dsytrd``, ``zgetrf`` and ``zgetrs`` by name, bound once with ctypes
+    in the LAPACK that ``numpy.linalg`` itself calls.
 
-    Only the suites that evaluate a Stieltjes transform call LAPACK, and
-    they need only ``dsytrd``, ``zgetrf`` and ``zgetrs``.  The library is
-    opened by the file name of numpy's ``_umath_linalg`` extension, whose
-    symbol lookup also searches the OpenBLAS it links, so no second BLAS
-    runtime is loaded and no OpenBLAS file name is spelled out.  A ctypes
-    call releases the GIL, so worker threads run these routines
-    concurrently.  Raises ImportError naming the routine when numpy's
-    LAPACK holds none of its spellings.
+    Only the suites that evaluate a Stieltjes transform call LAPACK.  The
+    library is opened by the file name of numpy's ``_umath_linalg``
+    extension, whose symbol lookup also searches the OpenBLAS it links, so
+    no second BLAS runtime is loaded and no OpenBLAS file name is spelled
+    out.  A ctypes call releases the GIL, so worker threads run these
+    routines concurrently.  Raises ImportError naming the routine when
+    numpy's LAPACK holds none of its spellings.
     """
     from numpy.linalg import _umath_linalg
 
-    return NumpyLapack(ctypes.CDLL(_umath_linalg.__file__))
+    library = ctypes.CDLL(_umath_linalg.__file__)
+    return {
+        "dsytrd": _routine(library, "dsytrd", _CHAR, _INT_P, _PTR, _INT_P,
+                           _PTR, _PTR, _PTR, _PTR, _INT_P, _INT_P, _CHAR_LEN),
+        "zgetrf": _routine(library, "zgetrf", _INT_P, _INT_P, _PTR, _INT_P,
+                           _PTR, _INT_P),
+        "zgetrs": _routine(library, "zgetrs", _CHAR, _INT_P, _INT_P, _PTR,
+                           _INT_P, _PTR, _PTR, _INT_P, _INT_P, _CHAR_LEN),
+    }
+
+
+def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) of T = tridiag(d, e) = Q^T A Q by LAPACK ``dsytrd``, for the
+    symmetric A held in the upper triangle of ``a``, a writable
+    Fortran-ordered N x N float array that the reduction overwrites.  A
+    workspace of N, scipy's default, keeps the reduction unblocked."""
+    n = len(a)
+    d, work = np.empty(n), np.empty(n)
+    e, tau = np.empty(n - 1), np.empty(n - 1)
+    info = _INT()
+    lapack()["dsytrd"](b"U", _int(n), a.ctypes.data, _int(n), d.ctypes.data,
+                       e.ctypes.data, tau.ctypes.data, work.ctypes.data,
+                       _int(n), ctypes.byref(info), 1)
+    if info.value != 0:
+        raise ValueError(f"tridiagonal reduction failed "
+                         f"(dsytrd info = {info.value})")
+    return d, e
 
 
 # ``resolvent`` calls LAPACK through these two module globals:
 # perfbench/tracing.py rebinds them as its ``wigner.linalg`` span
 def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pivoted LU of a finite complex matrix by LAPACK ``zgetrf``; the
-    pivots are 0-based, as ``zgetrs`` takes them."""
-    lu, piv, info = lapack().zgetrf(np.asarray_chkfinite(a))
-    if info != 0:
-        raise ValueError(f"LU factorisation failed (zgetrf info = {info})")
-    return lu, piv
+    """Pivoted LU of a finite square complex matrix by LAPACK ``zgetrf``,
+    in a copy of it; the pivots are 0-based, as in scipy."""
+    lu = np.array(np.asarray_chkfinite(a), dtype=np.complex128, order="F")
+    if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
+        raise ValueError(f"zgetrf takes a square matrix, not {lu.shape}")
+    n = len(lu)
+    piv = np.empty(n, dtype=np.int64)
+    info = _INT()
+    lapack()["zgetrf"](_int(n), _int(n), lu.ctypes.data, _int(max(n, 1)),
+                       piv.ctypes.data, ctypes.byref(info))
+    if info.value != 0:
+        raise ValueError(f"LU factorisation failed "
+                         f"(zgetrf info = {info.value})")
+    return lu, piv - 1
 
 
 def lu_solve(factors, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b from ``lu_factor(a)`` by LAPACK ``zgetrs``."""
+    """Solve a x = b from ``lu_factor(a)`` by LAPACK ``zgetrs``, in a copy
+    of the 2-D ``b``.  ``zgetrs`` swaps rows by the pivots unchecked, so
+    they must be n integers in 0..n-1."""
     lu, piv = factors
-    x, info = lapack().zgetrs(lu, piv, np.asarray_chkfinite(b))
-    if info != 0:
-        raise ValueError(f"LU solve failed (zgetrs info = {info})")
+    lu = np.asarray_chkfinite(lu).astype(np.complex128, order="F",
+                                         copy=False)
+    x = np.array(np.asarray_chkfinite(b), dtype=np.complex128, order="F")
+    if (lu.ndim != 2 or x.ndim != 2
+            or not lu.shape[0] == lu.shape[1] == len(x)):
+        raise ValueError(f"zgetrs takes a square LU and 2-D b of as many "
+                         f"rows, not shapes {lu.shape} and {x.shape}")
+    n = len(x)
+    piv = np.asarray(piv)
+    if (piv.shape != (n,) or piv.dtype.kind not in "iu"
+            or n and not 0 <= piv.min() <= piv.max() < n):
+        raise ValueError(f"zgetrs takes {n} integer pivots in 0..{n - 1}")
+    piv = piv.astype(np.int64) + 1
+    info = _INT()
+    lapack()["zgetrs"](b"N", _int(n), _int(x.shape[1]), lu.ctypes.data,
+                       _int(max(n, 1)), piv.ctypes.data, x.ctypes.data,
+                       _int(max(n, 1)), ctypes.byref(info), 1)
+    if info.value != 0:
+        raise ValueError(f"LU solve failed (zgetrs info = {info.value})")
     return x
 
 
@@ -281,14 +261,11 @@ def stieltjes(layout: WignerLayout, x: np.ndarray, z: complex) -> complex:
     trace is -d/dz log det (T - z) = -sum_k f_k' / f_k, with
     f_1' = -1, f_k' = -1 + (e_{k-1}^2 / f_{k-1}^2) f_{k-1}'.  Every f_k has
     imaginary part of sign -sign(Im z) and |f_k| >= |Im z|, so no pivot
-    vanishes.  ``resolvent`` is the dense reference for this value.
+    vanishes.  ``resolvent`` is the dense reference for this value; like
+    it, this refuses infs and NaNs, read off the value once per matrix.
     """
     z = _check_z(z)
-    _, d, e, _, info = lapack().dsytrd(_upper_triangle(layout, x),
-                                       overwrite_a=1)
-    if info != 0:
-        raise ValueError(f"tridiagonal reduction failed "
-                         f"(dsytrd info = {info})")
+    d, e = _tridiagonal(_upper_triangle(layout, x))
     d = d.tolist()
     f = d[0] - z
     df = -1.0
@@ -298,7 +275,10 @@ def stieltjes(layout: WignerLayout, x: np.ndarray, z: complex) -> complex:
         df = r / f * df - 1.0
         f = dk - z - r
         total += df / f
-    return -total / layout.size
+    m = -total / layout.size
+    if not cmath.isfinite(m):
+        raise ValueError("array must not contain infs or NaNs")
+    return m
 
 
 def stieltjes_partials_all(layout: WignerLayout, x: np.ndarray,

@@ -45,17 +45,20 @@ def bindings() -> dict:
 
 
 @pytest.mark.parametrize("args, layer", [
-    (["clt", "--size", "40"], "rng.replicate"),
-    (["erdos_kac", "--size", "50"], "walks.max_partial_sums"),
-    (["sk_free_energy", "--size", "5"], "sk.free_energy"),
-    (["wigner", "--size", "6"], "wigner.stieltjes"),
-], ids=["clt", "erdos_kac", "sk_free_energy", "wigner"])
+    (["clt", "--size", "40", "--replicates", "100"], "rng.replicate"),
+    (["erdos_kac", "--size", "50", "--replicates", "100"],
+     "walks.max_partial_sums"),
+    (["sk_free_energy", "--size", "5", "--replicates", "100"],
+     "sk.free_energy"),
+    (["wigner", "--size", "6", "--replicates", "100"], "wigner.stieltjes"),
+    # the one suite whose run calls lu_factor and lu_solve
+    (["lambda_audit", "--size", "3"], "wigner.linalg"),
+], ids=["clt", "erdos_kac", "sk_free_energy", "wigner", "lambda_audit"])
 def test_traced_run_keeps_output_and_records_its_layer(tmp_path, tracing,
                                                        args, layer):
     def output(tag: str) -> bytes:
         out = tmp_path / f"{tag}.csv"
-        assert cli.main([*args, "--replicates", "100", "--seed", "3",
-                         "--out", str(out)]) == 0
+        assert cli.main([*args, "--seed", "3", "--out", str(out)]) == 0
         return out.read_bytes()
 
     plain = output("plain")

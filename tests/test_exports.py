@@ -103,10 +103,10 @@ def test_every_import_is_read(path):
 LOADERS = {"find_spec", "import_module", "__import__"}
 
 
-def scipy_loads(path: Path) -> list[tuple[int, str]]:
-    """(line, module) of every import of a scipy module in ``path`` and of
-    every ``find_spec``, ``import_module`` or ``__import__`` call that names
-    one."""
+def module_loads(path: Path, module: str) -> list[tuple[int, str]]:
+    """(line, module) of every import of ``module`` or of one of its
+    submodules in ``path`` and of every ``find_spec``, ``import_module`` or
+    ``__import__`` call that names one."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -120,7 +120,7 @@ def scipy_loads(path: Path) -> list[tuple[int, str]]:
         else:
             continue
         found += [(node.lineno, name) for name in names
-                  if name.partition(".")[0] == "scipy"]
+                  if name.partition(".")[0] == module]
     return found
 
 
@@ -130,17 +130,28 @@ def test_scipy_loads_found(tmp_path):
                      "from scipy import special\n"
                      "importlib.util.find_spec('scipy')\n"
                      "__import__('scipy.linalg._flapack')\n"
-                     "import scipyx\n", encoding="utf-8")
-    assert scipy_loads(probe) == [(1, "scipy.linalg"), (2, "scipy"),
-                                  (3, "scipy"), (4, "scipy.linalg._flapack")]
+                     "import scipyx\n"
+                     "from ctypes import util\n", encoding="utf-8")
+    assert module_loads(probe, "scipy") == [
+        (1, "scipy.linalg"), (2, "scipy"), (3, "scipy"),
+        (4, "scipy.linalg._flapack")]
+    assert module_loads(probe, "ctypes") == [(6, "ctypes")]
 
 
-@pytest.mark.parametrize("path", [p for p in SCANNED
-                                  if p.is_relative_to(ROOT / "src")],
+SOURCES = [path for path in SCANNED if path.is_relative_to(ROOT / "src")]
+
+
+@pytest.mark.parametrize("path", SOURCES,
                          ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_source_loads_no_scipy(path):
     # the spectral suites call numpy's own LAPACK; scipy is a test oracle
-    assert scipy_loads(path) == []
+    assert module_loads(path, "scipy") == []
+
+
+def test_only_wigner_loads_ctypes():
+    # foreign calls stay in the one module that binds LAPACK
+    assert [path for path in SOURCES if module_loads(path, "ctypes")] == \
+        [ROOT / "src" / "lindeberg_lab" / "wigner.py"]
 
 
 # the files that count as callers of an exported name: the package, the

@@ -20,6 +20,8 @@ from lindeberg_lab.smoothmax import (
     softmax_function,
     softmax_state,
 )
+from lindeberg_lab.sk import CouplingLayout, SKParams, sk_family
+from lindeberg_lab.walks import walk_family
 from oracles import softmax_partials
 
 SIN = named_g("sin")
@@ -105,6 +107,16 @@ class TestSoftMaxValue:
         fam = sine_family()
         with pytest.raises(ValueError):
             softmax_state(fam, 0.5, np.zeros(2))
+
+    @pytest.mark.parametrize("family", [
+        sk_family(CouplingLayout(4), SKParams()), walk_family(5)],
+        ids=["sk", "walk"])
+    def test_block_of_points_rejected(self, family):
+        # a (2, n) block is no point: the SK values read only its first
+        # row, the walk's run both rows' prefix sums together
+        block = np.arange(2.0 * family.n).reshape(2, family.n)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            softmax_state(family, 4.0, block)
 
     def test_sandwich_at_random_points(self):
         fam = sine_family(5)

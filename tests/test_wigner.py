@@ -10,7 +10,6 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from lindeberg_lab.distributions import GAUSSIAN, RADEMACHER, pareto
 from lindeberg_lab.rng import RandomStream
 from lindeberg_lab.wigner import (
     WignerLayout,
+    _tridiagonal,
     _upper_triangle,
     build_matrix,
     derivative_bounds,
@@ -203,17 +203,49 @@ LOAD_ORDER_PROBE = (
 )
 
 
+# Calls lu_solve on the factors of diag(1, 2, 4) with each pivot vector of
+# argv[1] and prints what each call raised.  zgetrs swaps rows by the pivots
+# unchecked, so one out of range would crash this process, not the test run.
+PIVOT_PROBE = (
+    "import json, sys\n"
+    "import numpy as np\n"
+    "from lindeberg_lab.wigner import lu_factor, lu_solve\n"
+    "lu, _ = lu_factor(np.diag([1.0, 2.0, 4.0]).astype(complex))\n"
+    "raised = []\n"
+    "for piv in json.loads(sys.argv[1]):\n"
+    "    try:\n"
+    "        lu_solve((lu, np.array(piv)), np.eye(3, dtype=complex))\n"
+    "        raised.append(None)\n"
+    "    except ValueError as exc:\n"
+    "        raised.append(str(exc))\n"
+    "print(json.dumps(raised))\n"
+)
+
+
+def run_probe(*args: str) -> str:
+    """The last stdout line of a fresh interpreter running ``args``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout.splitlines()[-1]
+
+
 class TestLapack:
-    """wigner calls LAPACK in numpy's own OpenBLAS through one ctypes
-    binding, with the bits and the failures of scipy's public wrappers."""
+    """``lapack()`` binds ``dsytrd``, ``zgetrf`` and ``zgetrs`` in numpy's
+    own OpenBLAS with ctypes.  Their only callers, ``_tridiagonal``,
+    ``lu_factor`` and ``lu_solve``, give the bits and the failures of
+    scipy's public wrappers and refuse what the Fortran does not check."""
 
     SIZES = [1, 2, 7, 30, 100]
     POINTS = [2j, -0.3 + 0.8j, 1.5 - 1j, 0.05 + 0.4j]
 
     def test_binding_resolves_in_numpy_lapack(self):
         numpy_lapack = ctypes.CDLL(_umath_linalg.__file__)
-        for name in ("dsytrd", "zgetrf", "zgetrs"):
-            bound = getattr(lapack(), f"_{name}")
+        assert list(lapack()) == ["dsytrd", "zgetrf", "zgetrs"]
+        for name, bound in lapack().items():
             assert bound.__name__ in [s.format(name)
                                       for s in wigner._SPELLINGS]
             address = ctypes.cast(bound, ctypes.c_void_p).value
@@ -222,51 +254,43 @@ class TestLapack:
 
     @pytest.mark.parametrize("N", SIZES)
     def test_binding_matches_public_routines(self, N):
-        # oracle: scipy's f2py dsytrd and zgetrf, output for output
+        # oracle: scipy's f2py dsytrd, which reduces a copy of a in place,
+        # and zgetrf, output for output
         layout = WignerLayout(N)
         for x in random_draws(f"binding{N}", layout, 2):
             a = _upper_triangle(layout, x)
-            got = lapack().dsytrd(a.copy(order="F"), overwrite_a=1)
-            want = scipy.linalg.lapack.dsytrd(a, lower=0)
-            assert [np.asarray(v).tobytes() for v in got] == \
-                [np.asarray(v).tobytes() for v in want]
+            want_a, want_d, want_e, _, info = scipy.linalg.lapack.dsytrd(
+                a, lower=0)
+            d, e = _tridiagonal(a)
+            assert info == 0
+            assert [a.tobytes(), d.tobytes(), e.tobytes()] == \
+                [want_a.tobytes(), want_d.tobytes(), want_e.tobytes()]
             shifted = build_matrix(layout, x) - 0.5j * np.eye(N)
-            lu, piv, info = lapack().zgetrf(shifted)
-            want_lu, want_piv, want_info = scipy.linalg.lapack.zgetrf(shifted)
+            lu, piv = lu_factor(shifted)
+            want_lu, want_piv, info = scipy.linalg.lapack.zgetrf(shifted)
+            assert info == 0
             assert lu.tobytes() == want_lu.tobytes()
             assert piv.tolist() == want_piv.tolist()
-            assert info == want_info == 0
-
-    def test_overwrite_reuses_only_a_writable_fortran_array(self):
-        a = np.asfortranarray(np.diag([1.0, 2.0, 3.0]))
-        assert lapack().dsytrd(a, overwrite_a=1)[0] is a
-        assert lapack().dsytrd(a)[0] is not a
-        a.flags.writeable = False
-        assert lapack().dsytrd(a, overwrite_a=1)[0] is not a
-        with pytest.raises(ValueError, match="square"):
-            lapack().dsytrd(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("N", SIZES)
     def test_stieltjes_reduction_matches_public_dsytrd(self, N, monkeypatch):
         # oracle: scipy's public dsytrd on the upper triangle of A
         layout = WignerLayout(N)
-        calls = []
+        tridiagonal, calls = wigner._tridiagonal, []
 
-        def recording_dsytrd(a, **kwargs):
-            out = scipy.linalg.lapack.dsytrd(a, **kwargs)
-            calls.append(out)
-            return out
+        def recording(a):
+            calls.append(tridiagonal(a))
+            return calls[-1]
 
-        monkeypatch.setattr(wigner, "lapack",
-                            lambda: SimpleNamespace(dsytrd=recording_dsytrd))
+        monkeypatch.setattr(wigner, "_tridiagonal", recording)
         for x in random_draws(f"dsytrd{N}", layout, 3):
             stieltjes(layout, x, 1j)
-            _, d, e, _, info = calls.pop()
-            want = scipy.linalg.lapack.dsytrd(np.triu(build_matrix(layout, x)),
-                                              lower=0)
-            assert info == want[4] == 0
-            assert d.tobytes() == want[1].tobytes()
-            assert e.tobytes() == want[2].tobytes()
+            d, e = calls.pop()
+            _, want_d, want_e, _, info = scipy.linalg.lapack.dsytrd(
+                np.triu(build_matrix(layout, x)), lower=0)
+            assert info == 0
+            assert d.tobytes() == want_d.tobytes()
+            assert e.tobytes() == want_e.tobytes()
 
     @pytest.mark.parametrize("N", SIZES)
     def test_resolvent_matches_public_lu_pair(self, N):
@@ -283,16 +307,9 @@ class TestLapack:
                 assert got.tobytes() == want.tobytes()
 
     def test_scipy_import_order_leaves_stieltjes_bits(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         seen = []
         for order in ("wigner-first", "scipy-first"):
-            done = subprocess.run(
-                [sys.executable, "-c", LOAD_ORDER_PROBE, order], env=env,
-                capture_output=True, text=True, timeout=120)
-            assert done.returncode == 0, done.stderr[-2000:]
-            seen.extend(json.loads(done.stdout.splitlines()[-1]))
+            seen.extend(json.loads(run_probe(LOAD_ORDER_PROBE, order)))
         layout = WignerLayout(9)
         x = np.random.default_rng(5).standard_normal(layout.coordinate_count)
         m = stieltjes(layout, x, 0.4 + 1.3j)
@@ -307,26 +324,50 @@ class TestLapack:
         factors = lu_factor(np.eye(3, dtype=complex))
         with pytest.raises(ValueError, match="infs or NaNs"):
             lu_solve(factors, a)
-        layout = WignerLayout(3)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            resolvent(layout, np.full(layout.coordinate_count, bad), 1j)
+            lu_solve((a, factors[1]), np.eye(3, dtype=complex))
+        # the transform refuses what its dense reference refuses
+        layout = WignerLayout(3)
+        x = np.zeros(layout.coordinate_count)
+        x[4] = bad
+        for transform in (resolvent, stieltjes):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                transform(layout, x, 1j)
 
     def test_singular_matrix_raises(self):
         with pytest.raises(ValueError, match="zgetrf info = 2"):
             lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
 
-    @pytest.mark.parametrize("routine, call", [
-        ("zgetrs", lambda: lu_solve(scipy.linalg.lu_factor(np.eye(3)),
-                                    np.eye(3, dtype=complex))),
-        ("dsytrd", lambda: stieltjes(WignerLayout(2), np.ones(3), 1j)),
-    ], ids=["zgetrs", "dsytrd"])
-    def test_nonzero_info_raises(self, routine, call, monkeypatch):
-        def failing(*args, **kwargs):
-            out = getattr(scipy.linalg.lapack, routine)(*args, **kwargs)
-            return (*out[:-1], -1)
+    def test_shapes_checked(self):
+        with pytest.raises(ValueError, match="square"):
+            lu_factor(np.zeros((2, 3), dtype=complex))
+        factors = lu_factor(np.eye(3, dtype=complex))
+        for b in (np.ones(3), np.ones((2, 3))):
+            with pytest.raises(ValueError, match="as many rows"):
+                lu_solve(factors, b)
 
-        monkeypatch.setattr(wigner, "lapack",
-                            lambda: SimpleNamespace(**{routine: failing}))
+    def test_pivots_out_of_range_rejected(self):
+        # at the bare routine the first kills the process with SIGSEGV and
+        # the second returns a wrong solve
+        bad = [[100000000, 1, 2], [5, 1, 2], [3, 1, 2], [-1, 1, 2], [0, 1],
+               [[0, 1, 2]], [0.0, 1.0, 2.0], [True, True, True]]
+        raised = json.loads(run_probe(PIVOT_PROBE, json.dumps([*bad,
+                                                               [0, 1, 2]])))
+        assert raised == ["zgetrs takes 3 integer pivots in 0..2"] * len(bad) \
+            + [None]
+
+    @pytest.mark.parametrize("routine, info_at, call", [
+        ("zgetrs", 8, lambda: lu_solve(scipy.linalg.lu_factor(np.eye(3)),
+                                       np.eye(3, dtype=complex))),
+        ("dsytrd", 9, lambda: stieltjes(WignerLayout(2), np.ones(3), 1j)),
+        ("zgetrf", 5, lambda: lu_factor(np.eye(3, dtype=complex))),
+    ], ids=["zgetrs", "dsytrd", "zgetrf"])
+    def test_nonzero_info_raises(self, routine, info_at, call, monkeypatch):
+        # a routine that reports an illegal argument through its info
+        def failing(*args):
+            args[info_at]._obj.value = -1
+
+        monkeypatch.setattr(wigner, "lapack", lambda: {routine: failing})
         with pytest.raises(ValueError, match=f"{routine} info = -1"):
             call()
 
@@ -349,9 +390,10 @@ class TestLapack:
             lapack()
         assert lapack.cache_info().currsize == 0
         monkeypatch.setattr(wigner, "_SPELLINGS", spellings)
-        a = np.asfortranarray(np.diag([1.0, 2.0, 3.0]))
-        assert lapack().dsytrd(a)[4] == 0
+        d, _ = _tridiagonal(np.asfortranarray(np.diag([1.0, 2.0, 3.0])))
+        assert d.tolist() == [1.0, 2.0, 3.0]
         assert (sys.modules.get("scipy") is None) == hide_scipy
+
 
 class TestPartials:
     def test_zero_matrix_diagonal_coordinate(self):
