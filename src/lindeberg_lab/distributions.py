@@ -24,15 +24,14 @@ two-branch formula.  The engine reuses one replicate block per worker.
 The gaussian quantile is Wichura's AS 241 (*Applied Statistics* 37, 1988),
 the algorithm of ``statistics.NormalDist.inv_cdf``, in numpy: its central
 rational function runs over the whole block, its log/sqrt tail only on the
-values with |p - 1/2| > 0.425 (about 15%).  Its two block-sized temporaries
-are kept per thread, so no call allocates a block.
+values with |p - 1/2| > 0.425 (about 15%).  Like every other transform, it
+allocates its temporaries per call and keeps nothing between calls.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,22 +183,9 @@ _FAR_DEN = (2.04426310338993978564e-15, 1.42151175831644588870e-7,
             1.48753612908506148525e-2, 1.36929880922735805310e-1,
             5.99832206555887937690e-1, 1.0)
 
-# Per-thread (2, m) float workspace.  Its contents never outlive a call, so
-# threads share nothing and need no lock; fresh block-sized temporaries
-# would page in again on every block.
-_workspace = threading.local()
-
-
-def _scratch(m: int) -> tuple[np.ndarray, np.ndarray]:
-    buf = getattr(_workspace, "buf", None)
-    if buf is None or buf.shape[1] < m:
-        buf = _workspace.buf = np.empty((2, m))
-    return buf[0, :m], buf[1, :m]
-
-
-def _polynomial(coefs, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Horner's rule into ``out``, in the operation order of AS 241."""
-    np.multiply(r, coefs[0], out=out)
+def _polynomial(coefs, r: np.ndarray) -> np.ndarray:
+    """Horner's rule in a new array, in the operation order of AS 241."""
+    out = np.multiply(r, coefs[0])
     for c in coefs[1:-1]:
         out += c
         out *= r
@@ -218,34 +204,28 @@ def _normal_quantile(p: np.ndarray) -> np.ndarray:
     if not (p.flags.c_contiguous or p.flags.f_contiguous):
         raise ValueError("the gaussian transform needs a contiguous array")
     flat = p.ravel(order="K")  # a view of the same memory
-    a, b = _scratch(flat.size)
-    np.subtract(flat, 0.5, out=a)
+    a = np.subtract(flat, 0.5)
     np.abs(a, out=a)
-    mask = b.view(np.bool_)[:flat.size]
-    np.greater(a, 0.425, out=mask)
-    tail = np.flatnonzero(mask)
+    tail = np.flatnonzero(a > 0.425)
     t = flat[tail]
     # central branch over the whole block: q num(r) / den(r)
     np.multiply(a, a, out=a)
     np.subtract(0.180625, a, out=a)
     flat -= 0.5
-    flat *= _polynomial(_CENTRAL_NUM, a, b)
-    flat /= _polynomial(_CENTRAL_DEN, a, b)
+    flat *= _polynomial(_CENTRAL_NUM, a)
+    flat /= _polynomial(_CENTRAL_DEN, a)
     # tail branch on its subset; min(p, 0.5 - q) is p or, exactly, 1 - p
     q = t - 0.5
-    w = 0.5 - q
-    np.minimum(t, w, out=t)
+    np.minimum(t, 0.5 - q, out=t)
     np.log(t, out=t)
     np.negative(t, out=t)
     np.sqrt(t, out=t)
     far = np.flatnonzero(t > 5.0)
     s = t[far] - 5.0
     t -= 1.6
-    x = _polynomial(_TAIL_NUM, t, np.empty_like(t))
-    x /= _polynomial(_TAIL_DEN, t, w)
-    if far.size:
-        x[far] = (_polynomial(_FAR_NUM, s, np.empty_like(s))
-                  / _polynomial(_FAR_DEN, s, np.empty_like(s)))
+    x = _polynomial(_TAIL_NUM, t)
+    x /= _polynomial(_TAIL_DEN, t)
+    x[far] = _polynomial(_FAR_NUM, s) / _polynomial(_FAR_DEN, s)
     flat[tail] = np.copysign(x, q, out=x)
     return p
 

@@ -35,8 +35,8 @@ produced in power-of-two row blocks of at most _BLOCK entries and at most
 half the rows, which bounds memory up to N = ENUMERATION_LIMIT.  Without a
 field E(sigma) = E(-sigma), so the free energy at h = 0 and the ground state
 read only the first half of the grid rows, where s_1 = -1, and hand BLAS
-only those rows.  A Gray-code single-flip evaluator is kept as an
-independent cross-check path.
+only those rows.  The tests cross-check it against an independent Gray-code
+single-flip evaluator, ``free_energy_gray`` in ``tests/oracles.py``.
 
 ``free_energy`` and ``ground_state`` also take a (B, n) block of coupling
 vectors, as the paired Monte Carlo engine hands them.  The block is

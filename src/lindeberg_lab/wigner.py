@@ -252,6 +252,20 @@ def resolvent(layout: WignerLayout, x: np.ndarray, z: complex) -> np.ndarray:
     return lu_solve((lu, piv), np.eye(N, dtype=complex))
 
 
+def _pivot_trace(d: np.ndarray, e: np.ndarray, z: complex) -> complex:
+    """tr (T - z)^(-1) for T = tridiag(d, e), by the pivot recurrence."""
+    d = d.tolist()
+    f = d[0] - z
+    df = -1.0
+    total = df / f
+    for dk, ek in zip(d[1:], e.tolist()):
+        r = ek * ek / f
+        df = r / f * df - 1.0
+        f = dk - z - r
+        total += df / f
+    return -total
+
+
 def stieltjes(layout: WignerLayout, x: np.ndarray, z: complex) -> complex:
     """(1/N) tr (A(x) - z I)^(-1) by tridiagonal reduction.
 
@@ -263,21 +277,22 @@ def stieltjes(layout: WignerLayout, x: np.ndarray, z: complex) -> complex:
     imaginary part of sign -sign(Im z) and |f_k| >= |Im z|, so no pivot
     vanishes.  ``resolvent`` is the dense reference for this value; like
     it, this refuses infs and NaNs, read off the value once per matrix.
+    Where e_k^2 overflows on a finite input (entries past about 1e154),
+    the value is recomputed as m(A / s, z / s) / s with s = max |e_k|.
+
+    The recurrence does not pivot, so it loses accuracy where a pivot
+    cancels: on the rank-one all-equal matrix at N = 3, z = i, the
+    relative error is about 1e-9 at entries 1e8 and 0.7 at 1e16, while
+    gaussian entries at those scales stay within 1e-14.
     """
     z = _check_z(z)
     d, e = _tridiagonal(_upper_triangle(layout, x))
-    d = d.tolist()
-    f = d[0] - z
-    df = -1.0
-    total = df / f
-    for dk, ek2 in zip(d[1:], (e * e).tolist()):
-        r = ek2 / f
-        df = r / f * df - 1.0
-        f = dk - z - r
-        total += df / f
-    m = -total / layout.size
+    m = _pivot_trace(d, e, z) / layout.size
     if not cmath.isfinite(m):
-        raise ValueError("array must not contain infs or NaNs")
+        if not np.isfinite(x).all():
+            raise ValueError("array must not contain infs or NaNs")
+        s = np.abs(e).max()
+        m = _pivot_trace(d / s, e / s, z / s) / s / layout.size
     return m
 
 
@@ -334,6 +349,8 @@ class DerivativeBounds:
 
 
 def derivative_bounds(N: int, v: float) -> DerivativeBounds:
+    if N < 1:
+        raise ValueError("matrix order must be positive")
     if v == 0.0:
         raise ValueError("spectral point must be off the real axis")
     av = abs(v)

@@ -12,6 +12,7 @@ oracle, and the gaussian quantile against two independent references,
 import math
 import statistics
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -382,9 +383,9 @@ class TestInPlaceTransforms:
         u = np.array([k * 2.0**-53])
         assert same_bits(_transform(spec, u.copy()), where_oracle(spec, u))
 
-    def test_threads_keep_their_own_gaussian_workspace(self):
-        # more threads than cores and a short switch interval: a workspace
-        # shared between threads would mix their blocks
+    def test_concurrent_gaussian_transforms_do_not_mix_blocks(self):
+        # more threads than cores and a short switch interval: any state
+        # the transform shared between threads would mix their blocks
         gen = RandomStream(41, "workspace-threads").replicate(0)
         blocks = [gen.random((8, 4096)) for _ in range(6)]
 
@@ -403,6 +404,38 @@ class TestInPlaceTransforms:
         for u, got in zip(blocks, results):
             want = where_oracle(GAUSSIAN, u)
             assert all(same_bits(x, want) for x in got)
+
+    def test_gaussian_draw_leaves_no_memory_behind(self):
+        # a fresh thread, so nothing earlier tests drew on this one counts
+        def draw_and_drop():
+            start = tracemalloc.get_traced_memory()[0]
+            u = RandomStream(43, "memory").replicate(0).random(10**6)
+            _transform(GAUSSIAN, u)
+            del u
+            return tracemalloc.get_traced_memory()[0] - start
+
+        tracemalloc.start()
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                kept = pool.submit(draw_and_drop).result(timeout=60)
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label)
+    def test_strided_view(self, spec):
+        # the gaussian flat view must alias the block, or the quantiles
+        # would land in a copy; the other laws overwrite any view
+        u = RandomStream(47, "strided").replicate(0).random((4, 2000))
+        view, skipped = u[:, ::2], u[:, 1::2].copy()
+        if spec is GAUSSIAN:
+            with pytest.raises(ValueError, match="contiguous"):
+                _transform(spec, view)
+            return
+        want = _transform(spec, view.copy())
+        assert _transform(spec, view) is view
+        assert same_bits(u[:, ::2], want)
+        assert same_bits(u[:, 1::2], skipped)
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label)
     def test_reused_buffer_draw_equals_fresh_sample(self, spec):

@@ -176,6 +176,17 @@ class TestStieltjes:
         want = complex(np.trace(resolvent(layout, x, z))) / N
         assert stieltjes(layout, x, z) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    @pytest.mark.parametrize("N", [3, 20])
+    def test_large_finite_input_matches_resolvent(self, N, scale):
+        # e_k^2 overflows past about 1e154; a rank-one input such as
+        # np.full would test the unpivoted recurrence's cancellation instead
+        layout = WignerLayout(N)
+        for x in random_draws(f"large{N}", layout, 3):
+            x = x * scale
+            want = complex(np.trace(resolvent(layout, x, 1j))) / N
+            assert stieltjes(layout, x, 1j) == pytest.approx(want, rel=1e-12)
+
     def test_half_plane_and_norm_invariants(self):
         layout = WignerLayout(10)
         for z in (1j, 2j, -1.5j, 0.7 + 0.4j):
@@ -487,6 +498,11 @@ class TestDerivativeBounds:
         b = derivative_bounds(4, 0.5)
         assert b.lambda2 == pytest.approx(4.0 * 0.5**-4 * 4**-2.0)
         assert b.lambda3 == pytest.approx(12.0 * 0.5**-6 * 4**-2.5)
+
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_order_below_one_rejected(self, N):
+        with pytest.raises(ValueError, match="matrix order"):
+            derivative_bounds(N, 1.0)
 
     def test_real_axis_rejected(self):
         # 1e-300 is off the axis, but its bounds overflow
