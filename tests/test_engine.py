@@ -107,9 +107,11 @@ class TestBlockContract:
                                   walks.max_partial_sums,
                                   draws(n, rows_for(n), pareto(4.0)))
 
-    def test_wigner_transform(self, monkeypatch):
+    # LAPACK reduces N <= 32 unblocked, N = 40 in panels
+    @pytest.mark.parametrize("N", [12, 40])
+    def test_wigner_transform(self, monkeypatch, N):
         seen = recorded_functionals(monkeypatch, wigner)
-        N, z = 12, 0.5 + 1.5j
+        z = 0.5 + 1.5j
         wigner.semicircle_experiment(RADEMACHER, GAUSSIAN, N, z, IDENTITY,
                                      100, 3)
         layout = wigner.WignerLayout(N)
@@ -251,13 +253,15 @@ def test_blas_thread_count_leaves_output_bytes(argv, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_worker_threads_leave_wigner_bytes(tmp_path):
+@pytest.mark.parametrize("N", [20, 40])
+def test_worker_threads_leave_wigner_bytes(tmp_path, N):
     # the LAPACK binding releases the GIL, so three workers, one per chunk
-    # of 1000 replicates in blocks of 156, run dsytrd concurrently
+    # of 1000 replicates in blocks of 156 (N = 20) or 39 (N = 40, past
+    # LAPACK's crossover to the blocked reduction), run dsytrd concurrently
     outputs = []
     for threads in ("1", "3"):
         out = tmp_path / f"threads{threads}.csv"
-        assert main(["wigner", "--size", "20", "--replicates", "1000",
+        assert main(["wigner", "--size", str(N), "--replicates", "1000",
                      "--threads", threads, "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]

@@ -187,6 +187,58 @@ class TestStieltjes:
             want = complex(np.trace(resolvent(layout, x, 1j))) / N
             assert stieltjes(layout, x, 1j) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("rows", [1, 6, 7])
+    @pytest.mark.parametrize("N", [3, 40, 100])
+    def test_block_rows_match_one_vector_calls(self, N, rows):
+        # every row of a block is reduced in the same buffer; N = 40 and 100
+        # take LAPACK's blocked reduction
+        layout = WignerLayout(N)
+        block = np.array(random_draws(f"block{N}", layout, rows))
+        z = 0.3 + 1.2j
+        want = np.array([stieltjes(layout, x, z) for x in block])
+        got = stieltjes(layout, block, z)
+        assert got.shape == (rows,) and got.dtype == complex
+        assert got.tobytes() == want.tobytes()
+        assert stieltjes(layout, block[::-1], z).tobytes() == \
+            want[::-1].tobytes()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("row", [0, 3, 5])
+    def test_non_finite_row_of_a_block_rejected(self, row, bad):
+        layout = WignerLayout(40)
+        block = np.array(random_draws("block-bad", layout, 6))
+        block[row, 17] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            stieltjes(layout, block, 1j)
+
+    @pytest.mark.parametrize("N", [3, 20])
+    def test_large_finite_row_of_a_block_matches_resolvent(self, N,
+                                                           monkeypatch):
+        # one row scaled past the overflow of e_k^2 takes the scaled
+        # recurrence, a second _pivot_trace; its neighbours keep their bits
+        layout = WignerLayout(N)
+        block = np.array(random_draws(f"block-large{N}", layout, 6))
+        block[2] *= 1e200
+        want = [stieltjes(layout, x, 1j) for x in block]
+        pivot_trace, calls = wigner._pivot_trace, []
+
+        def counting(*args):
+            calls.append(args)
+            return pivot_trace(*args)
+
+        monkeypatch.setattr(wigner, "_pivot_trace", counting)
+        got = stieltjes(layout, block, 1j)
+        assert len(calls) == 7
+        assert got.tolist() == want
+        dense = complex(np.trace(resolvent(layout, block[2], 1j))) / N
+        assert got[2] == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 7), (0, 5), (5,),
+                                       (1, 1, 6), ()])
+    def test_block_of_wrong_width_rejected(self, shape):
+        with pytest.raises(ValueError, match="wrong length"):
+            stieltjes(WignerLayout(3), np.zeros(shape), 1j)
+
     def test_half_plane_and_norm_invariants(self):
         layout = WignerLayout(10)
         for z in (1j, 2j, -1.5j, 0.7 + 0.4j):
@@ -250,7 +302,8 @@ class TestLapack:
     ``lu_factor`` and ``lu_solve``, give the bits and the failures of
     scipy's public wrappers and refuse what the Fortran does not check."""
 
-    SIZES = [1, 2, 7, 30, 100]
+    # LAPACK keeps N <= 32 unblocked; 33, 100 and 200 take the panels
+    SIZES = [1, 2, 7, 30, 33, 100, 200]
     POINTS = [2j, -0.3 + 0.8j, 1.5 - 1j, 0.05 + 0.4j]
 
     def test_binding_resolves_in_numpy_lapack(self):
@@ -265,13 +318,13 @@ class TestLapack:
 
     @pytest.mark.parametrize("N", SIZES)
     def test_binding_matches_public_routines(self, N):
-        # oracle: scipy's f2py dsytrd, which reduces a copy of a in place,
-        # and zgetrf, output for output
+        # oracle: scipy's f2py dsytrd at the same workspace, which reduces
+        # a copy of a in place, and zgetrf, output for output
         layout = WignerLayout(N)
         for x in random_draws(f"binding{N}", layout, 2):
             a = _upper_triangle(layout, x)
             want_a, want_d, want_e, _, info = scipy.linalg.lapack.dsytrd(
-                a, lower=0)
+                a, lower=0, lwork=wigner._PANEL * N)
             d, e = _tridiagonal(a)
             assert info == 0
             assert [a.tobytes(), d.tobytes(), e.tobytes()] == \
@@ -285,7 +338,8 @@ class TestLapack:
 
     @pytest.mark.parametrize("N", SIZES)
     def test_stieltjes_reduction_matches_public_dsytrd(self, N, monkeypatch):
-        # oracle: scipy's public dsytrd on the upper triangle of A
+        # oracle: scipy's public dsytrd at the same workspace on the upper
+        # triangle of A
         layout = WignerLayout(N)
         tridiagonal, calls = wigner._tridiagonal, []
 
@@ -298,7 +352,8 @@ class TestLapack:
             stieltjes(layout, x, 1j)
             d, e = calls.pop()
             _, want_d, want_e, _, info = scipy.linalg.lapack.dsytrd(
-                np.triu(build_matrix(layout, x)), lower=0)
+                np.triu(build_matrix(layout, x)), lower=0,
+                lwork=wigner._PANEL * N)
             assert info == 0
             assert d.tobytes() == want_d.tobytes()
             assert e.tobytes() == want_e.tobytes()
