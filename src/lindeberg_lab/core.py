@@ -24,8 +24,9 @@ Every suite hands its bound inputs over in one record, ``BoundTerms``: the
 form of its bound (this swap bound, the third-moment form, or the
 alpha-optimized max bound of ``smoothmax``), lambda_2 and lambda_3 read from
 their owner, the tail and body sums at the truncation level K, gamma, n and,
-for a max, log |F|.  ``evaluate_bound`` is the one function that turns a
-record into a bound for g.
+for a max, log |F|.  ``swap_terms`` builds every swap record, at any K up to
+oo; ``evaluate_bound`` is the one function that turns a record into a bound
+for g.
 
 Every suite estimates the left side by paired Monte Carlo (common replicate
 indices, independent counter-based streams for X and Y, one law per side) and
@@ -45,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import DistributionSpec, make_vector_sampler, \
-    third_abs_moment
+    third_abs_moment, truncated_second_moment, truncated_third_moment
 from .rng import RandomStream
 
 __all__ = [
@@ -64,6 +65,7 @@ __all__ = [
     "third_moment_bound",
     "BoundTerms",
     "evaluate_bound",
+    "swap_terms",
     "clt_swap_terms",
     "fd_partial",
     "estimate_lambda",
@@ -385,21 +387,31 @@ def evaluate_bound(terms: BoundTerms, g: TestFunction) -> float:
                       terms.body_sum)
 
 
+def swap_terms(spec_x: DistributionSpec, spec_y: DistributionSpec, n: int,
+               K: float, lambda2: float, lambda3: float) -> BoundTerms:
+    """The swap record of n coordinates at truncation level K <= oo: tail and
+    body sums of both laws at K, gamma the larger E|X|^3.  Refuses a body sum
+    infinite at K (``InfiniteGammaError``); does no bound arithmetic."""
+    tail_sum = n * (truncated_second_moment(spec_x, K)
+                    + truncated_second_moment(spec_y, K))
+    body_sum = n * (truncated_third_moment(spec_x, K)
+                    + truncated_third_moment(spec_y, K))
+    if math.isinf(body_sum):
+        raise InfiniteGammaError(
+            f"body third moment is infinite at truncation level K = {K:g}")
+    return BoundTerms(form="swap", lambda2=lambda2, lambda3=lambda3,
+                      tail_sum=tail_sum, body_sum=body_sum, truncation=K,
+                      gamma=max(third_abs_moment(spec_x),
+                                third_abs_moment(spec_y)), n=n)
+
+
 def clt_swap_terms(spec_x: DistributionSpec, spec_y: DistributionSpec,
                    n: int) -> BoundTerms:
-    """The CLT bound's record: the swap form at K = oo, with the mean
-    function's lambda_2 = 1/n and lambda_3 = n^(-3/2), no tail, and the full
-    third moments of both laws in the body; raises outside its domain and
-    does no bound arithmetic."""
+    """The CLT bound's record: ``swap_terms`` at K = oo (no tail, the full
+    third moments in the body) with lambda_2 = 1/n and lambda_3 = n^(-3/2)."""
     if n < 1:
         raise ValueError("the normalized sum needs at least one term")
-    gx = third_abs_moment(spec_x)
-    gy = third_abs_moment(spec_y)
-    if math.isinf(gx) or math.isinf(gy):
-        raise InfiniteGammaError("CLT bound needs finite third moments")
-    return BoundTerms(form="swap", lambda2=1.0 / n, lambda3=n**-1.5,
-                      tail_sum=0.0, body_sum=n * (gx + gy),
-                      truncation=math.inf, gamma=max(gx, gy), n=n)
+    return swap_terms(spec_x, spec_y, n, math.inf, 1.0 / n, n**-1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ the bounds consume are the tail second moment and the body third moment
 
     tail2(K) = E(X^2; |X| > K),      body3(K) = E(|X|^3; |X| <= K),
 
-both available in closed form for all five families.  The third absolute
-moment may be infinite (heavy-tailed Pareto with tail exponent <= 3); it is
-reported as ``math.inf`` and the third-moment corollaries refuse it.
+both available in closed form for all five families and every K <= inf.
+body3(inf) is the third absolute moment, infinite for Pareto tail exponents
+<= 3, reported as ``math.inf``; the third-moment corollaries refuse it.
 
 Sampling consumes exactly one uniform per value (inverse CDF transforms),
 which keeps coordinate draws pinned to counter positions of the stream.
@@ -302,8 +302,8 @@ def truncated_second_moment(spec: DistributionSpec, K: float) -> float:
 def truncated_third_moment(spec: DistributionSpec, K: float) -> float:
     """Body third moment E(|X|^3; |X| <= K), exact.
 
-    Finite for every finite K; at K = inf it is ``third_abs_moment``, which
-    is infinite for Pareto tail exponents <= 3.
+    Finite for every finite K; at K = inf it is E|X|^3, infinite for Pareto
+    tail exponents <= 3.
     """
     K = _check_k(K)
     fam = spec.family
@@ -316,7 +316,9 @@ def truncated_third_moment(spec: DistributionSpec, K: float) -> float:
     if fam is Family.RADEMACHER:
         return 1.0 if K >= 1.0 else 0.0
     if fam is Family.UNIFORM_SCALED:
-        return min(K, _SQRT3) ** 4 / (4.0 * _SQRT3)
+        if K >= _SQRT3:     # (sqrt 3)^4 would round below 9
+            return 3.0 * _SQRT3 / 4.0
+        return K**4 / (4.0 * _SQRT3)
     if fam is Family.CENTERED_EXPONENTIAL_SCALED:
         return _cexp_body3(K)
     a = spec.params[0]
@@ -355,17 +357,5 @@ def _cexp_body3(K: float) -> float:
 
 
 def third_abs_moment(spec: DistributionSpec) -> float:
-    """E|X|^3, or ``math.inf`` for Pareto tail exponents <= 3."""
-    fam = spec.family
-    if fam is Family.GAUSSIAN:
-        return 2.0 * math.sqrt(2.0 / math.pi)
-    if fam is Family.RADEMACHER:
-        return 1.0
-    if fam is Family.UNIFORM_SCALED:
-        return 3.0 * _SQRT3 / 4.0
-    if fam is Family.CENTERED_EXPONENTIAL_SCALED:
-        return 12.0 / math.e - 2.0
-    a = spec.params[0]
-    if a <= 3.0:
-        return math.inf
-    return (a / (a - 3.0)) / _pareto_scale(a) ** 3
+    """E|X|^3, body3 at K = inf: ``math.inf`` for Pareto exponents <= 3."""
+    return truncated_third_moment(spec, math.inf)

@@ -240,22 +240,22 @@ def _column_stack(v: np.ndarray) -> np.ndarray:
 
 
 def _energy_blocks(layout: CouplingLayout, x: np.ndarray, scale: float,
-                   field: float, row_start: int,
+                   field: float,
                    row_stop: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (row, E) with E[k, r, b] = scale * pair + field * mag of the
-    code (row + r) 2^lo + b under the coupling vector x[k], for grid rows
-    covering [row_start, row_stop); x is a (B, n) stack.
+    code (row + r) 2^lo + b under the coupling vector x[k], for the grid
+    rows [0, row_stop); x is a (B, n) stack.
 
     Each block is one stacked GEMM, L[:, rows] @ W, of the augmented
     operands of the module docstring, so the row and column terms ride in
     the product; numpy runs one BLAS call per stacked vector, and the
     within-half pair sums are one matrix-vector product per vector, so each
     vector's energies have the bits they have in a stack of one.  Blocks
-    hold ``_block_rows(N)`` rows and start at multiples of it: every caller
-    runs the same GEMM shapes on the same operands, so a code's energy has
-    the same bits whichever range asked for it (BLAS kernels may round
-    differently for other row counts).  The last block is trimmed to
-    row_stop only after the arithmetic.
+    hold ``_block_rows(N)`` rows from row 0: every caller runs the same GEMM
+    shapes on the same operands, so a code's energy has the same bits
+    whichever sweep asked for it (BLAS kernels may round differently for
+    other row counts).  The last block is trimmed to row_stop only after
+    the arithmetic.
     """
     hi, lo = _split(layout.size)
     X = scale * layout.coupling_matrix(x)
@@ -275,7 +275,7 @@ def _energy_blocks(layout: CouplingLayout, x: np.ndarray, scale: float,
         L[..., hi] += field * _magnetisation(hi)
         W[:, hi + 1] += field * _magnetisation(lo)
     rows = _block_rows(layout.size)
-    for row in range(row_start - row_start % rows, row_stop, rows):
+    for row in range(0, row_stop, rows):
         yield row, (L[:, row:row + rows] @ W)[:, :row_stop - row]
 
 
@@ -321,14 +321,12 @@ def _pair_energies(layout: CouplingLayout, x: np.ndarray,
     """(sum_{i<j} x_ij s_i s_j, sum_i s_i) for codes [start, stop)."""
     hi, lo = _split(layout.size)
     stack, _ = _as_stack(layout, x)
-    blocks = list(_energy_blocks(layout, stack, 1.0, 0.0, start >> lo,
-                                 -(-stop >> lo)))
-    first = blocks[0][0] << lo
+    blocks = _energy_blocks(layout, stack, 1.0, 0.0, -(-stop >> lo))
     pair = np.concatenate([E[0].ravel() for _, E in blocks])
     codes = np.arange(start, stop)
     mag = (_magnetisation(hi)[codes >> lo]
            + _magnetisation(lo)[codes & ((1 << lo) - 1)])
-    return pair[start - first:stop - first], mag
+    return pair[start:stop], mag
 
 
 def free_energy(layout: CouplingLayout, params: SKParams, x):
@@ -348,9 +346,10 @@ def free_energy(layout: CouplingLayout, params: SKParams, x):
     check_enumerable(N)
     stack, single = _as_stack(layout, x)
     size = _stack_size(N)
-    values = np.concatenate([
-        _free_energy_stack(layout, params, stack[k:k + size])
-        for k in range(0, len(stack), size)])
+    values = np.empty(len(stack))
+    for k in range(0, len(stack), size):
+        values[k:k + size] = _free_energy_stack(layout, params,
+                                                stack[k:k + size])
     return float(values[0]) if single else values
 
 
@@ -365,7 +364,7 @@ def _free_energy_stack(layout: CouplingLayout, params: SKParams,
     row_stop = 1 << (hi - 1) if symmetric else 1 << hi
     shift = acc = None
     for _, e in _energy_blocks(layout, x, beta / math.sqrt(N),
-                               beta * params.h, 0, row_stop):
+                               beta * params.h, row_stop):
         e = e.reshape(len(e), -1)
         m = e.max(axis=1)
         if shift is None:
@@ -419,7 +418,7 @@ def ground_state(layout: CouplingLayout, x):
     for k in range(0, len(stack), size):
         top, code = best[k:k + size], best_code[k:k + size]
         for row, pair in _energy_blocks(layout, stack[k:k + size], 1.0, 0.0,
-                                        0, 1 << (hi - 1)):
+                                        1 << (hi - 1)):
             flat = pair.reshape(len(pair), -1)
             arg = flat.argmax(axis=1)   # row-major: first maximizer
             value = flat[np.arange(len(flat)), arg]

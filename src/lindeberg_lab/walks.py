@@ -63,6 +63,8 @@ def walk_family(n: int) -> FunctionFamily:
         return root * np.cumsum(x)
 
     def partials(i, x):
+        if not -n <= i < n:
+            raise IndexError(f"coordinate {i} is out of range for {n} steps")
         out = np.zeros((3, n))
         out[0, i:] = root
         return out

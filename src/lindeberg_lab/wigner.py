@@ -55,7 +55,6 @@ import numpy as np
 from .core import (
     BoundTerms,
     GapReport,
-    InfiniteGammaError,
     SmoothFunction,
     SuiteReport,
     TestFunction,
@@ -63,11 +62,11 @@ from .core import (
     paired_functional_values,
     partials_at_point,
     summarize_gap,
+    swap_terms,
     triangle_indices,
     triangle_offsets,
 )
-from .distributions import DistributionSpec, third_abs_moment, \
-    truncated_second_moment, truncated_third_moment
+from .distributions import DistributionSpec, truncated_second_moment
 
 __all__ = [
     "WignerLayout",
@@ -447,27 +446,13 @@ class SemicircleReport(SuiteReport):
 
 def semicircle_swap_terms(spec_x: DistributionSpec, spec_y: DistributionSpec,
                           N: int, z: complex, epsilon: float) -> BoundTerms:
-    """The transform bound's record: the swap form at truncation
-    K = eps sqrt(N), with the influence of ``derivative_bounds``; raises
-    outside its domain (a body third moment infinite at K, as at K = inf for
-    Pareto tails with exponent <= 3) and does no bound arithmetic."""
-    K = epsilon * math.sqrt(N)
-    n = WignerLayout(N).coordinate_count
-    tail_sum = n * (truncated_second_moment(spec_x, K)
-                    + truncated_second_moment(spec_y, K))
-    body_sum = n * (truncated_third_moment(spec_x, K)
-                    + truncated_third_moment(spec_y, K))
-    if math.isinf(body_sum):
-        raise InfiniteGammaError(
-            f"body third moment is infinite at truncation level K = {K:g}; "
-            f"use a finite truncation level"
-        )
+    """The transform bound's record: ``swap_terms`` over the N(N+1)/2
+    coordinates at truncation K = eps sqrt(N), with the influence of
+    ``derivative_bounds``; raises outside their domains (a body third moment
+    infinite at K, as at K = inf for Pareto tails with exponent <= 3)."""
     bounds = derivative_bounds(N, z.imag)
-    return BoundTerms(form="swap", lambda2=bounds.lambda2,
-                      lambda3=bounds.lambda3, tail_sum=tail_sum,
-                      body_sum=body_sum, truncation=K,
-                      gamma=max(third_abs_moment(spec_x),
-                                third_abs_moment(spec_y)), n=n)
+    return swap_terms(spec_x, spec_y, WignerLayout(N).coordinate_count,
+                      epsilon * math.sqrt(N), bounds.lambda2, bounds.lambda3)
 
 
 def semicircle_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,

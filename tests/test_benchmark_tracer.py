@@ -4,7 +4,7 @@
 pytest's test paths do not reach ``perfbench/``: a source change that drops
 or reshapes a traced name would pass these tests yet break every traced
 benchmark run.  This module loads the tracer by path, unchanged, and runs
-four suites at tiny sizes under it.
+seven suites at tiny sizes under it.
 """
 
 import importlib.util
@@ -45,20 +45,29 @@ def bindings() -> dict:
 
 
 @pytest.mark.parametrize("args, layer", [
-    (["clt", "--size", "40", "--replicates", "100"], "rng.replicate"),
-    (["erdos_kac", "--size", "50", "--replicates", "100"],
+    (["clt", "--size", "40", "--replicates", "100", "--seed", "3"],
+     "rng.replicate"),
+    (["erdos_kac", "--size", "50", "--replicates", "100", "--seed", "3"],
      "walks.max_partial_sums"),
-    (["sk_free_energy", "--size", "5", "--replicates", "100"],
+    (["sk_free_energy", "--size", "5", "--replicates", "100", "--seed", "3"],
      "sk.free_energy"),
-    (["wigner", "--size", "6", "--replicates", "100"], "wigner.stieltjes"),
+    # its kernel reaches the coupling matrix only through ground_state
+    (["sk_ground_state", "--size", "5", "--replicates", "100", "--seed", "3"],
+     "sk.coupling_matrix"),
+    (["wigner", "--size", "6", "--replicates", "100", "--seed", "3"],
+     "wigner.stieltjes"),
     # the one suite whose run calls lu_factor and lu_solve
-    (["lambda_audit", "--size", "3"], "wigner.linalg"),
-], ids=["clt", "erdos_kac", "sk_free_energy", "wigner", "lambda_audit"])
+    (["lambda_audit", "--size", "3", "--seed", "3"], "wigner.linalg"),
+    # the one run that builds every suite's bound record inside cli.run; it
+    # draws nothing, so it takes no seed
+    (["bound_table", "--sizes", "8"], "walks.walk_family"),
+], ids=["clt", "erdos_kac", "sk_free_energy", "sk_ground_state", "wigner",
+        "lambda_audit", "bound_table"])
 def test_traced_run_keeps_output_and_records_its_layer(tmp_path, tracing,
                                                        args, layer):
     def output(tag: str) -> bytes:
         out = tmp_path / f"{tag}.csv"
-        assert cli.main([*args, "--seed", "3", "--out", str(out)]) == 0
+        assert cli.main([*args, "--out", str(out)]) == 0
         return out.read_bytes()
 
     plain = output("plain")

@@ -253,6 +253,21 @@ class TestMomentStructure:
     def test_lyapunov_floor(self, spec):
         assert third_abs_moment(spec) >= 1.0
 
+    @pytest.mark.parametrize("spec", [GAUSSIAN, RADEMACHER, UNIFORM, CEXP,
+                                      pareto(2.5), pareto(3.0), pareto(3.5),
+                                      pareto(4.0)], ids=lambda s: s.label)
+    def test_third_abs_moment_is_the_body_at_infinity(self, spec):
+        # one table per law: E|X|^3 is body3(inf) bit for bit, and no tail
+        # second moment is left at K = inf
+        assert third_abs_moment(spec) == truncated_third_moment(spec,
+                                                                math.inf)
+        assert truncated_second_moment(spec, math.inf) == 0.0
+
+    @pytest.mark.parametrize("K", [SQRT3, 2.0, 1e300, math.inf])
+    def test_uniform_body_is_correctly_rounded_past_its_support(self, K):
+        # min(K, sqrt 3)^4 / (4 sqrt 3) would round to one ulp below
+        assert truncated_third_moment(UNIFORM, K) == 3.0 * math.sqrt(3.0) / 4.0
+
     def test_pareto_infinite_third_moment_flag(self):
         assert math.isinf(third_abs_moment(pareto(2.5)))
         assert math.isinf(third_abs_moment(pareto(3.0)))

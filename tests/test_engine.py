@@ -145,6 +145,19 @@ class TestBlockContract:
             seen[0], lambda x: scale * sk.ground_state(layout, x)[0],
             draws(n, rows_for(n), label=f"gs{N}"), sk._stack_size(N))
 
+    @pytest.mark.parametrize("functional, n", [
+        (walks.max_partial_sums, 10),
+        (lambda b: wigner.stieltjes(wigner.WignerLayout(4), b, 2j), 10),
+        (lambda b: sk.free_energy(sk.CouplingLayout(5), sk.SKParams(), b),
+         10),
+        (lambda b: sk.free_energy(sk.CouplingLayout(5),
+                                  sk.SKParams(h=0.3), b), 10),
+        (lambda b: sk.ground_state(sk.CouplingLayout(5), b)[0], 10),
+    ], ids=["max_partial_sums", "stieltjes", "free_energy",
+            "free_energy_field", "ground_state"])
+    def test_empty_block_gives_no_values(self, functional, n):
+        assert functional(np.empty((0, n))).shape == (0,)
+
     def test_ground_state_block_maximizers(self):
         N = 9
         layout = sk.CouplingLayout(N)

@@ -191,6 +191,14 @@ class TestFamilyArrays:
                 1.7 * N**-1.5 * sigmas[:, a] * sigmas[:, b]).tolist()
             assert not parts[1:].any()
 
+    def test_partials_refuse_a_coordinate_out_of_range(self):
+        layout = CouplingLayout(5)
+        fam = sk_family(layout, SKParams())
+        n = layout.coordinate_count
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                fam.partials(i, np.zeros(n))
+
     def test_lambda_estimate_refuses_unmaterializable_family(self):
         N = 23
         layout = CouplingLayout(N)
@@ -263,9 +271,9 @@ class TestFreeEnergy:
         asked = []
         blocks = sk._energy_blocks
 
-        def recorder(layout, x, scale, field, row_start, row_stop):
-            asked.append((row_start, row_stop))
-            return blocks(layout, x, scale, field, row_start, row_stop)
+        def recorder(layout, x, scale, field, row_stop):
+            asked.append(row_stop)
+            return blocks(layout, x, scale, field, row_stop)
 
         monkeypatch.setattr(sk, "_energy_blocks", recorder)
         layout = CouplingLayout(N)
@@ -273,7 +281,7 @@ class TestFreeEnergy:
         hi = (N + 1) // 2
         free_energy(layout, SKParams(beta=1.0, h=0.0), x)
         free_energy(layout, SKParams(beta=1.0, h=0.3), x)
-        assert asked == [(0, 1 << (hi - 1)), (0, 1 << hi)]
+        assert asked == [1 << (hi - 1), 1 << hi]
 
     @pytest.mark.parametrize("N", [3, 8, 12])
     def test_zero_field_half_grid_matches_full_log_sum_exp(self, N):
@@ -476,7 +484,7 @@ class TestStacks:
         layout = CouplingLayout(N)
         stack = np.zeros((size, layout.coordinate_count))
         hi, lo = (N + 1) // 2, N // 2
-        _, energies = next(sk._energy_blocks(layout, stack, 1.0, 0.0, 0,
+        _, energies = next(sk._energy_blocks(layout, stack, 1.0, 0.0,
                                              1 << hi))
         assert energies.shape[0] == size
         operands = (hi + 2) * ((1 << hi) + (1 << lo))
@@ -501,7 +509,7 @@ class TestStacks:
         layout = CouplingLayout(N)
         hi, lo = (N + 1) // 2, N // 2
         stack = np.array(coupling_draws("cross", N, 3))
-        list(sk._energy_blocks(layout, stack, 1.0, 0.0, 0, 1 << hi))
+        list(sk._energy_blocks(layout, stack, 1.0, 0.0, 1 << hi))
         [cross] = seen
         assert cross.shape == (3, hi, lo)
         assert not cross.flags.c_contiguous

@@ -105,6 +105,16 @@ class TestWalkFamily:
                                          for j in range(1, n + 1)]
             assert not parts[1:].any()
 
+    def test_partials_refuse_a_coordinate_out_of_range(self):
+        # i = n would mark no member and i = -n - 1 every member
+        n = 5
+        fam = walk_family(n)
+        x = np.zeros(n)
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                fam.partials(i, x)
+        assert np.array_equal(fam.partials(-1, x), fam.partials(n - 1, x))
+
     def test_smoothed_influence_of_prefix_family(self):
         from lindeberg_lab.smoothmax import smoothed_lambda_bounds
 
