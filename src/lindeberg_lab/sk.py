@@ -39,12 +39,13 @@ only those rows.  The tests cross-check it against an independent Gray-code
 single-flip evaluator, ``free_energy_gray`` in ``tests/oracles.py``.
 
 ``free_energy`` and ``ground_state`` also take a (B, n) block of coupling
-vectors, as the paired Monte Carlo engine hands them.  The block is
-enumerated in stacks of vectors whose operands and energy blocks fit the
-_STACK_ELEMENTS budget of 1 MB (twelve at N = 14, six at N = 15, one from
-N = 22 on), so each stack's fixed numpy and BLAS call overhead is spread
-over its vectors: each row block of a stack is one stacked GEMM with one
-BLAS call per vector, followed by a per-vector max-shift, exp and sum (or
+vectors, as the paired Monte Carlo engine hands them, and sweep it in one
+loop, ``_energy_blocks``, over stacks of vectors whose operands and energy
+blocks fit the _STACK_ELEMENTS budget of 1 MB (twelve at N = 14, six at
+N = 15, one from N = 22 on), so each stack's fixed numpy and BLAS call
+overhead is spread over its vectors: each row block of a stack is one
+stacked GEMM with one BLAS call per vector, written into the one energy
+buffer of the call, and followed by a per-vector max-shift, exp and sum (or
 argmax), so every value has the bits it has when its vector is enumerated
 alone.  The coupling matrices of a stack come from one scatter through the
 cached flat offsets of the upper triangle.
@@ -240,43 +241,51 @@ def _column_stack(v: np.ndarray) -> np.ndarray:
 
 
 def _energy_blocks(layout: CouplingLayout, x: np.ndarray, scale: float,
-                   field: float,
-                   row_stop: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (row, E) with E[k, r, b] = scale * pair + field * mag of the
-    code (row + r) 2^lo + b under the coupling vector x[k], for the grid
-    rows [0, row_stop); x is a (B, n) stack.
+                   field: float, row_stop: int
+                   ) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """Yield (vectors, row, E) with E[k, r, b] = scale * pair + field * mag
+    of the code (row + r) 2^lo + b under the coupling vector x[vectors][k],
+    for the grid rows [0, row_stop) of every vector of the (B, n) block x.
 
-    Each block is one stacked GEMM, L[:, rows] @ W, of the augmented
-    operands of the module docstring, so the row and column terms ride in
-    the product; numpy runs one BLAS call per stacked vector, and the
-    within-half pair sums are one matrix-vector product per vector, so each
-    vector's energies have the bits they have in a stack of one.  Blocks
-    hold ``_block_rows(N)`` rows from row 0: every caller runs the same GEMM
-    shapes on the same operands, so a code's energy has the same bits
-    whichever sweep asked for it (BLAS kernels may round differently for
-    other row counts).  The last block is trimmed to row_stop only after
-    the arithmetic.
+    The one stack loop: per stack of ``_stack_size(N)`` vectors, each row
+    block is one stacked GEMM, L[:, rows] @ W, of the augmented operands of
+    the module docstring, written into the one energy buffer of the call,
+    so E is valid only until the next yield.  numpy runs one BLAS call per
+    stacked vector, and the within-half pair sums are one matrix-vector
+    product per vector, so each vector's energies have the bits they have
+    in a stack of one.  Blocks hold ``_block_rows(N)`` rows from row 0:
+    every caller runs the same GEMM shapes on the same operands, so a
+    code's energy has the same bits whichever sweep asked for it (BLAS
+    kernels may round differently for other row counts).  The last block
+    is trimmed to row_stop only after the arithmetic.
     """
-    hi, lo = _split(layout.size)
-    X = scale * layout.coupling_matrix(x)
+    N = layout.size
+    hi, lo = _split(N)
     hi_i, hi_j = triangle_indices(hi, 1)
     lo_i, lo_j = triangle_indices(lo, 1)
-    L = np.empty((len(X), 1 << hi, hi + 2))
-    L[..., :hi] = _spin_table(hi)
-    np.matmul(_pair_products(hi), _column_stack(X[:, hi_i, hi_j]),
-              out=L[..., hi:hi + 1])
-    L[..., hi + 1] = 1.0
-    W = np.empty((len(X), hi + 2, 1 << lo))
-    np.matmul(X[:, :hi, hi:], _spin_table(lo).T, out=W[:, :hi])
-    W[:, hi] = 1.0
-    np.matmul(_pair_products(lo), _column_stack(X[:, hi + lo_i, hi + lo_j]),
-              out=W[:, hi + 1, :, None])
-    if field:
-        L[..., hi] += field * _magnetisation(hi)
-        W[:, hi + 1] += field * _magnetisation(lo)
-    rows = _block_rows(layout.size)
-    for row in range(0, row_stop, rows):
-        yield row, (L[:, row:row + rows] @ W)[:, :row_stop - row]
+    size, rows = _stack_size(N), _block_rows(N)
+    energies = np.empty((min(size, len(x)), rows, 1 << lo))
+    for k in range(0, len(x), size):
+        X = scale * layout.coupling_matrix(x[k:k + size])
+        L = np.empty((len(X), 1 << hi, hi + 2))
+        L[..., :hi] = _spin_table(hi)
+        np.matmul(_pair_products(hi), _column_stack(X[:, hi_i, hi_j]),
+                  out=L[..., hi:hi + 1])
+        L[..., hi + 1] = 1.0
+        W = np.empty((len(X), hi + 2, 1 << lo))
+        np.matmul(X[:, :hi, hi:], _spin_table(lo).T, out=W[:, :hi])
+        W[:, hi] = 1.0
+        np.matmul(_pair_products(lo),
+                  _column_stack(X[:, hi + lo_i, hi + lo_j]),
+                  out=W[:, hi + 1, :, None])
+        if field:
+            L[..., hi] += field * _magnetisation(hi)
+            W[:, hi + 1] += field * _magnetisation(lo)
+        E = energies[:len(X)]
+        for row in range(0, row_stop, rows):
+            np.matmul(L[:, row:row + rows], W, out=E)
+            yield slice(k, k + len(X)), row, E[:, :row_stop - row]
+        del X, L, W   # hold one stack's operands at a time, not two
 
 
 def sk_family(layout: CouplingLayout, params: SKParams) -> FunctionFamily:
@@ -322,7 +331,7 @@ def _pair_energies(layout: CouplingLayout, x: np.ndarray,
     hi, lo = _split(layout.size)
     stack, _ = _as_stack(layout, x)
     blocks = _energy_blocks(layout, stack, 1.0, 0.0, -(-stop >> lo))
-    pair = np.concatenate([E[0].ravel() for _, E in blocks])
+    pair = np.concatenate([E[0].flatten() for _, _, E in blocks])
     codes = np.arange(start, stop)
     mag = (_magnetisation(hi)[codes >> lo]
            + _magnetisation(lo)[codes & ((1 << lo) - 1)])
@@ -339,46 +348,37 @@ def free_energy(layout: CouplingLayout, params: SKParams, x):
     soft-max of the member family at level N.
 
     One coupling vector gives a float; a (B, n) block of them gives the
-    (B,) free energies, enumerated in stacks of ``_stack_size(N)`` vectors,
-    each row with the arithmetic of its own vector.
+    (B,) free energies in one pass over ``_energy_blocks``: per vector and
+    row block a max-shift, exp and sum, the first row block setting the
+    vector's shift and later ones raising it, so each value has the
+    arithmetic of its own vector.
     """
     N = layout.size
     check_enumerable(N)
-    stack, single = _as_stack(layout, x)
-    size = _stack_size(N)
-    values = np.empty(len(stack))
-    for k in range(0, len(stack), size):
-        values[k:k + size] = _free_energy_stack(layout, params,
-                                                stack[k:k + size])
-    return float(values[0]) if single else values
-
-
-def _free_energy_stack(layout: CouplingLayout, params: SKParams,
-                       x: np.ndarray) -> np.ndarray:
-    """``free_energy`` of every vector of the (B, n) stack x: per vector a
-    max-shift, exp and sum over each row block."""
-    N = layout.size
-    beta = params.beta
     hi = _split(N)[0]
+    stack, single = _as_stack(layout, x)
     symmetric = params.h == 0.0
     row_stop = 1 << (hi - 1) if symmetric else 1 << hi
-    shift = acc = None
-    for _, e in _energy_blocks(layout, x, beta / math.sqrt(N),
-                               beta * params.h, row_stop):
+    shift, acc = np.empty(len(stack)), np.zeros(len(stack))
+    for vectors, row, e in _energy_blocks(layout, stack,
+                                          params.beta / math.sqrt(N),
+                                          params.beta * params.h, row_stop):
         e = e.reshape(len(e), -1)
         m = e.max(axis=1)
-        if shift is None:
-            shift, acc = m, np.zeros(len(e))
+        top, total = shift[vectors], acc[vectors]
+        if row == 0:
+            top[:] = m
         else:
-            for k in np.flatnonzero(m > shift):
-                acc[k] *= math.exp(shift[k] - m[k])
-                shift[k] = m[k]
-        e -= shift[:, None]
-        acc += np.exp(e, out=e).sum(axis=1)
+            for k in np.flatnonzero(m > top):
+                total[k] *= math.exp(top[k] - m[k])
+                top[k] = m[k]
+        e -= top[:, None]
+        total += np.exp(e, out=e).sum(axis=1)
     if symmetric:
         acc *= 2.0
-    return np.array([(top + math.log(total)) / N
-                     for top, total in zip(shift.tolist(), acc.tolist())])
+    values = np.array([(top + math.log(total)) / N
+                       for top, total in zip(shift.tolist(), acc.tolist())])
+    return float(values[0]) if single else values
 
 
 def free_energy_function(layout: CouplingLayout,
@@ -405,26 +405,24 @@ def ground_state(layout: CouplingLayout, x):
     s_1 = -1, the first half of the grid rows; ties break to the
     lexicographically smallest spin tuple, which is the first maximizer in
     code order.  One coupling vector gives (float, sigma); a (B, n) block
-    gives the (B,) maxima and (B, N) maximizers, searched in stacks of
-    ``_stack_size(N)`` vectors.
+    gives the (B,) maxima and (B, N) maximizers, searched in one pass over
+    ``_energy_blocks``.
     """
     N = layout.size
     check_enumerable(N)
     hi, lo = _split(N)
     stack, single = _as_stack(layout, x)
-    size = _stack_size(N)
     best = np.full(len(stack), -math.inf)
     best_code = np.zeros(len(stack), dtype=np.int64)
-    for k in range(0, len(stack), size):
-        top, code = best[k:k + size], best_code[k:k + size]
-        for row, pair in _energy_blocks(layout, stack[k:k + size], 1.0, 0.0,
-                                        1 << (hi - 1)):
-            flat = pair.reshape(len(pair), -1)
-            arg = flat.argmax(axis=1)   # row-major: first maximizer
-            value = flat[np.arange(len(flat)), arg]
-            better = value > top
-            top[better] = value[better]
-            code[better] = (row << lo) + arg[better]
+    for vectors, row, pair in _energy_blocks(layout, stack, 1.0, 0.0,
+                                             1 << (hi - 1)):
+        top, code = best[vectors], best_code[vectors]
+        flat = pair.reshape(len(pair), -1)
+        arg = flat.argmax(axis=1)   # row-major: first maximizer
+        value = flat[np.arange(len(flat)), arg]
+        better = value > top
+        top[better] = value[better]
+        code[better] = (row << lo) + arg[better]
     if single:
         return float(best[0]), _code_to_sigma(best_code[0], N)
     return best, _code_to_sigma(best_code, N)

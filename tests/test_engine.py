@@ -120,7 +120,7 @@ class TestBlockContract:
             seen[0], lambda x: wigner.stieltjes(layout, x, z),
             draws(n, rows_for(n), RADEMACHER))
 
-    @pytest.mark.parametrize("N", [2, 7, 12, 14, 15])
+    @pytest.mark.parametrize("N", [2, 7, 12, 14, 15, 16])
     @pytest.mark.parametrize("h", [0.0, 0.3])
     def test_sk_free_energy(self, monkeypatch, N, h):
         seen = recorded_functionals(monkeypatch, sk)
@@ -133,7 +133,7 @@ class TestBlockContract:
             seen[0], lambda x: sk.free_energy(layout, params, x),
             draws(n, rows_for(n), label=f"sk{N}"), sk._stack_size(N))
 
-    @pytest.mark.parametrize("N", [2, 7, 12, 14, 15])
+    @pytest.mark.parametrize("N", [2, 7, 12, 14, 15, 16])
     def test_sk_ground_state(self, monkeypatch, N):
         seen = recorded_functionals(monkeypatch, sk)
         sk.sk_experiment("ground_state", RADEMACHER, GAUSSIAN, sk.SKParams(),

@@ -484,8 +484,8 @@ class TestStacks:
         layout = CouplingLayout(N)
         stack = np.zeros((size, layout.coordinate_count))
         hi, lo = (N + 1) // 2, N // 2
-        _, energies = next(sk._energy_blocks(layout, stack, 1.0, 0.0,
-                                             1 << hi))
+        _, _, energies = next(sk._energy_blocks(layout, stack, 1.0, 0.0,
+                                                1 << hi))
         assert energies.shape[0] == size
         operands = (hi + 2) * ((1 << hi) + (1 << lo))
         if size > 1:
@@ -496,18 +496,19 @@ class TestStacks:
         # X_ab B' reads the cross block of the coupling stack in place: a
         # contiguous gather of it has been seen to round a stacked vector's
         # energies differently from the same vector alone on some BLAS
-        # builds, so the bits must not rest on the build
+        # builds, so the bits must not rest on the build; the row blocks'
+        # products also go through np.matmul, so pick it by its shape
         seen = []
         matmul = np.matmul
+        hi, lo = (N + 1) // 2, N // 2
 
         def spy(a, b, *args, **kwargs):
-            if np.ndim(a) == 3:
+            if np.shape(a) == (3, hi, lo):
                 seen.append(a)
             return matmul(a, b, *args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
         layout = CouplingLayout(N)
-        hi, lo = (N + 1) // 2, N // 2
         stack = np.array(coupling_draws("cross", N, 3))
         list(sk._energy_blocks(layout, stack, 1.0, 0.0, 1 << hi))
         [cross] = seen
@@ -515,6 +516,37 @@ class TestStacks:
         assert not cross.flags.c_contiguous
         assert isinstance(cross.base, np.ndarray)
         assert cross.base.shape == (3, N, N)
+
+    def test_engine_block_shares_one_energy_buffer(self, monkeypatch):
+        # every row-block product of a call lands in one buffer: a fresh
+        # 786 KB block per row block took about 10 500 minor page faults
+        # per 360-row block at N = 14, h = 0.3
+        N, rows = 14, 360
+        hi, lo = (N + 1) // 2, N // 2
+        shape = (sk._block_rows(N), 1 << lo)
+        outs = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            out = kwargs.get("out")
+            if out is not None and out.shape[1:] == shape:
+                outs.append(out)
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        layout = CouplingLayout(N)
+        block = np.array(coupling_draws("buffer", N, rows))
+        stacks = -(-rows // sk._stack_size(N))
+        calls = [(lambda: free_energy(layout, SKParams(h=0.3), block),
+                  1 << hi),
+                 (lambda: ground_state(layout, block), 1 << (hi - 1))]
+        for call, row_stop in calls:
+            outs.clear()
+            call()
+            assert len(outs) == stacks * (row_stop // shape[0])
+            buffers = {id(out.base if out.base is not None else out)
+                       for out in outs}
+            assert len(buffers) == 1
 
     def test_engine_block_opens_few_stacks(self, monkeypatch):
         # the engine hands the N = 14 kernel 360-row blocks; stacks of
