@@ -216,9 +216,8 @@ def _block_rows(N: int) -> int:
 
 
 def _stack_size(N: int) -> int:
-    """Coupling vectors per enumeration stack: as many as keep their L and W
-    operands and one energy block each within _STACK_ELEMENTS, at least
-    one."""
+    """Coupling vectors per enumeration stack, at least one: as many as keep
+    their L and W operands and one energy block each within _STACK_ELEMENTS."""
     hi, lo = _split(N)
     per_vector = (_block_rows(N) << lo) + (hi + 2) * ((1 << hi) + (1 << lo))
     return max(1, _STACK_ELEMENTS // per_vector)
@@ -327,9 +326,11 @@ def sk_family(layout: CouplingLayout, params: SKParams) -> FunctionFamily:
 
 def _pair_energies(layout: CouplingLayout, x: np.ndarray,
                    start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_{i<j} x_ij s_i s_j, sum_i s_i) for codes [start, stop)."""
+    """(sum_{i<j} x_ij s_i s_j, sum_i s_i) for codes [start, stop) of x."""
     hi, lo = _split(layout.size)
-    stack, _ = _as_stack(layout, x)
+    stack, single = _as_stack(layout, x)
+    if not single:
+        raise ValueError("pair energies take one coupling vector")
     blocks = _energy_blocks(layout, stack, 1.0, 0.0, -(-stop >> lo))
     pair = np.concatenate([E[0].flatten() for _, _, E in blocks])
     codes = np.arange(start, stop)

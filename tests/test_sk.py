@@ -465,6 +465,12 @@ class TestGroundState:
             assert value == float(np.max(full))
             assert np.array_equal(sigma, spins[int(np.argmax(full))])
 
+    def test_pair_energies_refuse_a_block(self):
+        layout = CouplingLayout(9)
+        block = np.array(coupling_draws("refuse", 9, 2))
+        with pytest.raises(ValueError, match="one coupling vector"):
+            sk._pair_energies(layout, block, 0, 1 << 9)
+
     def test_sign_flip_leaves_value(self):
         layout = CouplingLayout(5)
         x = coupling_draws("flip", 5, 1)[0]
@@ -551,23 +557,27 @@ class TestStacks:
     def test_engine_block_opens_few_stacks(self, monkeypatch):
         # the engine hands the N = 14 kernel 360-row blocks; stacks of
         # three would open 120
-        opened = []
+        opened = set()
         blocks = sk._energy_blocks
 
         def recorder(layout, x, *args):
-            opened.append(len(x))
-            return blocks(layout, x, *args)
+            for vectors, row, E in blocks(layout, x, *args):
+                opened.add((vectors.start, vectors.stop))
+                yield vectors, row, E
 
         monkeypatch.setattr(sk, "_energy_blocks", recorder)
         layout = CouplingLayout(14)
         rows = block_rows(layout.coordinate_count)
         assert rows == 360
         block = np.array(coupling_draws("stacks", 14, rows))
-        free_energy(layout, SKParams(beta=1.0, h=0.3), block)
-        assert sum(opened) == rows and len(opened) <= 45
-        opened.clear()
-        ground_state(layout, block)
-        assert sum(opened) == rows and len(opened) <= 45
+        for call in (lambda: free_energy(layout, SKParams(h=0.3), block),
+                     lambda: ground_state(layout, block)):
+            opened.clear()
+            call()
+            stacks = sorted(opened)
+            assert stacks[0][0] == 0 and stacks[-1][1] == rows
+            assert all(a[1] == b[0] for a, b in zip(stacks, stacks[1:]))
+            assert len(stacks) <= 45
 
 
 class TestGroundStateBound:
