@@ -29,14 +29,17 @@ is one GEMM, L W, of the augmented operands
 where row and col hold the within-half pair sums a'X_aa a / 2 and b'X_bb b / 2
 (cached s_i s_j tables times the pair couplings) plus the field term (cached
 magnetisation tables, skipped at zero field): about (hi+2) 2^N flops and no
-pass over the grid afterwards.  The 2^hi x 2^lo grid feeds a max-shifted
-log-sum-exp (free energy) or a first-maximizer argmax (ground state).  It is
-produced in power-of-two row blocks of at most _BLOCK entries and at most
-half the rows, which bounds memory up to N = ENUMERATION_LIMIT.  Without a
-field E(sigma) = E(-sigma), so the free energy at h = 0 and the ground state
-read only the first half of the grid rows, where s_1 = -1, and hand BLAS
-only those rows.  The tests cross-check it against an independent Gray-code
-single-flip evaluator, ``free_energy_gray`` in ``tests/oracles.py``.
+pass over the grid afterwards.  The 2^hi x 2^lo grid feeds a log-sum-exp
+(free energy), shifted by half a bound on |E| read off the couplings before
+the grid exists and taken off W's column terms, so the sweep is one exp and
+sum with no max or subtract pass; or a first-maximizer argmax (ground
+state).  It is produced in power-of-two row blocks of at most _BLOCK
+entries and at most half the rows, which bounds memory up to
+N = ENUMERATION_LIMIT.  Without a field E(sigma) = E(-sigma), so the free
+energy at h = 0 and the ground state read only the first half of the grid
+rows, where s_1 = -1, and hand BLAS only those rows.  The tests
+cross-check it against an independent Gray-code single-flip evaluator,
+``free_energy_gray`` in ``tests/oracles.py``.
 
 ``free_energy`` and ``ground_state`` also take a (B, n) block of coupling
 vectors, as the paired Monte Carlo engine hands them, and sweep it in one
@@ -45,16 +48,17 @@ blocks fit the _STACK_ELEMENTS budget of 1 MB (twelve at N = 14, six at
 N = 15, one from N = 22 on), so each stack's fixed numpy and BLAS call
 overhead is spread over its vectors: each row block of a stack is one
 stacked GEMM with one BLAS call per vector, written into the one energy
-buffer of the call, and followed by a per-vector max-shift, exp and sum (or
-argmax), so every value has the bits it has when its vector is enumerated
-alone.  The coupling matrices of a stack come from one scatter through the
-cached flat offsets of the upper triangle.
+buffer of the call, and followed by a per-vector exp and sum (or argmax),
+so every value has the bits it has when its vector is enumerated alone.
+The coupling matrices of a stack come from one scatter through the cached
+flat offsets of the upper triangle.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -101,6 +105,12 @@ _BLOCK = 1 << 14
 # every vector of an enumeration stack: about twelve vectors at N = 14, and
 # each stack pays its numpy and BLAS call overhead once
 _STACK_ELEMENTS = 1 << 17
+# the largest bound B on |E(sigma)| for which the shift B / 2 keeps the sum
+# of 2^N <= 2^ENUMERATION_LIMIT terms exp(E - B / 2) <= exp(B / 2) below
+# the largest double, and its largest term, at least exp(-B / 2), above
+# 2^ENUMERATION_LIMIT / DBL_MAX, a normal double: about 1386
+_SHIFT_LIMIT = 2.0 * (math.log(sys.float_info.max)
+                      - ENUMERATION_LIMIT * math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -239,52 +249,77 @@ def _column_stack(v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(v)[..., None]
 
 
+def _l1_norms(layout: CouplingLayout, x: np.ndarray) -> np.ndarray:
+    """sum_{i<j} |x_ij| of every vector of the (B, n) block x, taken one
+    stack of ``_stack_size(N)`` vectors at a time, so no block-sized
+    temporary is made.  Refuses infs and NaNs, looked for only in the
+    vectors whose sum is not finite."""
+    norms = np.empty(len(x))
+    size = _stack_size(layout.size)
+    for k in range(0, len(x), size):
+        np.abs(x[k:k + size]).sum(axis=1, out=norms[k:k + size])
+    bad = ~np.isfinite(norms)
+    if bad.any() and not np.isfinite(x[bad]).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return norms
+
+
 def _energy_blocks(layout: CouplingLayout, x: np.ndarray, scale: float,
-                   field: float, row_stop: int
+                   field: float, row_stop: int,
+                   shift: np.ndarray | None = None
                    ) -> Iterator[tuple[slice, int, np.ndarray]]:
     """Yield (vectors, row, E) with E[k, r, b] = scale * pair + field * mag
     of the code (row + r) 2^lo + b under the coupling vector x[vectors][k],
-    for the grid rows [0, row_stop) of every vector of the (B, n) block x.
+    less shift[vectors][k] if a (B,) shift is given, for the grid rows
+    [0, row_stop) of every vector of the (B, n) block x.
 
     The one stack loop: per stack of ``_stack_size(N)`` vectors, each row
     block is one stacked GEMM, L[:, rows] @ W, of the augmented operands of
     the module docstring, written into the one energy buffer of the call,
-    so E is valid only until the next yield.  numpy runs one BLAS call per
-    stacked vector, and the within-half pair sums are one matrix-vector
-    product per vector, so each vector's energies have the bits they have
-    in a stack of one.  Blocks hold ``_block_rows(N)`` rows from row 0:
-    every caller runs the same GEMM shapes on the same operands, so a
-    code's energy has the same bits whichever sweep asked for it (BLAS
-    kernels may round differently for other row counts).  The last block
-    is trimmed to row_stop only after the arithmetic.
+    so E is valid only until the next yield.  L and W are allocated once
+    per call too, with their spin-table and ones entries written once; a
+    stack rewrites only the pair-sum row and column terms, and the shift
+    comes off W's column-term row, 2^lo values per vector, so the GEMM
+    yields E - shift with no pass over the grid.  numpy runs one BLAS call
+    per stacked vector, and the within-half pair sums are one
+    matrix-vector product per vector, so each vector's energies have the
+    bits they have in a stack of one.  Blocks hold ``_block_rows(N)`` rows
+    from row 0: every caller runs the same GEMM shapes on the same
+    operands, so a code's energy has the same bits whichever sweep asked
+    for it (BLAS kernels may round differently for other row counts).  The
+    last block is trimmed to row_stop only after the arithmetic.
     """
     N = layout.size
     hi, lo = _split(N)
     hi_i, hi_j = triangle_indices(hi, 1)
     lo_i, lo_j = triangle_indices(lo, 1)
     size, rows = _stack_size(N), _block_rows(N)
-    energies = np.empty((min(size, len(x)), rows, 1 << lo))
+    width = min(size, len(x))
+    L_all = np.empty((width, 1 << hi, hi + 2))
+    L_all[..., :hi] = _spin_table(hi)
+    L_all[..., hi + 1] = 1.0
+    W_all = np.empty((width, hi + 2, 1 << lo))
+    W_all[:, hi] = 1.0
+    energies = np.empty((width, rows, 1 << lo))
     for k in range(0, len(x), size):
         X = scale * layout.coupling_matrix(x[k:k + size])
-        L = np.empty((len(X), 1 << hi, hi + 2))
-        L[..., :hi] = _spin_table(hi)
+        vectors = slice(k, k + len(X))
+        L, W, E = L_all[:len(X)], W_all[:len(X)], energies[:len(X)]
         np.matmul(_pair_products(hi), _column_stack(X[:, hi_i, hi_j]),
                   out=L[..., hi:hi + 1])
-        L[..., hi + 1] = 1.0
-        W = np.empty((len(X), hi + 2, 1 << lo))
         np.matmul(X[:, :hi, hi:], _spin_table(lo).T, out=W[:, :hi])
-        W[:, hi] = 1.0
         np.matmul(_pair_products(lo),
                   _column_stack(X[:, hi + lo_i, hi + lo_j]),
                   out=W[:, hi + 1, :, None])
         if field:
             L[..., hi] += field * _magnetisation(hi)
             W[:, hi + 1] += field * _magnetisation(lo)
-        E = energies[:len(X)]
+        if shift is not None:
+            W[:, hi + 1] -= shift[vectors, None]
         for row in range(0, row_stop, rows):
             np.matmul(L[:, row:row + rows], W, out=E)
-            yield slice(k, k + len(X)), row, E[:, :row_stop - row]
-        del X, L, W   # hold one stack's operands at a time, not two
+            yield vectors, row, E[:, :row_stop - row]
+        del X   # hold one stack's coupling matrices at a time, not two
 
 
 def sk_family(layout: CouplingLayout, params: SKParams) -> FunctionFamily:
@@ -326,12 +361,19 @@ def sk_family(layout: CouplingLayout, params: SKParams) -> FunctionFamily:
 
 def _pair_energies(layout: CouplingLayout, x: np.ndarray,
                    start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_{i<j} x_ij s_i s_j, sum_i s_i) for codes [start, stop) of x."""
-    hi, lo = _split(layout.size)
+    """(sum_{i<j} x_ij s_i s_j, sum_i s_i) for codes [start, stop) of x,
+    0 <= start <= stop <= 2^N."""
+    N = layout.size
+    hi, lo = _split(N)
     stack, single = _as_stack(layout, x)
     if not single:
         raise ValueError("pair energies take one coupling vector")
-    blocks = _energy_blocks(layout, stack, 1.0, 0.0, -(-stop >> lo))
+    if not 0 <= start <= stop <= 1 << N:
+        raise ValueError(f"code range [{start}, {stop}) is not within "
+                         f"[0, 2^{N})")
+    _l1_norms(layout, stack)   # refuses infs and NaNs
+    blocks = _energy_blocks(layout, stack, 1.0, 0.0,
+                            max(1, -(-stop >> lo)))
     pair = np.concatenate([E[0].flatten() for _, _, E in blocks])
     codes = np.arange(start, stop)
     mag = (_magnetisation(hi)[codes >> lo]
@@ -342,43 +384,58 @@ def _pair_energies(layout: CouplingLayout, x: np.ndarray,
 def free_energy(layout: CouplingLayout, params: SKParams, x):
     """N^(-1) log sum_sigma exp{ beta/sqrt(N) sum x ss + beta h sum s }.
 
-    Exact enumeration over the split-spin energy grid with a running
-    max-shifted accumulator over its row blocks.  At h = 0 every energy
-    equals that of the flipped configuration, so only the grid rows with
-    s_1 = -1 enter the sum, which counts twice.  Coincides with the
-    soft-max of the member family at level N.
+    Exact enumeration over the split-spin energy grid: one sweep of exp
+    and sum over its row blocks, shifted by a value known before the
+    sweep.  At h = 0 every energy equals that of the flipped
+    configuration, so only the grid rows with s_1 = -1 enter the sum,
+    which counts twice.  Coincides with the soft-max of the member family
+    at level N.
+
+    The shift is s = B / 2 with B = beta N^(-1/2) sum |x_ij| + beta |h| N,
+    which bounds |E(sigma)|.  The energies average to 0 over sigma, so
+    0 <= E_max <= B and every term exp(E - s) lies at or below e^(B/2),
+    the largest at or above e^(-B/2); any shift that keeps the terms in
+    range gives an accurate log-sum-exp (Blanchard, Higham & Higham, IMA
+    J. Numer. Anal. 41, 2021).  ``_energy_blocks`` takes s off W, so no
+    pass over the grid finds or subtracts a max.  B <= _SHIFT_LIMIT, about
+    1386, is derived from the double range and the largest grid; a vector
+    past it (huge beta, heavy tails, or a sum |x_ij| that overflows) is
+    shifted by its exact E_max, from a max-only sweep of ``_energy_blocks``
+    over those vectors alone.  That shift comes off the vector's energy
+    grid, not off W: at such scales the shifted GEMM can round E - E_max
+    far above 0, while the grid's own maximum less E_max is exactly 0.
 
     One coupling vector gives a float; a (B, n) block of them gives the
-    (B,) free energies in one pass over ``_energy_blocks``: per vector and
-    row block a max-shift, exp and sum, the first row block setting the
-    vector's shift and later ones raising it, so each value has the
-    arithmetic of its own vector.
+    (B,) free energies, each from its own vector's shift and arithmetic.
     """
     N = layout.size
     check_enumerable(N)
     hi = _split(N)[0]
     stack, single = _as_stack(layout, x)
+    scale, field = params.beta / math.sqrt(N), params.beta * params.h
     symmetric = params.h == 0.0
     row_stop = 1 << (hi - 1) if symmetric else 1 << hi
-    shift, acc = np.empty(len(stack)), np.zeros(len(stack))
-    for vectors, row, e in _energy_blocks(layout, stack,
-                                          params.beta / math.sqrt(N),
-                                          params.beta * params.h, row_stop):
+    bound = scale * _l1_norms(layout, stack) + abs(field) * N
+    past = np.flatnonzero(~(bound <= _SHIFT_LIMIT))
+    shift, top = bound / 2.0, np.zeros(len(stack))
+    if len(past):
+        peak = np.full(len(past), -math.inf)
+        for vectors, _, e in _energy_blocks(layout, stack[past], scale,
+                                            field, row_stop):
+            peak[vectors] = np.maximum(peak[vectors],
+                                       e.reshape(len(e), -1).max(axis=1))
+        shift[past], top[past] = 0.0, peak
+    acc = np.zeros(len(stack))
+    for vectors, _, e in _energy_blocks(layout, stack, scale, field,
+                                        row_stop, shift):
         e = e.reshape(len(e), -1)
-        m = e.max(axis=1)
-        top, total = shift[vectors], acc[vectors]
-        if row == 0:
-            top[:] = m
-        else:
-            for k in np.flatnonzero(m > top):
-                total[k] *= math.exp(top[k] - m[k])
-                top[k] = m[k]
-        e -= top[:, None]
-        total += np.exp(e, out=e).sum(axis=1)
+        if top[vectors].any():
+            e -= top[vectors, None]
+        acc[vectors] += np.exp(e, out=e).sum(axis=1)
     if symmetric:
         acc *= 2.0
-    values = np.array([(top + math.log(total)) / N
-                       for top, total in zip(shift.tolist(), acc.tolist())])
+    values = np.array([(s + t + math.log(total)) / N for s, t, total
+                       in zip(shift.tolist(), top.tolist(), acc.tolist())])
     return float(values[0]) if single else values
 
 
@@ -413,6 +470,7 @@ def ground_state(layout: CouplingLayout, x):
     check_enumerable(N)
     hi, lo = _split(N)
     stack, single = _as_stack(layout, x)
+    _l1_norms(layout, stack)   # refuses infs and NaNs
     best = np.full(len(stack), -math.inf)
     best_code = np.zeros(len(stack), dtype=np.int64)
     for vectors, row, pair in _energy_blocks(layout, stack, 1.0, 0.0,

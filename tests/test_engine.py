@@ -8,6 +8,7 @@ they hand the engine), evaluated on blocks of 1, 7 and the default number of
 rows, and must give the bits of one-row evaluation.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -123,15 +124,36 @@ class TestBlockContract:
     @pytest.mark.parametrize("N", [2, 7, 12, 14, 15, 16])
     @pytest.mark.parametrize("h", [0.0, 0.3])
     def test_sk_free_energy(self, monkeypatch, N, h):
+        # at beta = 100, rows scaled by 1e-2 stay within the shift limit
+        # and rows scaled by 10 mostly pass it, so a block mixes the B / 2
+        # shift with the exact-max one, and the suite's own values at that
+        # beta keep their bits over --threads
         seen = recorded_functionals(monkeypatch, sk)
-        params = sk.SKParams(beta=1.2, h=h)
-        sk.sk_experiment("free_energy", RADEMACHER, GAUSSIAN, params, N,
-                         100, TANH, 3)
         layout = sk.CouplingLayout(N)
         n = layout.coordinate_count
-        assert_rows_match_one_row(
-            seen[0], lambda x: sk.free_energy(layout, params, x),
-            draws(n, rows_for(n), label=f"sk{N}"), sk._stack_size(N))
+        block = draws(n, rows_for(n), label=f"sk{N}")
+        for beta in (1.2, 100.0):
+            if beta == 100.0:
+                block[::2] *= 1e-2
+                block[1::2] *= 10.0
+                bound = beta * (np.abs(block).sum(axis=1) / math.sqrt(N)
+                                + h * N)
+                assert (bound <= sk._SHIFT_LIMIT).any()
+                assert (bound > sk._SHIFT_LIMIT).any()
+            params = sk.SKParams(beta=beta, h=h)
+            seen.clear()
+            sk.sk_experiment("free_energy", RADEMACHER, GAUSSIAN, params, N,
+                             100, TANH, 3)
+            assert_rows_match_one_row(
+                seen[0], lambda x: sk.free_energy(layout, params, x),
+                block, sk._stack_size(N))
+        # blocks of seven rows, so both threads take blocks
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", 7 * n)
+        serial, threaded = (
+            paired_functional_values(*seen, RADEMACHER, GAUSSIAN, n, 100, 3,
+                                     "sk-threads", threads=threads)
+            for threads in (1, 2))
+        assert same_bits(serial, threaded)
 
     @pytest.mark.parametrize("N", [2, 7, 12, 14, 15, 16])
     def test_sk_ground_state(self, monkeypatch, N):

@@ -1,5 +1,6 @@
 """Spin-glass enumeration, soft-max identity, ground state, and gap bounds."""
 
+import inspect
 import itertools
 import math
 import time
@@ -14,7 +15,8 @@ from lindeberg_lab.core import block_rows, c_constants, estimate_lambda, \
     fd_partial
 from lindeberg_lab.core import test_function as named_g
 from lindeberg_lab.distributions import GAUSSIAN, RADEMACHER, \
-    truncated_second_moment, truncated_third_moment
+    make_vector_sampler, pareto, truncated_second_moment, \
+    truncated_third_moment
 from lindeberg_lab.rng import RandomStream
 from lindeberg_lab.sk import (
     CouplingLayout,
@@ -271,9 +273,9 @@ class TestFreeEnergy:
         asked = []
         blocks = sk._energy_blocks
 
-        def recorder(layout, x, scale, field, row_stop):
-            asked.append(row_stop)
-            return blocks(layout, x, scale, field, row_stop)
+        def recorder(*args, **kwargs):
+            asked.append(args[4])   # row_stop
+            return blocks(*args, **kwargs)
 
         monkeypatch.setattr(sk, "_energy_blocks", recorder)
         layout = CouplingLayout(N)
@@ -297,6 +299,78 @@ class TestFreeEnergy:
                 full = (top + math.log(math.fsum(np.exp(energies - top)))) / N
                 got = free_energy(layout, SKParams(beta=beta, h=0.0), x)
                 assert got == pytest.approx(full, rel=1e-13)
+
+    @pytest.mark.parametrize("N", [9, 14])
+    @pytest.mark.parametrize("h", [0.0, 0.3])
+    def test_shift_matches_fsum_log_sum_exp_across_the_limit(self, N, h):
+        # the B / 2 shift within the limit and the exact-max one past it,
+        # against an fsum log-sum-exp over every code's energy: gaussian
+        # couplings sit within the limit at beta = 40 and past it at 400,
+        # and pareto:2.5 ones with one entry of 1e6 past it at any beta; at
+        # beta = 1e100 a shift taken off W would round E - E_max far above 0
+        layout = CouplingLayout(N)
+        n = layout.coordinate_count
+        heavy = make_vector_sampler([pareto(2.5)] * n)(
+            RandomStream(55, f"sk-test/heavy{N}"), 0, np.empty((2, n)))
+        heavy[0, 3] = 1e6
+        gaussian = coupling_draws(f"shift{N}", N, 2)
+        for beta in (1.0, 40.0, 400.0, 1e100):
+            scale, field = beta / math.sqrt(N), beta * h
+            for x in [*gaussian, *heavy]:
+                pair, mag = sk._pair_energies(layout, x, 0, 1 << N)
+                energies = scale * pair + field * mag
+                top = float(energies.max())
+                full = (top + math.log(math.fsum(np.exp(energies - top)))) / N
+                got = free_energy(layout, SKParams(beta=beta, h=h), x)
+                assert got == pytest.approx(full, rel=1e-13)
+            for x in gaussian:
+                bound = scale * np.abs(x).sum() + abs(field) * N
+                assert (bound <= sk._SHIFT_LIMIT) == (beta < 400.0)
+            assert scale * 1e6 > sk._SHIFT_LIMIT
+
+    def test_max_only_sweep_runs_only_past_the_limit(self, monkeypatch):
+        # the sweep without a shift, for the exact max, takes the vectors
+        # whose bound B on |E| is past the limit and no other
+        swept = []
+        blocks = sk._energy_blocks
+        signature = inspect.signature(blocks)
+
+        def recorder(*args, **kwargs):
+            call = signature.bind(*args, **kwargs).arguments
+            if call.get("shift") is None:
+                swept.append(call["x"].copy())
+            return blocks(*args, **kwargs)
+
+        monkeypatch.setattr(sk, "_energy_blocks", recorder)
+        N = 14
+        layout = CouplingLayout(N)
+        block = np.array(coupling_draws("sweep", N, 30))
+        for h in (0.0, 0.3):
+            free_energy(layout, SKParams(beta=1.0, h=h), block)
+        assert swept == []
+        norms = np.abs(block).sum(axis=1)
+        beta = sk._SHIFT_LIMIT * math.sqrt(N) / float(np.median(norms))
+        past = beta / math.sqrt(N) * norms > sk._SHIFT_LIMIT
+        assert 0 < past.sum() < len(block)
+        free_energy(layout, SKParams(beta=beta), block)
+        [x] = swept
+        assert np.array_equal(x, block[past])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_kernels_refuse_non_finite_couplings(self, bad):
+        N = 6
+        layout = CouplingLayout(N)
+        block = np.array(coupling_draws("finite", N, 3))
+        block[1, 4] = bad
+        kernels = (lambda x: free_energy(layout, SKParams(), x),
+                   lambda x: free_energy(layout, SKParams(h=0.3), x),
+                   lambda x: ground_state(layout, x))
+        for kernel in kernels:
+            for x in (block[1], block):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    kernel(x)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            sk._pair_energies(layout, block[1], 0, 1 << N)
 
     def test_sandwich_around_hard_max(self):
         N = 7
@@ -464,6 +538,18 @@ class TestGroundState:
             value, sigma = ground_state(layout, x)
             assert value == float(np.max(full))
             assert np.array_equal(sigma, spins[int(np.argmax(full))])
+
+    def test_pair_energies_refuse_a_code_range_outside_the_grid(self):
+        layout = CouplingLayout(4)
+        x = coupling_draws("range", 4, 1)[0]
+        for start, stop in ((-3, 5), (0, 20), (0, 17), (5, 3)):
+            with pytest.raises(ValueError, match="code range"):
+                sk._pair_energies(layout, x, start, stop)
+        full, _ = sk._pair_energies(layout, x, 0, 16)
+        for start, stop in ((0, 0), (7, 7), (16, 16), (15, 16)):
+            pair, mag = sk._pair_energies(layout, x, start, stop)
+            assert np.array_equal(pair, full[start:stop])
+            assert len(mag) == stop - start
 
     def test_pair_energies_refuse_a_block(self):
         layout = CouplingLayout(9)
