@@ -30,10 +30,10 @@ for g.
 
 Every suite estimates the left side by paired Monte Carlo (common replicate
 indices, independent counter-based streams for X and Y, one law per side) and
-reports it against its bound with a 3-sigma noise margin, through the same
-two calls: ``paired_functional_values`` draws the replicates in (B, n) blocks
-and maps each block to its B values f(X), f(Y), and ``summarize_gap`` applies
-g to them and reduces the differences.
+reports it against its bound with a 3-sigma noise margin, in one driver,
+``gap_experiment``: it evaluates the record, ``paired_functional_values``
+draws the replicates in (B, n) blocks and maps each block to its B values
+f(X), f(Y), and ``summarize_gap`` applies g to them and reduces the gaps.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ __all__ = [
     "estimate_lambda",
     "paired_functional_values",
     "summarize_gap",
+    "gap_experiment",
     "clt_experiment",
 ]
 
@@ -612,41 +613,62 @@ def summarize_gap(g: TestFunction, vx: np.ndarray, vy: np.ndarray, *,
 
     The one place where g meets the functional values; the reduction is
     deterministic (``math.fsum``) and independent of scheduling order.
+    Refuses sides of unequal length, fewer than two pairs and complex
+    values, whose parts ``gap_experiment`` reduces one at a time.
     """
+    if not len(vx) == len(vy) >= 2 or \
+            np.iscomplexobj(vx) or np.iscomplexobj(vy):
+        raise ValueError(f"need two or more pairs of real values, not "
+                         f"{len(vx)} against {len(vy)}")
     diffs = np.array([g.value(a) - g.value(b) for a, b in zip(vx, vy)])
     reps = len(diffs)
     mean = math.fsum(diffs) / reps
     var = math.fsum((d - mean) ** 2 for d in diffs) / (reps - 1)
-    return GapReport(
-        experiment_id=experiment_id,
-        n=n,
-        replicates=reps,
-        mean_gap=mean,
-        std_error=math.sqrt(var / reps),
-        theoretical_bound=theoretical_bound,
-        seed=seed,
-    )
+    return GapReport(experiment_id=experiment_id, n=n, replicates=reps,
+                     mean_gap=mean, std_error=math.sqrt(var / reps),
+                     theoretical_bound=theoretical_bound, seed=seed)
+
+
+def gap_experiment(functional: Callable[[np.ndarray], np.ndarray],
+                   terms: BoundTerms, spec_x: DistributionSpec,
+                   spec_y: DistributionSpec, g: TestFunction, replicates: int,
+                   master_seed: int, suite: str, setup: str, threads: int = 1,
+                   dtype=float) -> tuple[list, np.ndarray, np.ndarray]:
+    """A suite's paired run: (its gap reports, vx, vy).
+
+    The bound is ``evaluate_bound(terms, g)``, the label
+    "{suite}/{X label}-vs-{Y label}/{setup}", and ``functional`` maps the
+    blocks of ``terms.n`` coordinates of both sides to their values.  A
+    complex ``dtype`` gives a report per part, labelled "/re" and "/im".
+    """
+    bound = evaluate_bound(terms, g)
+    experiment = f"{suite}/{spec_x.label}-vs-{spec_y.label}/{setup}"
+    vx, vy = paired_functional_values(functional, functional, spec_x, spec_y,
+                                      terms.n, replicates, master_seed,
+                                      experiment, threads, dtype)
+    parts = ([("/re", vx.real, vy.real), ("/im", vx.imag, vy.imag)]
+             if np.iscomplexobj(vx) else [("", vx, vy)])
+    return [summarize_gap(g, x, y, experiment_id=experiment + tag, n=terms.n,
+                          theoretical_bound=bound, seed=master_seed)
+            for tag, x, y in parts], vx, vy
 
 
 def clt_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec, n: int,
                    g: TestFunction, replicates: int, master_seed: int,
                    threads: int = 1) -> GapReport:
     """Normalized-sum gap vs the bound of ``clt_swap_terms``,
-    C2 (g_x + g_y)/sqrt(n).
+    C2 (g_x + g_y)/sqrt(n), in one ``gap_experiment`` run.
 
-    The functional is n^(-1/2) times each row sum of a replicate block, the
-    value ``mean_function(n)`` gives one vector, computed for the whole
-    block at once.
-    """
-    bound = evaluate_bound(clt_swap_terms(spec_x, spec_y, n), g)
+    Its own parts are the terms, the label and the functional: n^(-1/2)
+    times each row sum of a replicate block, the value ``mean_function(n)``
+    gives one vector.  It has no diagnostics."""
+    terms = clt_swap_terms(spec_x, spec_y, n)
     root = 1.0 / math.sqrt(n)
 
     def mean(block):
         return root * block.sum(axis=1)
 
-    experiment = f"clt/{spec_x.label}-vs-{spec_y.label}/n{n}"
-    vx, vy = paired_functional_values(mean, mean, spec_x, spec_y, n,
-                                      replicates, master_seed, experiment,
-                                      threads=threads)
-    return summarize_gap(g, vx, vy, experiment_id=experiment, n=n,
-                         theoretical_bound=bound, seed=master_seed)
+    [report], _, _ = gap_experiment(mean, terms, spec_x, spec_y, g,
+                                    replicates, master_seed, "clt", f"n{n}",
+                                    threads=threads)
+    return report

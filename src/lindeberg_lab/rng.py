@@ -14,6 +14,7 @@ CDF transforms only), which pins coordinate values to counter positions.
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily: load it at import
@@ -22,6 +23,16 @@ __all__ = ["experiment_code", "RandomStream"]
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
+
+
+def _u64(value, name: str) -> int:
+    """``operator.index(value)`` if in 0..2**64 - 1, else ValueError."""
+    try:
+        if 0 <= (value := operator.index(value)) <= _MASK64:
+            return value
+    except TypeError:
+        pass
+    raise ValueError(f"{name} {value!r} is no integer in 0..2**64 - 1")
 
 
 def experiment_code(experiment: str) -> int:
@@ -36,14 +47,13 @@ class RandomStream:
     Replicate ``r`` starts at counter block ``r << 128``.  ``fill`` draws
     blocks of replicates; ``replicate(r)`` returns a generator positioned at
     replicate ``r``, shared and invalidated by the next ``replicate`` call.
+    A seed or index that is no integer in 0..2**64 - 1 raises ValueError.
     """
 
     def __init__(self, master_seed: int, experiment: str):
-        if not 0 <= master_seed <= _MASK64:
-            raise ValueError("master_seed must lie in 0..2**64 - 1")
         self._key = np.array(
-            [master_seed, experiment_code(experiment)], dtype=_U64
-        )
+            [_u64(master_seed, "master_seed"), experiment_code(experiment)],
+            dtype=_U64)
         self._bg = np.random.Philox(key=self._key)
         self._gen = np.random.Generator(self._bg)
         # plain lists, which the state setter reads faster than uint64
@@ -56,9 +66,7 @@ class RandomStream:
 
     def replicate(self, index: int) -> np.random.Generator:
         """Fast shared generator positioned at replicate ``index``."""
-        if index < 0:
-            raise ValueError("replicate index must be nonnegative")
-        self._template["state"]["counter"][2] = index
+        self._template["state"]["counter"][2] = _u64(index, "replicate index")
         self._bg.state = self._template
         return self._gen
 

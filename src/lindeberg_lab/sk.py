@@ -71,9 +71,7 @@ from .core import (
     SmoothFunction,
     SuiteReport,
     TestFunction,
-    evaluate_bound,
-    paired_functional_values,
-    summarize_gap,
+    gap_experiment,
     triangle_indices,
     triangle_offsets,
 )
@@ -534,28 +532,20 @@ def sk_experiment(kind: str, spec_x: DistributionSpec,
                   replicates: int, g: TestFunction, master_seed: int,
                   threads: int = 1) -> SKReport:
     """Paired coupling-universality gap of the ``kind`` of ``sk_terms``
-    against its bound."""
+    against its bound, in one ``core.gap_experiment`` run.  Its own parts:
+    the terms, the label (N, beta, h) and the functional, the free energy
+    or the ground-state energy over N^(3/2); no diagnostics."""
     layout = CouplingLayout(N)
     check_enumerable(N)
-    n = layout.coordinate_count
-    bound = evaluate_bound(sk_terms(kind, spec_x, spec_y, params, N), g)
-
+    terms = sk_terms(kind, spec_x, spec_y, params, N)
     if kind == "free_energy":
-        def evaluate(block):
-            return free_energy(layout, params, block)
-
+        evaluate = functools.partial(free_energy, layout, params)
     else:
-        scale = N**-1.5
-
         def evaluate(block):
-            return scale * ground_state(layout, block)[0]
+            return N**-1.5 * ground_state(layout, block)[0]
 
-    experiment = (f"sk-{kind}/{spec_x.label}-vs-{spec_y.label}/N{N}/"
-                  f"beta{params.beta:g}/h{params.h:g}")
-    vx, vy = paired_functional_values(
-        evaluate, evaluate, spec_x, spec_y, n, replicates, master_seed,
-        experiment, threads=threads,
-    )
-    report = summarize_gap(g, vx, vy, experiment_id=experiment, n=n,
-                           theoretical_bound=bound, seed=master_seed)
+    [report], _, _ = gap_experiment(
+        evaluate, terms, spec_x, spec_y, g, replicates, master_seed,
+        f"sk-{kind}", f"N{N}/beta{params.beta:g}/h{params.h:g}",
+        threads=threads)
     return SKReport(report=report)

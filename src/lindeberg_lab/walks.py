@@ -28,9 +28,7 @@ from .core import (
     InfiniteGammaError,
     SuiteReport,
     TestFunction,
-    evaluate_bound,
-    paired_functional_values,
-    summarize_gap,
+    gap_experiment,
 )
 from .distributions import DistributionSpec, third_abs_moment
 from .smoothmax import FunctionFamily, max_bound_terms
@@ -138,17 +136,13 @@ class WalkReport(SuiteReport):
 def erdos_kac_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
                          n: int, g: TestFunction, replicates: int,
                          master_seed: int, threads: int = 1) -> WalkReport:
-    """Paired running-max gap against the optimized bound.
+    """Paired running-max gap against the optimized bound, in one
+    ``core.gap_experiment`` run.
 
-    The KS diagnostic is computed from the Y-side maxima (put the Gaussian
-    law on the Y side to probe the half-normal limit directly).
-    """
-    bound = evaluate_bound(erdos_kac_terms(spec_x, spec_y, n), g)
-    experiment = f"erdos-kac/{spec_x.label}-vs-{spec_y.label}/n{n}"
-    vx, vy = paired_functional_values(
-        max_partial_sums, max_partial_sums, spec_x, spec_y, n, replicates,
-        master_seed, experiment, threads=threads,
-    )
-    report = summarize_gap(g, vx, vy, experiment_id=experiment, n=n,
-                           theoretical_bound=bound, seed=master_seed)
+    Its own parts are the terms, the label, the functional
+    ``max_partial_sums`` and the KS diagnostic, from the Y-side maxima (put
+    the Gaussian law on the Y side to probe the half-normal limit)."""
+    [report], _, vy = gap_experiment(
+        max_partial_sums, erdos_kac_terms(spec_x, spec_y, n), spec_x, spec_y,
+        g, replicates, master_seed, "erdos-kac", f"n{n}", threads=threads)
     return WalkReport(report=report, ks_distance=ks_to_half_normal(vy))

@@ -58,10 +58,8 @@ from .core import (
     SmoothFunction,
     SuiteReport,
     TestFunction,
-    evaluate_bound,
-    paired_functional_values,
+    gap_experiment,
     partials_at_point,
-    summarize_gap,
     swap_terms,
     triangle_indices,
     triangle_offsets,
@@ -460,32 +458,19 @@ def semicircle_experiment(spec_x: DistributionSpec, spec_y: DistributionSpec,
                           replicates: int, master_seed: int,
                           epsilon: float = 0.2,
                           threads: int = 1) -> SemicircleReport:
-    """Paired transform gap for Re and Im parts against the swap bound.
+    """Paired transform gap for Re and Im parts against the swap bound, in
+    one ``core.gap_experiment`` run.
 
     Both parts are tested against the same bound (the projections can only
-    shrink the influence values).  ``stieltjes`` takes each replicate block
-    whole, in one call.  The mean transform over the X-side replicates is
-    reported next to the semicircle reference.
-    """
+    shrink the influence values).  Its own parts are the terms, the label
+    (N, z), the functional, ``stieltjes`` on each whole replicate block,
+    and the diagnostics: the mean X-side transform and the semicircle's."""
     z = _check_z(z)
-    layout = WignerLayout(N)
-    bound = evaluate_bound(semicircle_swap_terms(spec_x, spec_y, N, z, epsilon),
-                           g)
-    experiment = (f"wigner/{spec_x.label}-vs-{spec_y.label}/"
-                  f"N{N}/z{z.real:g}+{z.imag:g}i")
-
-    transform = functools.partial(stieltjes, layout, z=z)
-    vx, vy = paired_functional_values(
-        transform, transform, spec_x, spec_y, layout.coordinate_count,
-        replicates, master_seed, experiment, threads=threads,
-        dtype=complex,
-    )
-    report_re, report_im = (
-        summarize_gap(g, part(vx), part(vy),
-                      experiment_id=f"{experiment}/{tag}",
-                      n=layout.coordinate_count, theoretical_bound=bound,
-                      seed=master_seed)
-        for part, tag in ((np.real, "re"), (np.imag, "im")))
+    terms = semicircle_swap_terms(spec_x, spec_y, N, z, epsilon)
+    (report_re, report_im), vx, _ = gap_experiment(
+        functools.partial(stieltjes, WignerLayout(N), z=z), terms, spec_x,
+        spec_y, g, replicates, master_seed, "wigner",
+        f"N{N}/z{z.real:g}+{z.imag:g}i", threads=threads, dtype=complex)
     mean_m = complex(math.fsum(v.real for v in vx) / len(vx),
                      math.fsum(v.imag for v in vx) / len(vx))
     return SemicircleReport(report_re=report_re, report_im=report_im,

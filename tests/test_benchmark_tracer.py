@@ -4,7 +4,9 @@
 pytest's test paths do not reach ``perfbench/``: a source change that drops
 or reshapes a traced name would pass these tests yet break every traced
 benchmark run.  This module loads the tracer by path, unchanged, and runs
-seven suites at tiny sizes under it.
+seven suites at tiny sizes under it.  Every Monte Carlo run reaches the
+engine and the gap reduction through ``core.gap_experiment``, so the tracer
+sees one engine span per run and one reduction span per gap report.
 """
 
 import importlib.util
@@ -44,27 +46,29 @@ def bindings() -> dict:
     return found
 
 
-@pytest.mark.parametrize("args, layer", [
+# the last field is the run's number of gap reports: a Monte Carlo run makes
+# one engine call and one gap reduction per report (wigner's re and im)
+@pytest.mark.parametrize("args, layer, gaps", [
     (["clt", "--size", "40", "--replicates", "100", "--seed", "3"],
-     "rng.replicate"),
+     "rng.replicate", 1),
     (["erdos_kac", "--size", "50", "--replicates", "100", "--seed", "3"],
-     "walks.max_partial_sums"),
+     "walks.max_partial_sums", 1),
     (["sk_free_energy", "--size", "5", "--replicates", "100", "--seed", "3"],
-     "sk.free_energy"),
+     "sk.free_energy", 1),
     # its kernel reaches the coupling matrix only through ground_state
     (["sk_ground_state", "--size", "5", "--replicates", "100", "--seed", "3"],
-     "sk.coupling_matrix"),
+     "sk.coupling_matrix", 1),
     (["wigner", "--size", "6", "--replicates", "100", "--seed", "3"],
-     "wigner.stieltjes"),
+     "wigner.stieltjes", 2),
     # the one suite whose run calls lu_factor and lu_solve
-    (["lambda_audit", "--size", "3", "--seed", "3"], "wigner.linalg"),
+    (["lambda_audit", "--size", "3", "--seed", "3"], "wigner.linalg", 0),
     # the one run that builds every suite's bound record inside cli.run; it
     # draws nothing, so it takes no seed
-    (["bound_table", "--sizes", "8"], "walks.walk_family"),
+    (["bound_table", "--sizes", "8"], "walks.walk_family", 0),
 ], ids=["clt", "erdos_kac", "sk_free_energy", "sk_ground_state", "wigner",
         "lambda_audit", "bound_table"])
 def test_traced_run_keeps_output_and_records_its_layer(tmp_path, tracing,
-                                                       args, layer):
+                                                       args, layer, gaps):
     def output(tag: str) -> bytes:
         out = tmp_path / f"{tag}.csv"
         assert cli.main([*args, "--out", str(out)]) == 0
@@ -84,3 +88,5 @@ def test_traced_run_keeps_output_and_records_its_layer(tmp_path, tracing,
     names = [span[tracing.NAME] for span in tracer.spans]
     assert names.count("cli.run") == 1
     assert layer in names
+    assert names.count("core.paired_functional_values") == min(gaps, 1)
+    assert names.count("core.summarize_gap") == gaps

@@ -518,6 +518,20 @@ class TestMcGap:
             assert (report.experiment_id, report.n, report.theoretical_bound,
                     report.seed) == ("e", 5, 0.25, 9)
 
+    @pytest.mark.parametrize("vx, vy", [
+        (np.zeros(10), np.zeros(5)),     # zip would keep 5 pairs
+        (np.zeros(5), np.zeros(10)),
+        (np.zeros(1), np.zeros(1)),      # no variance of one difference
+        (np.zeros(0), np.zeros(0)),
+        (np.full(5, 1j), np.zeros(5)),   # g of a complex value
+        (np.zeros(5), np.full(5, 1 + 2j)),
+    ], ids=["x-longer", "y-longer", "one-pair", "no-pairs", "complex-x",
+            "complex-y"])
+    def test_summarize_gap_refuses_what_it_cannot_reduce(self, vx, vy):
+        with pytest.raises(ValueError):
+            summarize_gap(SIN, vx, vy, experiment_id="e", n=5,
+                          theoretical_bound=0.25, seed=9)
+
     def test_gap_report_passed_is_derived(self):
         r = GapReport(experiment_id="e", n=1, replicates=100, mean_gap=0.5,
                       std_error=0.01, theoretical_bound=0.4, seed=0)

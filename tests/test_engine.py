@@ -1,11 +1,12 @@
 """The batched paired-replicate engine: block contract and determinism.
 
-Every suite hands ``core.paired_functional_values`` a functional that maps a
-(B, n) block of replicate draws to its (B,) values.  A row's value must not
-depend on the block it lands in, its position there, or ``--threads``.  The
-block functionals are taken from the suites themselves (by recording what
-they hand the engine), evaluated on blocks of 1, 7 and the default number of
-rows, and must give the bits of one-row evaluation.
+Every suite hands ``core.gap_experiment`` a functional, which the engine
+``core.paired_functional_values`` runs on each (B, n) block of replicate
+draws for its (B,) values.  A row's value must not depend on the block it
+lands in, its position there, or ``--threads``.  The block functionals are
+taken from the suites themselves (by recording what they hand the engine),
+evaluated on blocks of 1, 7 and the default number of rows, and must give
+the bits of one-row evaluation.
 """
 
 import math
@@ -52,16 +53,18 @@ def draws(n: int, rows: int, spec=GAUSSIAN, label: str = "engine"):
                                            np.empty((rows, n)))
 
 
-def recorded_functionals(monkeypatch, module) -> list:
-    """The block functionals ``module`` hands the engine, in call order."""
+def recorded_functionals(monkeypatch) -> list:
+    """The block functionals handed to the engine, in call order, recorded
+    at ``core``, the one module that calls it: ``core.gap_experiment``
+    runs every suite's paired experiment."""
     seen = []
-    engine = module.paired_functional_values
+    engine = core.paired_functional_values
 
     def record(eval_x, eval_y, *args, **kwargs):
         seen.extend((eval_x, eval_y))
         return engine(eval_x, eval_y, *args, **kwargs)
 
-    monkeypatch.setattr(module, "paired_functional_values", record)
+    monkeypatch.setattr(core, "paired_functional_values", record)
     return seen
 
 
@@ -93,14 +96,14 @@ def rows_for(n: int) -> int:
 
 class TestBlockContract:
     def test_clt_mean(self, monkeypatch):
-        seen = recorded_functionals(monkeypatch, core)
+        seen = recorded_functionals(monkeypatch)
         n = 64
         clt_experiment(RADEMACHER, GAUSSIAN, n, SIN, 100, 3)
         assert_rows_match_one_row(seen[0], mean_function(n).value,
                                   draws(n, rows_for(n)))
 
     def test_running_max(self, monkeypatch):
-        seen = recorded_functionals(monkeypatch, walks)
+        seen = recorded_functionals(monkeypatch)
         n = 300
         walks.erdos_kac_experiment(pareto(4.0), GAUSSIAN, n, SIN, 100, 3)
         assert seen[0] is walks.max_partial_sums
@@ -111,7 +114,7 @@ class TestBlockContract:
     # LAPACK reduces N <= 32 unblocked, N = 40 in panels
     @pytest.mark.parametrize("N", [12, 40])
     def test_wigner_transform(self, monkeypatch, N):
-        seen = recorded_functionals(monkeypatch, wigner)
+        seen = recorded_functionals(monkeypatch)
         z = 0.5 + 1.5j
         wigner.semicircle_experiment(RADEMACHER, GAUSSIAN, N, z, IDENTITY,
                                      100, 3)
@@ -128,7 +131,7 @@ class TestBlockContract:
         # and rows scaled by 10 mostly pass it, so a block mixes the B / 2
         # shift with the exact-max one, and the suite's own values at that
         # beta keep their bits over --threads
-        seen = recorded_functionals(monkeypatch, sk)
+        seen = recorded_functionals(monkeypatch)
         layout = sk.CouplingLayout(N)
         n = layout.coordinate_count
         block = draws(n, rows_for(n), label=f"sk{N}")
@@ -157,7 +160,7 @@ class TestBlockContract:
 
     @pytest.mark.parametrize("N", [2, 7, 12, 14, 15, 16])
     def test_sk_ground_state(self, monkeypatch, N):
-        seen = recorded_functionals(monkeypatch, sk)
+        seen = recorded_functionals(monkeypatch)
         sk.sk_experiment("ground_state", RADEMACHER, GAUSSIAN, sk.SKParams(),
                          N, 100, TANH, 3)
         layout = sk.CouplingLayout(N)
@@ -192,10 +195,41 @@ class TestBlockContract:
 
     def test_mc_gap_maps_value_over_rows(self, monkeypatch):
         # the oracle the Wigner twin test compares the suite with
-        seen = recorded_functionals(monkeypatch, core)
+        seen = recorded_functionals(monkeypatch)
         f = mean_function(16)
         mc_gap(f, SIN, RADEMACHER, GAUSSIAN, 100, 3)
         assert_rows_match_one_row(seen[0], f.value, draws(16, rows_for(16)))
+
+
+class TestOneExperimentPath:
+    """Every suite's paired run is one ``core.gap_experiment`` call."""
+
+    @pytest.mark.parametrize("experiment", [
+        lambda: clt_experiment(RADEMACHER, GAUSSIAN, 8, SIN, 100, 3),
+        lambda: walks.erdos_kac_experiment(RADEMACHER, GAUSSIAN, 8, SIN, 100,
+                                           3),
+        lambda: sk.sk_experiment("free_energy", RADEMACHER, GAUSSIAN,
+                                 sk.SKParams(), 4, 100, TANH, 3),
+        lambda: sk.sk_experiment("ground_state", RADEMACHER, GAUSSIAN,
+                                 sk.SKParams(), 4, 100, TANH, 3),
+        lambda: wigner.semicircle_experiment(RADEMACHER, GAUSSIAN, 4, 2j,
+                                             IDENTITY, 100, 3),
+    ], ids=["clt", "erdos_kac", "sk_free_energy", "sk_ground_state",
+            "wigner"])
+    def test_each_experiment_makes_one_engine_call(self, monkeypatch,
+                                                   experiment):
+        seen = recorded_functionals(monkeypatch)
+        experiment()
+        assert len(seen) == 2 and seen[0] is seen[1]
+
+    @pytest.mark.parametrize("module", [walks, sk, wigner],
+                             ids=lambda module: module.__name__)
+    def test_no_suite_module_binds_an_engine_step(self, module):
+        # each step is looked up in core, where perfbench's tracer and the
+        # recorder above rebind it
+        for name in ("paired_functional_values", "summarize_gap",
+                     "evaluate_bound"):
+            assert name not in vars(module), name
 
 
 class TestEngineDeterminism:

@@ -27,3 +27,23 @@ def test_fill_rows_are_philox_replicates(seed, start):
         expect = philox_uniforms(seed, "stream-contract", start + k, 9)
         assert row.tobytes() == expect.tobytes()
 
+
+@pytest.mark.parametrize("seed", [1.9, 1.0, -1, 2**64, "3"])
+def test_a_seed_that_is_no_64_bit_count_is_refused(seed):
+    # a float must not key the stream of its integer part
+    with pytest.raises(ValueError, match="master_seed"):
+        RandomStream(seed, "stream-contract")
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, -1, 2**64, 2**70])
+def test_a_replicate_index_that_is_no_64_bit_count_is_refused(index):
+    # 1.5 must not name replicate 1, nor 2**64 overflow inside numpy
+    with pytest.raises(ValueError, match="replicate index"):
+        RandomStream(3, "stream-contract").replicate(index)
+
+
+def test_numpy_integers_name_the_same_stream():
+    seed, index = np.uint64(2**64 - 1), np.int64(2**40)
+    got = RandomStream(seed, "stream-contract").replicate(index).random(9)
+    expect = philox_uniforms(2**64 - 1, "stream-contract", 2**40, 9)
+    assert got.tobytes() == expect.tobytes()
