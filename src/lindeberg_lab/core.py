@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -545,6 +546,15 @@ def block_rows(n: int) -> int:
     return max(1, BLOCK_ELEMENTS // n)
 
 
+def _count(value, name: str) -> int:
+    """``operator.index(value)``, or ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") \
+            from None
+
+
 def paired_functional_values(eval_x: Callable[[np.ndarray], np.ndarray],
                              eval_y: Callable[[np.ndarray], np.ndarray],
                              spec_x: DistributionSpec,
@@ -569,8 +579,13 @@ def paired_functional_values(eval_x: Callable[[np.ndarray], np.ndarray],
     lands in, its position there or ``threads``.  It must not keep a
     reference to the block, which the next draw overwrites.  Threads take
     contiguous chunks of whole blocks, at most one chunk per thread, and
-    each worker owns its streams and its block buffer.
+    each worker owns its streams, its block buffer and a workspace of two
+    block sizes, allocated once for its replicate range, which both sides'
+    draws take as scratch space.  ``replicates`` and ``threads`` are read
+    through ``operator.index``; anything else raises ValueError.
     """
+    replicates = _count(replicates, "replicates")
+    threads = _count(threads, "threads")
     if replicates < 100:
         raise ValueError("at least 100 replicates are required")
     if threads < 1:
@@ -585,11 +600,12 @@ def paired_functional_values(eval_x: Callable[[np.ndarray], np.ndarray],
         sx = RandomStream(master_seed, experiment + "/x")
         sy = RandomStream(master_seed, experiment + "/y")
         buffer = np.empty((min(rows, hi - lo), n))
+        work = np.empty(2 * buffer.size)
         for start in range(lo, hi, rows):
             stop = min(start + rows, hi)
             block = buffer[:stop - start]
-            vx[start:stop] = eval_x(draw_x(sx, start, block))
-            vy[start:stop] = eval_y(draw_y(sy, start, block))
+            vx[start:stop] = eval_x(draw_x(sx, start, block, work))
+            vy[start:stop] = eval_y(draw_y(sy, start, block, work))
 
     blocks = -(-replicates // rows)
     chunk = -(-blocks // threads) * rows

@@ -24,8 +24,11 @@ two-branch formula.  The engine reuses one replicate block per worker.
 The gaussian quantile is Wichura's AS 241 (*Applied Statistics* 37, 1988),
 the algorithm of ``statistics.NormalDist.inv_cdf``, in numpy: its central
 rational function runs over the whole block, its log/sqrt tail only on the
-values with |p - 1/2| > 0.425 (about 15%).  Like every other transform, it
-allocates its temporaries per call and keeps nothing between calls.
+values with |p - 1/2| > 0.425 (about 15%).  Its two full-length
+temporaries go into a scratch array the caller passes, the engine's
+per-worker workspace, and only its tail temporaries, sized to the tail, are
+allocated per call; like every other transform, it keeps nothing between
+calls.
 """
 
 from __future__ import annotations
@@ -116,13 +119,16 @@ def _pareto_scale(a: float) -> float:
     return math.sqrt(a / (a - 2.0))
 
 
-def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
-    """Overwrite the uniforms ``u`` (a float array) with draws; return ``u``."""
+def _transform(spec: DistributionSpec, u: np.ndarray,
+               work=None) -> np.ndarray:
+    """Overwrite the uniforms ``u``, a float array on the grid k 2^-53 of
+    ``Generator.random``, with draws; return ``u``.  Only the gaussian
+    quantile uses the scratch array ``work``."""
     fam = spec.family
     if fam is Family.GAUSSIAN:
         u += _HALF_ULP
         np.minimum(u, _BELOW_ONE, out=u)
-        return _normal_quantile(u)
+        return _normal_quantile(u, work)
     if fam is Family.RADEMACHER:
         np.greater_equal(u, 0.5, out=u)
         u *= 2.0
@@ -183,9 +189,10 @@ _FAR_DEN = (2.04426310338993978564e-15, 1.42151175831644588870e-7,
             1.48753612908506148525e-2, 1.36929880922735805310e-1,
             5.99832206555887937690e-1, 1.0)
 
-def _polynomial(coefs, r: np.ndarray) -> np.ndarray:
-    """Horner's rule in a new array, in the operation order of AS 241."""
-    out = np.multiply(r, coefs[0])
+def _polynomial(coefs, r: np.ndarray, out=None) -> np.ndarray:
+    """Horner's rule into ``out`` (a new array without it), in the
+    operation order of AS 241."""
+    out = np.multiply(r, coefs[0], out=out)
     for c in coefs[1:-1]:
         out += c
         out *= r
@@ -193,30 +200,40 @@ def _polynomial(coefs, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normal_quantile(p: np.ndarray) -> np.ndarray:
+def _normal_quantile(p: np.ndarray, work=None) -> np.ndarray:
     """Overwrite probabilities p in (0, 1), a float array contiguous in C or
     Fortran order, with their standard normal quantiles by AS 241; return
-    ``p``.
+    ``p``.  Each p must be at least 1/4 or a multiple of 2^-54, as every p
+    the gaussian transform makes of the uniform grid is, so that
+    q = p - 1/2 is exact and 1/2 - |q| = min(p, 1 - p) on the tail.
 
-    Every value is bit-identical to the scalar two-branch formula, with
-    ``np.log`` for the logarithm.
+    ``work``, a 1-D float64 array of at least ``2 * p.size`` values, holds
+    the central branch's two full-length temporaries, r = 0.180625 - q^2
+    and the Horner output; without it they are allocated.  Its contents on
+    entry are never read.  Every value is bit-identical to the scalar
+    two-branch formula, with ``np.log`` for the logarithm.
     """
     if not (p.flags.c_contiguous or p.flags.f_contiguous):
         raise ValueError("the gaussian transform needs a contiguous array")
     flat = p.ravel(order="K")  # a view of the same memory
-    a = np.subtract(flat, 0.5)
-    np.abs(a, out=a)
-    tail = np.flatnonzero(a > 0.425)
-    t = flat[tail]
+    size = flat.size
+    if work is None:
+        work = np.empty(2 * size)
+    r, h = work[:size], work[size:2 * size]
+    flat -= 0.5                # q = p - 1/2, exact on the uniform grid
+    np.abs(flat, out=r)
+    tail = np.flatnonzero(r > 0.425)
+    # min(p, 1 - p) = 1/2 - |q| and the sign of q, on the tail only
+    t = np.subtract(0.5, r[tail])
+    sign = flat[tail]
     # central branch over the whole block: q num(r) / den(r)
-    np.multiply(a, a, out=a)
-    np.subtract(0.180625, a, out=a)
-    flat -= 0.5
-    flat *= _polynomial(_CENTRAL_NUM, a)
-    flat /= _polynomial(_CENTRAL_DEN, a)
-    # tail branch on its subset; min(p, 0.5 - q) is p or, exactly, 1 - p
-    q = t - 0.5
-    np.minimum(t, 0.5 - q, out=t)
+    np.multiply(r, r, out=r)
+    np.subtract(0.180625, r, out=r)
+    flat *= _polynomial(_CENTRAL_NUM, r, out=h)
+    flat /= _polynomial(_CENTRAL_DEN, r, out=h)
+    if not tail.size:
+        return p
+    # tail branch on its subset, in s = sqrt(-log min(p, 1 - p))
     np.log(t, out=t)
     np.negative(t, out=t)
     np.sqrt(t, out=t)
@@ -225,21 +242,24 @@ def _normal_quantile(p: np.ndarray) -> np.ndarray:
     t -= 1.6
     x = _polynomial(_TAIL_NUM, t)
     x /= _polynomial(_TAIL_DEN, t)
-    x[far] = _polynomial(_FAR_NUM, s) / _polynomial(_FAR_DEN, s)
-    flat[tail] = np.copysign(x, q, out=x)
+    if far.size:
+        x[far] = _polynomial(_FAR_NUM, s) / _polynomial(_FAR_DEN, s)
+    flat[tail] = np.copysign(x, sign, out=x)
     return p
 
 
 def make_vector_sampler(specs):
     """Compile a list of n coordinate specs, all one law, into
-    ``draw(stream, start, out)``.
+    ``draw(stream, start, out, work=None)``.
 
     ``draw`` has the ``RandomStream`` ``stream`` fill the rows of the (B, n)
     float array ``out`` with the uniforms of replicates ``start`` ..
     ``start + B - 1``, transforms the block in place with one vectorized
     transform and returns it, so coordinate i always consumes the i-th
     uniform of its replicate.  The transform is elementwise, so a row's
-    values do not depend on the block around it.  A caller that passes the
+    values do not depend on the block around it.  ``work``, a 1-D float64
+    array of at least twice ``out.size`` values, is scratch space for the
+    transform, whose contents never reach a value.  A caller that passes the
     same ``out`` on every call must not keep a reference to an earlier
     result.  A list of differing laws, or of anything but a
     ``DistributionSpec``, raises ValueError.
@@ -253,8 +273,8 @@ def make_vector_sampler(specs):
         raise ValueError("every coordinate must draw from one "
                          "DistributionSpec")
 
-    def draw(stream, start: int, out: np.ndarray) -> np.ndarray:
-        return _transform(spec, stream.fill(start, out))
+    def draw(stream, start: int, out: np.ndarray, work=None) -> np.ndarray:
+        return _transform(spec, stream.fill(start, out), work)
 
     return draw
 

@@ -10,9 +10,10 @@ is smooth in every coordinate.  Its value comes from one real Householder
 reduction A = Q T Q^T to a tridiagonal T = tridiag(d, e), which leaves the
 trace unchanged, followed by an O(N) continued fraction for tr (T - z)^(-1);
 no complex matrix is formed.  ``stieltjes`` takes one coordinate vector or a
-whole (B, n) replicate block, whose rows share one N x N buffer, and LAPACK
-reduces each in panels of ``_PANEL`` columns with level-3 updates once N is
-past its crossover of 32.
+whole (B, n) replicate block, whose rows share one N x N buffer and one row
+buffer, with ``dsytrd`` bound to them once per block, and LAPACK reduces
+each in panels of ``_PANEL`` columns with level-3 updates once N is past
+its crossover of 32.
 
 Differentiating the resolvent identity gives closed forms for the first three
 coordinate partials:
@@ -49,6 +50,7 @@ import ctypes
 import functools
 import math
 from dataclasses import astuple, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -185,24 +187,35 @@ def lapack() -> dict:
 _PANEL = 8
 
 
-def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d, e) of T = tridiag(d, e) = Q^T A Q by LAPACK ``dsytrd``, for the
-    symmetric A held in the upper triangle of ``a``, a writable
-    Fortran-ordered N x N float array that the reduction overwrites and
-    whose lower triangle it never reads.  A workspace of ``_PANEL`` N runs
-    the blocked reduction, with level-3 updates, where N passes LAPACK's
+def _tridiagonal(a: np.ndarray) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
+    """Bind LAPACK ``dsytrd`` to ``a``, a writable Fortran-ordered N x N
+    float array: return ``reduce()``, which overwrites ``a`` with the
+    reduction T = tridiag(d, e) = Q^T A Q of the symmetric A held in its
+    upper triangle, whose lower triangle it never reads, and returns
+    (d, e).  The outputs, the workspace and the ctypes arguments are made
+    once per binding, so every ``reduce()`` returns the same two arrays,
+    which the next one overwrites.  A workspace of ``_PANEL`` N runs the
+    blocked reduction, with level-3 updates, where N passes LAPACK's
     crossover."""
     n = len(a)
     d, work = np.empty(n), np.empty(_PANEL * n)
     e, tau = np.empty(n - 1), np.empty(n - 1)
     info = _INT()
-    lapack()["dsytrd"](b"U", _int(n), a.ctypes.data, _int(n), d.ctypes.data,
-                       e.ctypes.data, tau.ctypes.data, work.ctypes.data,
-                       _int(len(work)), ctypes.byref(info), 1)
-    if info.value != 0:
-        raise ValueError(f"tridiagonal reduction failed "
-                         f"(dsytrd info = {info.value})")
-    return d, e
+    dsytrd = lapack()["dsytrd"]
+    # data_as pointers keep their arrays, ``a`` among them, alive
+    args = (b"U", _int(n), a.ctypes.data_as(_PTR), _int(n),
+            d.ctypes.data_as(_PTR), e.ctypes.data_as(_PTR),
+            tau.ctypes.data_as(_PTR), work.ctypes.data_as(_PTR),
+            _int(len(work)), ctypes.byref(info), 1)
+
+    def reduce() -> tuple[np.ndarray, np.ndarray]:
+        dsytrd(*args)
+        if info.value != 0:
+            raise ValueError(f"tridiagonal reduction failed "
+                             f"(dsytrd info = {info.value})")
+        return d, e
+
+    return reduce
 
 
 # ``resolvent`` calls LAPACK through these two module globals:
@@ -298,10 +311,12 @@ def stieltjes(layout: WignerLayout, x: np.ndarray,
     Where e_k^2 overflows on a finite input (entries past about 1e154),
     the value is recomputed as m(A / s, z / s) / s with s = max |e_k|.
 
-    Every row of a block is reduced in one Fortran N x N buffer: its
-    scatter refills the whole upper triangle, and the lower one, which
-    ``dsytrd`` never reads, stays zero.  So a row's value has the bits of
-    a one-vector call, wherever it sits in whichever block.
+    Every row of a block is reduced in one Fortran N x N buffer, to which
+    ``dsytrd`` is bound once per call: the row is divided by N^(1/2) into
+    one row buffer, whose scatter refills the whole upper triangle, and
+    the lower one, which ``dsytrd`` never reads, stays zero.  So a row's
+    value has the bits of a one-vector call, wherever it sits in whichever
+    block, and no block-sized array is made.
 
     The recurrence does not pivot, so it loses accuracy where a pivot
     cancels: on the rank-one all-equal matrix at N = 3, z = i, the
@@ -316,13 +331,15 @@ def stieltjes(layout: WignerLayout, x: np.ndarray,
     rows = x.reshape(-1, n)
     a = np.zeros((N, N), order="F")
     upper, offsets = a.ravel(order="K"), triangle_offsets(N, 0, "F")
+    reduce = _tridiagonal(a)
+    entries, root = np.empty(n), math.sqrt(N)
     values = np.empty(len(rows), dtype=complex)
-    for r, entries in enumerate(rows / math.sqrt(N)):
-        upper[offsets] = entries
-        d, e = _tridiagonal(a)
+    for r, row in enumerate(rows):
+        upper[offsets] = np.divide(row, root, out=entries)
+        d, e = reduce()
         m = _pivot_trace(d, e, z) / N
         if not cmath.isfinite(m):
-            if not np.isfinite(rows[r]).all():
+            if not np.isfinite(row).all():
                 raise ValueError("array must not contain infs or NaNs")
             s = np.abs(e).max()
             m = _pivot_trace(d / s, e / s, z / s) / s / N

@@ -13,9 +13,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lindeberg_lab import cli, rng, sk
+from lindeberg_lab import cli, core, rng, sk
+from lindeberg_lab.distributions import GAUSSIAN
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -90,3 +92,31 @@ def test_traced_run_keeps_output_and_records_its_layer(tmp_path, tracing,
     assert layer in names
     assert names.count("core.paired_functional_values") == min(gaps, 1)
     assert names.count("core.summarize_gap") == gaps
+
+
+def test_traced_draw_passes_the_workspace(tracing):
+    # the engine hands every draw its worker's workspace as a fourth
+    # argument: the traced sampler passes it on and records one span per
+    # draw, with the vector's n values as its work
+    n, replicates = 1000, 100
+
+    def fingerprint(block):
+        return block.view(np.uint64).sum(axis=1, dtype=np.uint64)
+
+    def run():
+        return core.paired_functional_values(
+            fingerprint, fingerprint, GAUSSIAN, GAUSSIAN, n, replicates, 3,
+            "traced-draw", dtype=np.uint64)
+
+    plain = run()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = run()
+    finally:
+        tracer.uninstall()
+    assert [v.tolist() for v in traced] == [v.tolist() for v in plain]
+    draws = [span for span in tracer.spans
+             if span[tracing.NAME] == "distributions.draw"]
+    blocks = -(-replicates // core.block_rows(n))
+    assert [span[tracing.WORK] for span in draws] == [n] * (2 * blocks)

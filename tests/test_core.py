@@ -426,6 +426,16 @@ class TestMcGap:
             clt_experiment(GAUSSIAN, GAUSSIAN, 4, SIN, replicates=99,
                            master_seed=1)
 
+    @pytest.mark.parametrize("replicates, threads, name",
+                             [(150.5, 1, "replicates"), (150, 1.5, "threads")],
+                             ids=["replicates", "threads"])
+    def test_non_integral_count_rejected(self, replicates, threads, name):
+        # counts are read through operator.index, not left to numpy's
+        # TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            clt_experiment(RADEMACHER, GAUSSIAN, 8, SIN, replicates, 3,
+                           threads=threads)
+
     def test_matched_second_moments_with_clipped_square(self):
         # closed-form oracle: E g(X) under both laws by quadrature; with the
         # clip far out the difference is far below Monte Carlo resolution

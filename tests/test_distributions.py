@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
 
+from lindeberg_lab import core
 from lindeberg_lab.distributions import (
     CEXP,
     GAUSSIAN,
@@ -471,6 +472,86 @@ class TestInPlaceTransforms:
         assert np.ndim(x) == 0 and isinstance(x, float)
         u = stream.replicate(0).random()
         assert same_bits(x, where_oracle(spec, np.array(u)))
+
+
+def on_grid(values) -> np.ndarray:
+    """``values`` rounded down to the grid k 2^-53 of ``Generator.random``."""
+    return np.floor(np.asarray(values) * 2.0**53) * 2.0**-53
+
+
+def stale_workspace(size: int) -> np.ndarray:
+    """A gaussian workspace for ``size`` values that holds only NaN."""
+    return np.full(2 * size, np.nan)
+
+
+class TestGaussianWorkspace:
+    """The gaussian quantile writes its two full-length temporaries into the
+    caller's workspace.  Whatever the workspace held and however large it
+    is, every value keeps the bits of the where-oracle."""
+
+    # (rows, n, first replicate, rows the workspace was sized for)
+    @pytest.mark.parametrize("rows, n, start, capacity", [
+        (1, 1, 0, 1), (1, 5050, 3, 6), (6, 5050, 0, 6), (7, 257, 11, 7),
+        (3, 1000, 40, 32)])
+    def test_draw_matches_where_oracle(self, rows, n, start, capacity):
+        stream = RandomStream(53, f"workspace/{n}")
+        want = where_oracle(GAUSSIAN,
+                            stream.fill(start, np.empty((rows, n))))
+        out = np.empty((rows, n))
+        got = make_vector_sampler([GAUSSIAN] * n)(
+            stream, start, out, stale_workspace(capacity * n))
+        assert got is out
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("uniforms, tail, far", [
+        ([0.5], False, False),
+        (np.linspace(0.1, 0.9, 96), False, False),
+        ([0.01, 0.3, 0.5, 0.99, 0.999], True, False),
+        (EDGE_UNIFORMS, True, True),
+    ], ids=["one-value", "no-tail", "no-far-tail", "edges"])
+    def test_hand_built_block(self, uniforms, tail, far):
+        u = on_grid(uniforms).reshape(1, -1)
+        q = np.abs(u - 0.5)
+        assert (q > 0.425).any() == tail
+        assert (np.minimum(u, 1.0 - u) < math.exp(-25.0)).any() == far
+        want = where_oracle(GAUSSIAN, u)
+        got = _transform(GAUSSIAN, u.copy(), stale_workspace(u.size))
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sides_share_one_workspace(self, threads):
+        # through the engine: each worker hands its one workspace to the
+        # X and Y draws in turn; every row's bits fingerprint its values
+        n, replicates = 1000, 200
+        experiment = "workspace-sides"
+
+        def fingerprint(block):
+            return block.view(np.uint64).sum(axis=1, dtype=np.uint64)
+
+        vx, vy = core.paired_functional_values(
+            fingerprint, fingerprint, GAUSSIAN, GAUSSIAN, n, replicates, 61,
+            experiment, threads=threads, dtype=np.uint64)
+        for side, got in (("/x", vx), ("/y", vy)):
+            stream = RandomStream(61, experiment + side)
+            want = fingerprint(where_oracle(
+                GAUSSIAN, stream.fill(0, np.empty((replicates, n)))))
+            assert got.tolist() == want.tolist()
+        assert vx.tolist() != vy.tolist()
+
+    def test_draw_peak_stays_below_its_block(self):
+        # only tail-sized arrays, about 15% of the block each, are allocated
+        rows, n = 6, 5050
+        stream = RandomStream(59, "workspace-peak")
+        out, work = np.empty((rows, n)), np.empty(2 * rows * n)
+        draw = make_vector_sampler([GAUSSIAN] * n)
+        draw(stream, 0, out, work)
+        tracemalloc.start()
+        try:
+            draw(stream, rows, out, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes
 
 
 def ulp_error(got, ref) -> np.ndarray:

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -202,6 +203,19 @@ class TestStieltjes:
         assert stieltjes(layout, block[::-1], z).tobytes() == \
             want[::-1].tobytes()
 
+    def test_block_call_peak_stays_below_its_block(self):
+        # a row is scaled into one row buffer, not the block into a copy
+        layout = WignerLayout(100)
+        block = np.array(random_draws("block-peak", layout, 6))
+        stieltjes(layout, block[:1], 2j)    # binds LAPACK, caches offsets
+        tracemalloc.start()
+        try:
+            stieltjes(layout, block, 2j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block.nbytes
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("row", [0, 3, 5])
     def test_non_finite_row_of_a_block_rejected(self, row, bad):
@@ -325,7 +339,7 @@ class TestLapack:
             a = _upper_triangle(layout, x)
             want_a, want_d, want_e, _, info = scipy.linalg.lapack.dsytrd(
                 a, lower=0, lwork=wigner._PANEL * N)
-            d, e = _tridiagonal(a)
+            d, e = _tridiagonal(a)()
             assert info == 0
             assert [a.tobytes(), d.tobytes(), e.tobytes()] == \
                 [want_a.tobytes(), want_d.tobytes(), want_e.tobytes()]
@@ -344,8 +358,14 @@ class TestLapack:
         tridiagonal, calls = wigner._tridiagonal, []
 
         def recording(a):
-            calls.append(tridiagonal(a))
-            return calls[-1]
+            reduce = tridiagonal(a)
+
+            def recorded():
+                d, e = reduce()
+                calls.append((d.copy(), e.copy()))
+                return d, e
+
+            return recorded
 
         monkeypatch.setattr(wigner, "_tridiagonal", recording)
         for x in random_draws(f"dsytrd{N}", layout, 3):
@@ -456,7 +476,7 @@ class TestLapack:
             lapack()
         assert lapack.cache_info().currsize == 0
         monkeypatch.setattr(wigner, "_SPELLINGS", spellings)
-        d, _ = _tridiagonal(np.asfortranarray(np.diag([1.0, 2.0, 3.0])))
+        d, _ = _tridiagonal(np.asfortranarray(np.diag([1.0, 2.0, 3.0])))()
         assert d.tolist() == [1.0, 2.0, 3.0]
         assert (sys.modules.get("scipy") is None) == hide_scipy
 
